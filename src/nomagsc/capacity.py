@@ -48,8 +48,8 @@ class QosProfile:
     bandwidth: float = 1e5
 
     def __post_init__(self):
-        if self.theta < 0:
-            raise ValueError(f"theta must be >= 0, got {self.theta}")
+        if not 0 <= self.theta < math.inf:
+            raise ValueError(f"theta must be finite and >= 0, got {self.theta}")
         if not self.block_length > 0 or not self.bandwidth > 0:
             raise ValueError("block length and bandwidth must be > 0")
 
@@ -85,12 +85,15 @@ class SnrPoint:
     rho: float
 
     def __post_init__(self):
-        if not self.rho > 0:
-            raise ValueError(f"rho must be > 0, got {self.rho}")
+        if not 0 < self.rho < math.inf:
+            raise ValueError(f"rho must be finite and > 0, got {self.rho}")
 
     @classmethod
     def from_db(cls, rho_db: float) -> "SnrPoint":
-        return cls(10.0 ** (rho_db / 10.0))
+        try:
+            return cls(10.0 ** (rho_db / 10.0))
+        except OverflowError:
+            raise ValueError(f"rho must be finite, got {rho_db} dB") from None
 
 
 @dataclass(frozen=True)

@@ -24,7 +24,7 @@ from . import figures, sweep, validate
 from .capacity import QosProfile, SnrPoint
 from .montecarlo import SimPlan
 from .numerics import IntegrationError
-from .optimizer import optimize_power
+from .optimizer import SearchError, optimize_power
 
 EXIT_OK = 0
 EXIT_CONFIG = 1
@@ -109,6 +109,8 @@ def _cmd_validate(args) -> int:
             f"mc={r.estimate:.5f} z={r.z:.2f}"
         )
     print(f"{len(rows) - failures}/{len(rows)} checks passed")
+    if rows:
+        print(validate.z_summary(rows))
     if args.out:
         validate.write_csv(rows, args.out)
         print(f"wrote {args.out}")
@@ -128,7 +130,7 @@ def main(argv=None) -> int:
     except sweep.ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except (IntegrationError, ArithmeticError) as exc:
+    except (IntegrationError, ArithmeticError, SearchError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
     except (ValueError, OSError) as exc:

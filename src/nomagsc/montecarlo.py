@@ -6,6 +6,13 @@ estimates with standard errors.  Batches draw from counter-based Philox
 streams keyed by (seed, batch index), so results are reproducible no
 matter how batches are scheduled; accumulators are merged in fixed batch
 order for bit-identical repeats.
+
+Stream contract: a batch's stream holds the strong user's branch powers
+first and the weak user's after them; an estimator of one user alone
+(``estimate_ec_oma``, ``sample_gsc_power``) reads its spec from the start
+of the stream.  ``estimate_cases`` draws each batch once and evaluates
+every quantity of every (split, qos, snr) case on it, with the same
+values as the separate estimators.
 """
 
 from __future__ import annotations
@@ -50,26 +57,69 @@ def _batch_sizes(plan: SimPlan) -> Iterator[tuple[int, int]]:
         index += 1
 
 
-def _batch_rng(plan: SimPlan, index: int) -> np.random.Generator:
-    return np.random.Generator(np.random.Philox(key=[plan.seed, index]))
+def _batches(plan: SimPlan) -> Iterator[tuple[int, np.random.Generator]]:
+    """(size, stream) per batch, in batch order; batch ``index`` draws from
+    its own ``Philox(seed, index)`` stream."""
+    for index, size in _batch_sizes(plan):
+        yield size, np.random.Generator(np.random.Philox(key=[plan.seed, index]))
 
 
-def _draw_gsc(rng: np.random.Generator, spec: GscSpec, size: int) -> np.ndarray:
-    """Combined powers: sum of the n largest of N exponential branch powers."""
+def _combined(spec: GscSpec, unit: np.ndarray, size: int) -> np.ndarray:
+    """Combined powers: sum of the n largest of N exponential branch powers.
+
+    ``unit`` holds ``size * N`` standard exponentials in stream order;
+    scaled by omega they are bit for bit the ``rng.exponential(spec.omega,
+    (size, N))`` draw at that stream position.  ``unit`` is overwritten:
+    scaling and selection work in place, so no batch-sized copy is made.
+    """
     N, n = spec.antennas, spec.combined
-    branches = rng.exponential(spec.omega, size=(size, N))
+    branches = unit.reshape(size, N)
+    branches *= spec.omega
     if n == N:
         return branches.sum(axis=1)
     if n == 1:
         return branches.max(axis=1)
     # partial selection of the n largest per row; no full sort needed
-    return np.partition(branches, N - n, axis=1)[:, N - n :].sum(axis=1)
+    branches.partition(N - n, axis=1)
+    return branches[:, N - n :].sum(axis=1)
+
+
+def _draw(rng: np.random.Generator, size: int, spec: GscSpec) -> np.ndarray:
+    """Combined powers of ``spec`` from the next ``size * N`` stream values."""
+    return _combined(spec, rng.standard_exponential(size * spec.antennas), size)
+
+
+def _draw_pair(
+    rng: np.random.Generator, size: int, pair: UserPairSpec, weak_first: bool = False
+) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
+    """(g_s, g_w, g_w_first) of one batch.
+
+    g_s and g_w are the strong then the weak user's combined powers, drawn
+    in that order.  With ``weak_first``, g_w_first is the weak spec read
+    from the start of the stream instead, which is what an estimator of
+    the weak user alone draws; it reuses the values already drawn.
+    """
+    strong, weak = pair.strong, pair.weak
+    head = size * weak.antennas
+    first = rng.standard_exponential(size * strong.antennas)
+    second = None
+    gw_first = None
+    if weak_first and head > first.size:
+        second = rng.standard_exponential(head)
+        gw_first = _combined(weak, np.concatenate((first, second[: head - first.size])), size)
+    elif weak_first:
+        gw_first = _combined(weak, first[:head].copy(), size)
+    gs = _combined(strong, first, size)
+    del first  # free it before the second block is drawn
+    if second is None:
+        second = rng.standard_exponential(head)
+    return gs, _combined(weak, second, size), gw_first
 
 
 def sample_gsc_power(spec: GscSpec, plan: SimPlan) -> Iterator[np.ndarray]:
     """Stream of combined-power sample batches (deterministic given seed)."""
-    for index, size in _batch_sizes(plan):
-        yield _draw_gsc(_batch_rng(plan, index), spec, size)
+    for size, rng in _batches(plan):
+        yield _draw(rng, size, spec)
 
 
 class _MeanAccumulator:
@@ -99,8 +149,8 @@ class _MeanAccumulator:
 
 def _accumulate(plan: SimPlan, per_batch) -> _MeanAccumulator:
     acc = _MeanAccumulator()
-    for index, size in _batch_sizes(plan):
-        acc.add(per_batch(_batch_rng(plan, index), size))
+    for size, rng in _batches(plan):
+        acc.add(per_batch(rng, size))
     return acc
 
 
@@ -111,6 +161,32 @@ def _ec_estimate(acc: _MeanAccumulator, nu: float) -> Estimate:
     return Estimate(value, std_error, acc.count)
 
 
+def _mean_estimate(acc: _MeanAccumulator) -> Estimate:
+    return Estimate(acc.mean, acc.se_mean, acc.count)
+
+
+# Per-sample functionals, shared by the single estimators and the fused
+# pass so that both evaluate the same floating-point expressions.
+
+
+def _strong_ec_term(gs, split: PowerSplit, qos: QosProfile, snr: SnrPoint):
+    return (1.0 + split.a_s * snr.rho * gs) ** -qos.nu
+
+
+def _strong_rate(gs, split: PowerSplit, snr: SnrPoint):
+    return np.log2(1.0 + split.a_s * snr.rho * gs)
+
+
+def _weak_sinr(gmin, split: PowerSplit, snr: SnrPoint):
+    rho = snr.rho
+    return split.a_w * rho * gmin / (split.a_s * rho * gmin + 1.0)
+
+
+def _oma_ec_term(g, qos: QosProfile, snr: SnrPoint):
+    # full power over half the resources: half rate, so exponent -nu/2
+    return (1.0 + snr.rho * g) ** (-qos.nu / 2.0)
+
+
 def estimate_ec_strong(
     pair: UserPairSpec,
     split: PowerSplit,
@@ -119,21 +195,11 @@ def estimate_ec_strong(
     plan: SimPlan,
 ) -> Estimate:
     """Monte Carlo EC of the strong user's symbol."""
-    nu = qos.nu
-    a = split.a_s * snr.rho
 
     def per_batch(rng, size):
-        g = _draw_gsc(rng, pair.strong, size)
-        return (1.0 + a * g) ** -nu
+        return _strong_ec_term(_draw(rng, size, pair.strong), split, qos, snr)
 
-    return _ec_estimate(_accumulate(plan, per_batch), nu)
-
-
-def _draw_g_min(rng, pair: UserPairSpec, size: int) -> np.ndarray:
-    # strong then weak from the same stream; channels are independent
-    gs = _draw_gsc(rng, pair.strong, size)
-    gw = _draw_gsc(rng, pair.weak, size)
-    return np.minimum(gs, gw)
+    return _ec_estimate(_accumulate(plan, per_batch), qos.nu)
 
 
 def estimate_ec_weak(
@@ -144,46 +210,90 @@ def estimate_ec_weak(
     plan: SimPlan,
 ) -> Estimate:
     """Monte Carlo EC of the weak user's symbol (SINR through g_min)."""
-    nu, rho = qos.nu, snr.rho
-    a_s, a_w = split.a_s, split.a_w
 
     def per_batch(rng, size):
-        g = _draw_g_min(rng, pair, size)
-        sinr = a_w * rho * g / (a_s * rho * g + 1.0)
-        return (1.0 + sinr) ** -nu
+        gs, gw, _ = _draw_pair(rng, size, pair)
+        return (1.0 + _weak_sinr(np.minimum(gs, gw), split, snr)) ** -qos.nu
 
-    return _ec_estimate(_accumulate(plan, per_batch), nu)
+    return _ec_estimate(_accumulate(plan, per_batch), qos.nu)
 
 
 def estimate_ergodic(
     pair: UserPairSpec, split: PowerSplit, snr: SnrPoint, plan: SimPlan
 ) -> tuple[Estimate, Estimate]:
     """Monte Carlo average achievable rates (strong, weak)."""
-    rho = snr.rho
-    a_s, a_w = split.a_s, split.a_w
     acc_s = _MeanAccumulator()
     acc_w = _MeanAccumulator()
-    for index, size in _batch_sizes(plan):
-        rng = _batch_rng(plan, index)
-        gs = _draw_gsc(rng, pair.strong, size)
-        gw = _draw_gsc(rng, pair.weak, size)
-        gmin = np.minimum(gs, gw)
-        acc_s.add(np.log2(1.0 + a_s * rho * gs))
-        acc_w.add(np.log2(1.0 + a_w * rho * gmin / (a_s * rho * gmin + 1.0)))
-    return (
-        Estimate(acc_s.mean, acc_s.se_mean, acc_s.count),
-        Estimate(acc_w.mean, acc_w.se_mean, acc_w.count),
-    )
+    for size, rng in _batches(plan):
+        gs, gw, _ = _draw_pair(rng, size, pair)
+        acc_s.add(_strong_rate(gs, split, snr))
+        acc_w.add(np.log2(1.0 + _weak_sinr(np.minimum(gs, gw), split, snr)))
+    return _mean_estimate(acc_s), _mean_estimate(acc_w)
 
 
 def estimate_ec_oma(
     spec: GscSpec, qos: QosProfile, snr: SnrPoint, plan: SimPlan
 ) -> Estimate:
     """Monte Carlo EC of one OMA user (full power, half rate)."""
-    nu, rho = qos.nu, snr.rho
 
     def per_batch(rng, size):
-        g = _draw_gsc(rng, spec, size)
-        return (1.0 + rho * g) ** (-nu / 2.0)
+        return _oma_ec_term(_draw(rng, size, spec), qos, snr)
 
-    return _ec_estimate(_accumulate(plan, per_batch), nu)
+    return _ec_estimate(_accumulate(plan, per_batch), qos.nu)
+
+
+# Quantities of the fused pass, in the order ``validate`` reports them.
+QUANTITIES = (
+    "ec_strong",
+    "ec_weak",
+    "ec_oma_strong",
+    "ec_oma_weak",
+    "ergodic_strong",
+    "ergodic_weak",
+)
+
+Case = tuple[PowerSplit, QosProfile, SnrPoint]
+
+
+def estimate_cases(
+    pair: UserPairSpec,
+    cases: list[Case],
+    plan: SimPlan,
+    quantities: tuple[str, ...] = QUANTITIES,
+) -> list[dict[str, Estimate]]:
+    """Monte Carlo ``quantities`` of ``pair`` for each (split, qos, snr)
+    case, from one pass over the batches.
+
+    The channel law does not depend on the case, so each batch is drawn
+    and combined once and every case's functionals read it.  Each
+    estimate is bit-identical to the separate estimator's (``ec_oma_*``
+    is ``estimate_ec_oma`` of that user's spec).  Returns one
+    {quantity: Estimate} dict per case, in QUANTITIES order.
+    """
+    unknown = set(quantities) - set(QUANTITIES)
+    if unknown:
+        raise ValueError(f"unknown quantities {sorted(unknown)}; expected {QUANTITIES}")
+    wanted = [q for q in QUANTITIES if q in quantities]
+    accs = [{q: _MeanAccumulator() for q in wanted} for _ in cases]
+    for size, rng in _batches(plan):
+        gs, gw, gw_first = _draw_pair(rng, size, pair, "ec_oma_weak" in wanted)
+        gmin = np.minimum(gs, gw)
+        for (split, qos, snr), acc in zip(cases, accs):
+            sinr = _weak_sinr(gmin, split, snr)
+            terms = {
+                "ec_strong": lambda: _strong_ec_term(gs, split, qos, snr),
+                "ec_weak": lambda: (1.0 + sinr) ** -qos.nu,
+                "ec_oma_strong": lambda: _oma_ec_term(gs, qos, snr),
+                "ec_oma_weak": lambda: _oma_ec_term(gw_first, qos, snr),
+                "ergodic_strong": lambda: _strong_rate(gs, split, snr),
+                "ergodic_weak": lambda: np.log2(1.0 + sinr),
+            }
+            for q, a in acc.items():
+                a.add(terms[q]())
+    return [
+        {
+            q: _ec_estimate(a, qos.nu) if q.startswith("ec_") else _mean_estimate(a)
+            for q, a in acc.items()
+        }
+        for (_, qos, _), acc in zip(cases, accs)
+    ]

@@ -52,6 +52,10 @@ class OptimizeResult:
     grid: list[tuple[float, float]] = field(default_factory=list)  # (a_s, objective)
 
 
+class SearchError(RuntimeError):
+    """The sum objective could not be evaluated on the search grid."""
+
+
 def optimize_power(
     pair: UserPairSpec,
     qos: QosProfile,
@@ -60,17 +64,32 @@ def optimize_power(
     use_montecarlo: bool = False,
     plan: montecarlo.SimPlan | None = None,
 ) -> OptimizeResult:
-    """Grid search over a_s maximizing the requested sum objective."""
-    if use_montecarlo and plan is None:
-        plan = montecarlo.SimPlan()
+    """Grid search over a_s maximizing the requested sum objective.
+
+    With ``use_montecarlo`` every split is estimated in one pass over
+    shared channel draws.  Raises SearchError when the objective fails.
+    """
+    grid = search.grid()
+    if use_montecarlo:
+        try:
+            reports = _montecarlo_reports(
+                pair, grid, qos, snr, search.objective, plan or montecarlo.SimPlan()
+            )
+        except Exception as exc:
+            raise SearchError(
+                f"Monte Carlo objective evaluation failed on a_s in "
+                f"[{grid[0]}, {grid[-1]}]: {exc}"
+            ) from exc
+    else:
+        reports = []
+        for a in grid:
+            try:
+                reports.append(_analytic_report(pair, PowerSplit(a), qos, snr, search.objective))
+            except Exception as exc:
+                raise SearchError(f"objective evaluation failed at a_s={a}: {exc}") from exc
     best = None
     grid_values: list[tuple[float, float]] = []
-    for a in search.grid():
-        split = PowerSplit(a)
-        try:
-            report = _evaluate(pair, split, qos, snr, search.objective, use_montecarlo, plan)
-        except Exception as exc:
-            raise RuntimeError(f"objective evaluation failed at a_s={a}") from exc
+    for a, report in zip(grid, reports):
         objective = report.e_sum
         grid_values.append((a, objective))
         if best is None or objective >= best[1]:
@@ -78,14 +97,19 @@ def optimize_power(
     return OptimizeResult(best[0], best[2], grid_values)
 
 
-def _evaluate(pair, split, qos, snr, objective, use_montecarlo, plan) -> EcReport:
+def _analytic_report(pair, split, qos, snr, objective) -> EcReport:
     if objective == "sum_rate":
-        if use_montecarlo:
-            es, ew = montecarlo.estimate_ergodic(pair, split, snr, plan)
-            return EcReport(es.value, ew.value, method="ergodic_bound")
         return capacity.ergodic_rate(pair, split, snr)
-    if use_montecarlo:
-        es = montecarlo.estimate_ec_strong(pair, split, qos, snr, plan)
-        ew = montecarlo.estimate_ec_weak(pair, split, qos, snr, plan)
-        return EcReport(es.value, ew.value, method="montecarlo")
     return capacity.evaluate_noma(pair, split, qos, snr)
+
+
+def _montecarlo_reports(pair, grid, qos, snr, objective, plan) -> list[EcReport]:
+    if objective == "sum_rate":
+        keys, method = ("ergodic_strong", "ergodic_weak"), "ergodic_bound"
+    else:
+        keys, method = ("ec_strong", "ec_weak"), "montecarlo"
+    cases = [(PowerSplit(a), qos, snr) for a in grid]
+    return [
+        EcReport(est[keys[0]].value, est[keys[1]].value, method=method)
+        for est in montecarlo.estimate_cases(pair, cases, plan, keys)
+    ]

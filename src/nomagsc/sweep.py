@@ -61,6 +61,16 @@ class ConfigError(ValueError):
     """A sweep configuration failed validation before any evaluation."""
 
 
+def _build(cls, fields, where: str):
+    """``cls(**fields)``, with any bad key or value reported as a ConfigError."""
+    if not isinstance(fields, dict):
+        raise ConfigError(f"{where} must be a JSON object")
+    try:
+        return cls(**fields)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"invalid {where}: {exc}") from exc
+
+
 @dataclass(frozen=True)
 class SweepSpec:
     antennas_strong: int
@@ -98,14 +108,14 @@ class SweepSpec:
         if "a_s" in power:
             a_s = float(power["a_s"])
         elif "search" in power:
-            search = SearchSpec(**power["search"])
+            search = _build(SearchSpec, power["search"], "power.search")
         else:
             raise ConfigError("field 'power' needs either 'a_s' or 'search'")
         methods = tuple(need("methods"))
         for m in methods:
             if m not in METHODS:
                 raise ConfigError(f"unknown method {m!r}; expected one of {METHODS}")
-        sim = SimPlan(**raw.get("sim", {}))
+        sim = _build(SimPlan, raw.get("sim", {}), "sim")
         try:
             return cls(
                 antennas_strong=int(need("N_s", pair, "pair")),
@@ -162,7 +172,7 @@ class SweepRow:
     nu: float
     n_s: int
     n_w: int
-    a_s: float
+    a_s: float | None  # None when the power search failed
     method: str
     e_strong: float | None
     e_weak: float | None
@@ -187,19 +197,27 @@ def _evaluate_point(args):
     pair = spec.pair_for(n)
     qos = QosProfile(theta, spec.block_length, spec.bandwidth)
     snr = SnrPoint.from_db(rho_db)
-    if a_s is None:
-        a_s = optimize_power(pair, qos, snr, spec.search).a_star
-    split = PowerSplit(a_s)
-    rows = []
     coords = dict(
         rho_db=rho_db,
         theta=theta,
         nu=qos.nu,
         n_s=pair.strong.combined,
         n_w=pair.weak.combined,
-        a_s=a_s,
     )
-    for method in sorted(spec.methods, key=METHODS.index):
+    methods = sorted(spec.methods, key=METHODS.index)
+    if a_s is None:
+        try:
+            a_s = optimize_power(pair, qos, snr, spec.search).a_star
+        except Exception as exc:
+            return [
+                SweepRow(**coords, a_s=None, method=method, e_strong=None, e_weak=None,
+                         e_sum=None, std_error=None, status=f"error: {exc}")
+                for method in methods
+            ]
+    coords["a_s"] = a_s
+    split = PowerSplit(a_s)
+    rows = []
+    for method in methods:
         try:
             e_s, e_w, std = _run_method(method, pair, split, qos, snr, spec.sim)
         except ValidityError as exc:
@@ -238,8 +256,10 @@ def _run_method(method, pair, split, qos, snr, sim):
         rep = capacity.ergodic_rate(pair, split, snr)
         return rep.e_strong, rep.e_weak, rep.numeric_error
     if method == "montecarlo":
-        es = montecarlo.estimate_ec_strong(pair, split, qos, snr, sim)
-        ew = montecarlo.estimate_ec_weak(pair, split, qos, snr, sim)
+        (est,) = montecarlo.estimate_cases(
+            pair, [(split, qos, snr)], sim, ("ec_strong", "ec_weak")
+        )
+        es, ew = est["ec_strong"], est["ec_weak"]
         std = (es.std_error**2 + ew.std_error**2) ** 0.5
         return es.value, ew.value, std
     raise ValueError(f"unknown method {method!r}")

@@ -42,8 +42,9 @@ class TestDomainTypes:
         assert QosProfile(0.5, 2e-5, 1e5).nu == pytest.approx(1 / math.log(2))
 
     def test_qos_validation(self):
-        with pytest.raises(ValueError):
-            QosProfile(-1.0)
+        for bad in (-1.0, math.nan, math.inf, -math.inf):
+            with pytest.raises(ValueError):
+                QosProfile(bad)
         with pytest.raises(ValueError):
             QosProfile(1.0, block_length=0.0)
 
@@ -55,8 +56,13 @@ class TestDomainTypes:
 
     def test_snr_conversion(self):
         assert SnrPoint.from_db(10).rho == pytest.approx(10.0)
-        with pytest.raises(ValueError):
-            SnrPoint(0.0)
+        for bad in (0.0, math.nan, math.inf):
+            with pytest.raises(ValueError):
+                SnrPoint(bad)
+        # 1e4 dB overflows the dB-to-linear conversion
+        for bad_db in (math.inf, -math.inf, math.nan, 1e4):
+            with pytest.raises(ValueError):
+                SnrPoint.from_db(bad_db)
 
     def test_report_sum(self):
         rep = EcReport(1.5, 0.5, method="exact")

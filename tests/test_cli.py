@@ -7,6 +7,7 @@ import pytest
 from nomagsc import figures
 from nomagsc.cli import (
     EXIT_CONFIG,
+    EXIT_NUMERICAL,
     EXIT_OK,
     EXIT_VALIDATION,
     main,
@@ -63,6 +64,33 @@ class TestSweepCommand:
         out = tmp_path / "no" / "such" / "dir" / "o.csv"
         assert main(["sweep", config_path, "--out", str(out)]) == EXIT_CONFIG
 
+    @pytest.mark.parametrize(
+        "overrides",
+        [
+            {"sim": {"samples": 1000, "sead": 1}},
+            {"sim": {"samples": 0}},
+            {"power": {"search": {"a_min": 0.05, "a_mx": 0.3}}},
+            {"power": {"search": {"a_min": 0.05, "a_max": 0.3, "step": -1}}},
+        ],
+    )
+    def test_bad_sim_or_search_is_config_error(self, overrides, tmp_path, capsys):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps({**CONFIG, **overrides}))
+        code = main(["sweep", str(path), "--out", str(tmp_path / "o.csv")])
+        assert code == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "overrides", [{"theta": [math.nan]}, {"theta": [math.inf]}, {"snr_db": [math.inf]}]
+    )
+    def test_non_finite_input_is_rejected(self, overrides, tmp_path, capsys):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps({**CONFIG, **overrides}))
+        code = main(["sweep", str(path), "--out", str(tmp_path / "o.csv")])
+        assert code == EXIT_CONFIG
+        assert "finite" in capsys.readouterr().err
+
 
 class TestOptimizeCommand:
     def test_prints_per_point_optimum(self, tmp_path, capsys):
@@ -80,6 +108,15 @@ class TestOptimizeCommand:
         assert lines[0].startswith("rho_db")
         assert len(lines) == 2
         assert " 0.24 " in lines[1]
+
+    @pytest.mark.usefixtures("fail_at_0db")
+    def test_failed_search_is_numerical_failure(self, tmp_path, capsys):
+        cfg = {**CONFIG, "n": [4], "power": {"search": {"a_min": 0.08, "a_max": 0.24, "step": 0.08}}}
+        path = tmp_path / "opt.json"
+        path.write_text(json.dumps(cfg))
+        assert main(["optimize", str(path)]) == EXIT_NUMERICAL
+        err = capsys.readouterr().err
+        assert err.startswith("numerical failure: ") and "a_s=0.08" in err
 
     def test_fixed_split_rejected(self, config_path, capsys):
         assert main(["optimize", config_path]) == EXIT_CONFIG
@@ -102,6 +139,27 @@ class TestValidateCommand:
             rows = list(csv.reader(fh))
         assert len(rows) == 13
 
+    def test_z_summary(self, tmp_path, capsys, monkeypatch):
+        from nomagsc import validate as validate_mod
+
+        monkeypatch.setattr(validate_mod, "DEFAULT_GRID", self.GRID)
+        out = tmp_path / "val.csv"
+        main(["validate", "--samples", "20000", "--seed", "0", "--out", str(out)])
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[-3] == "12/12 checks passed"
+        with open(out, newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        signed = [
+            (float(r["analytic"]) - float(r["estimate"])) / float(r["std_error"])
+            for r in rows
+        ]
+        summary = lines[-2]
+        assert summary.startswith("z: max |z|=")
+        fields = dict(f.split("=") for f in summary[3:].split(" ")[:4] if "=" in f)
+        assert float(fields["|z|"]) == pytest.approx(max(float(r["z"]) for r in rows), abs=0.01)
+        assert float(fields["mean"]) == pytest.approx(sum(signed) / len(signed), abs=1e-3)
+        assert summary.endswith(f"|z|>2: {sum(abs(z) > 2 for z in signed)}/12")
+
     def test_byte_identical_reruns(self, tmp_path, monkeypatch):
         from nomagsc import validate as validate_mod
 
@@ -116,10 +174,11 @@ class TestValidateCommand:
 
         monkeypatch.setattr(validate_mod, "DEFAULT_GRID", self.GRID)
 
-        def broken(pair, split, qos, snr, plan):
-            return montecarlo.Estimate(999.0, 1e-6, plan.samples)
+        def broken(pair, cases, plan):
+            bad = montecarlo.Estimate(999.0, 1e-6, plan.samples)
+            return [dict.fromkeys(montecarlo.QUANTITIES, bad) for _ in cases]
 
-        monkeypatch.setattr(validate_mod.montecarlo, "estimate_ec_strong", broken)
+        monkeypatch.setattr(validate_mod.montecarlo, "estimate_cases", broken)
         assert main(["validate", "--samples", "1000"]) == EXIT_VALIDATION
         assert "FAIL" in capsys.readouterr().out
 

@@ -13,10 +13,13 @@ from nomagsc.capacity import (
     ergodic_rate,
     ergodic_rate_oma,
 )
+from nomagsc import validate
 from nomagsc.distributions import GscSpec, UserPairSpec
 from nomagsc.montecarlo import (
+    QUANTITIES,
     Estimate,
     SimPlan,
+    estimate_cases,
     estimate_ec_oma,
     estimate_ec_strong,
     estimate_ec_weak,
@@ -152,3 +155,95 @@ class TestEstimateInvariants:
     def test_std_error_nonnegative(self):
         est = estimate_ec_weak(PAIR_SC, SPLIT, QOS, SNR, SimPlan(samples=1_000))
         assert est.std_error >= 0
+
+
+class TestSharedDraw:
+    """estimate_cases draws each batch once; its estimates must equal the
+    separate estimators' exactly, not approximately."""
+
+    PAIRS = [
+        UserPairSpec(GscSpec(4, 2, 1.0), GscSpec(4, 2, 0.1)),
+        UserPairSpec(GscSpec(3, 2, 1.0), GscSpec(5, 3, 0.1)),  # N_s < N_w
+        UserPairSpec(GscSpec(6, 1, 1.0), GscSpec(2, 2, 0.1)),  # N_s > N_w
+        UserPairSpec(GscSpec(4, 4, 1.0), GscSpec(3, 3, 0.1)),  # n = N
+    ]
+    CASES = [
+        (PowerSplit(0.1), QosProfile(0.5), SnrPoint.from_db(0)),
+        (PowerSplit(0.24), QosProfile(1.0), SnrPoint.from_db(20)),
+        (PowerSplit(0.4), QosProfile(2.0), SnrPoint.from_db(40)),
+    ]
+    PLANS = [
+        SimPlan(samples=20_000, seed=11),
+        SimPlan(samples=10_001, seed=3, batch=4096),  # short last batch
+    ]
+
+    @pytest.mark.parametrize("plan", PLANS)
+    @pytest.mark.parametrize("pair", PAIRS)
+    def test_fused_equals_separate_estimators(self, pair, plan):
+        fused = estimate_cases(pair, self.CASES, plan)
+        assert len(fused) == len(self.CASES)
+        for (split, qos, snr), est in zip(self.CASES, fused):
+            erg_s, erg_w = estimate_ergodic(pair, split, snr, plan)
+            separate = {
+                "ec_strong": estimate_ec_strong(pair, split, qos, snr, plan),
+                "ec_weak": estimate_ec_weak(pair, split, qos, snr, plan),
+                "ec_oma_strong": estimate_ec_oma(pair.strong, qos, snr, plan),
+                "ec_oma_weak": estimate_ec_oma(pair.weak, qos, snr, plan),
+                "ergodic_strong": erg_s,
+                "ergodic_weak": erg_w,
+            }
+            assert list(est) == list(QUANTITIES)
+            assert est == separate
+            assert est["ec_strong"].samples_used == plan.samples
+
+    def test_numpy_stream_identities(self):
+        # The shared draw rests on two properties of numpy's Generator: an
+        # exponential draw is omega times the standard one, element by
+        # element, and consecutive draws equal one larger draw, split.
+        def rng():
+            return np.random.Generator(np.random.Philox(key=[7, 2]))
+
+        stream = rng()
+        first = stream.exponential(0.1, size=(1000, 3))
+        second = stream.exponential(2.5, size=(1000, 5))
+        unit = rng().standard_exponential(1000 * 8)
+        assert np.array_equal(first, 0.1 * unit[:3000].reshape(1000, 3))
+        assert np.array_equal(second, 2.5 * unit[3000:].reshape(1000, 5))
+
+    def test_sampler_matches_direct_draw(self):
+        # reference: batch b is a fresh Philox(seed, b) exponential draw,
+        # combined by partial selection
+        spec, plan = GscSpec(5, 3, 0.7), SimPlan(samples=10_001, seed=3, batch=4096)
+        for index, batch in enumerate(sample_gsc_power(spec, plan)):
+            rng = np.random.Generator(np.random.Philox(key=[plan.seed, index]))
+            branches = rng.exponential(spec.omega, size=(batch.size, 5))
+            expected = np.partition(branches, 2, axis=1)[:, 2:].sum(axis=1)
+            assert np.array_equal(batch, expected)
+
+    def test_whole_grid_validation_equals_per_point(self, tmp_path):
+        grid = {"snr_db": (0.0, 30.0), "theta": (0.5, 1.0), "n": (2, 4), "a_s": (0.1, 0.24)}
+        plan = SimPlan(samples=5_000, seed=8, batch=2048)
+        per_point = []
+        for rho_db in grid["snr_db"]:
+            for theta in grid["theta"]:
+                for n in grid["n"]:
+                    for a_s in grid["a_s"]:
+                        point = {"snr_db": (rho_db,), "theta": (theta,), "n": (n,), "a_s": (a_s,)}
+                        per_point += validate.run_validation(plan, point)
+        whole, joined = tmp_path / "whole.csv", tmp_path / "joined.csv"
+        validate.write_csv(validate.run_validation(plan, grid), str(whole))
+        validate.write_csv(per_point, str(joined))
+        assert whole.read_bytes() == joined.read_bytes()
+
+    def test_validation_draws_each_n_and_batch_once(self, monkeypatch):
+        keys = []
+        philox = np.random.Philox
+
+        def counting(*args, **kwargs):
+            keys.append(tuple(kwargs["key"]))
+            return philox(*args, **kwargs)
+
+        monkeypatch.setattr(np.random, "Philox", counting)
+        validate.run_validation(SimPlan(samples=100_000, seed=0))
+        # one batch of 1e5 samples per n = 1..4
+        assert keys == [(0, 0)] * 4

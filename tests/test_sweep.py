@@ -60,6 +60,20 @@ class TestConfigParsing:
         with pytest.raises(ConfigError, match="power"):
             make_spec(power={})
 
+    @pytest.mark.parametrize(
+        "overrides",
+        [
+            {"sim": {"samples": 1000, "sead": 1}},
+            {"sim": {"samples": 0}},
+            {"sim": [1000]},
+            {"power": {"search": {"a_min": 0.05, "a_mx": 0.3}}},
+            {"power": {"search": {"a_min": 0.3, "a_max": 0.05}}},
+        ],
+    )
+    def test_bad_sim_or_search_is_config_error(self, overrides):
+        with pytest.raises(ConfigError, match="sim|power.search"):
+            make_spec(**overrides)
+
     def test_load_reports_json_line(self, tmp_path):
         path = tmp_path / "bad.json"
         path.write_text('{\n  "pair": }\n')
@@ -116,6 +130,21 @@ class TestRunSweep:
         )
         (row,) = run_sweep(spec)
         assert row.a_s == pytest.approx(0.24)
+
+    @pytest.mark.usefixtures("fail_at_0db")
+    def test_failed_search_gives_error_rows_and_sweep_goes_on(self):
+        spec = make_spec(
+            n=[4],
+            power={"search": {"a_min": 0.08, "a_max": 0.24, "step": 0.08}},
+            methods=["exact", "oma"],
+        )
+        rows = run_sweep(spec)
+        failed = [r for r in rows if r.rho_db == 0]
+        assert [r.method for r in failed] == ["exact", "oma"]
+        for row in failed:
+            assert row.status.startswith("error: ") and "diverged" in row.status
+            assert row.a_s is None and row.e_sum is None
+        assert [r.status for r in rows if r.rho_db == 10] == ["ok", "ok"]
 
     def test_montecarlo_rows_are_deterministic(self):
         spec = make_spec(
