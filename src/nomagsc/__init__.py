@@ -10,10 +10,7 @@ from .capacity import (
     ec_low_snr,
     ec_oma,
     ec_strong,
-    ec_strong_series,
-    ec_weak_general,
-    ec_weak_mrc,
-    ec_weak_sc,
+    ec_weak,
     ergodic_rate,
     ergodic_rate_oma,
     evaluate_noma,
@@ -26,9 +23,7 @@ from .numerics import (
     IntegrationError,
     QuadratureResult,
     QuadratureSettings,
-    alternating_sum,
     integrate_semi_infinite,
-    upper_incomplete_gamma,
 )
 from .optimizer import OptimizeResult, SearchSpec, optimize_power
 

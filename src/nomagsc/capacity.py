@@ -4,11 +4,13 @@ The effective capacity of a symbol with post-combining SNR/SINR gamma is
 
     E = -(1/nu) * log2( E[ (1 + gamma)^(-nu) ] ),    nu = theta*T*B / ln 2.
 
-All expectations are one-dimensional integrals over the channel-power
-densities from :mod:`nomagsc.distributions` and are evaluated by adaptive
-quadrature.  A series cross-check path for the strong user assembles the
-same value from the density's term-by-term integrals, with the pure
-exponential terms done in closed form via the upper incomplete gamma.
+Each quantity has one route.  The exact values are one-dimensional
+integrals over the channel-power densities from
+:mod:`nomagsc.distributions`, evaluated by adaptive quadrature with the
+default settings: the strong user's over the GSC density, the weak
+user's over the density of min(g_s, g_w) in the form
+``distributions.min_law`` picks.  The high-SNR approximation uses the
+Mellin transform ``gsc_mellin``, the low-SNR one the first two moments.
 All rates are spectral efficiencies in bits/s/Hz.
 """
 
@@ -19,12 +21,7 @@ from dataclasses import dataclass
 
 from . import distributions as dist
 from .distributions import GscSpec, UserPairSpec
-from .numerics import (
-    DEFAULT_SETTINGS,
-    QuadratureSettings,
-    integrate_semi_infinite,
-    upper_incomplete_gamma_scaled,
-)
+from .numerics import integrate_semi_infinite
 
 LOG2E = math.log2(math.e)
 
@@ -119,141 +116,43 @@ def _ec_from_expectation(value: float, error: float, nu: float) -> tuple[float, 
 
 
 def ec_strong(
-    pair: UserPairSpec,
-    split: PowerSplit,
-    qos: QosProfile,
-    snr: SnrPoint,
-    settings: QuadratureSettings = DEFAULT_SETTINGS,
+    pair: UserPairSpec, split: PowerSplit, qos: QosProfile, snr: SnrPoint
 ) -> float:
     """EC of the strong user's symbol (decoded after interference removal)."""
     if qos.is_ergodic_limit:
-        return ergodic_rate(pair, split, snr, settings).e_strong
+        return ergodic_rate(pair, split, snr).e_strong
     nu, a = qos.nu, split.a_s * snr.rho
     r = integrate_semi_infinite(
-        lambda x: (1.0 + a * x) ** -nu * dist.gsc_pdf(pair.strong, x), settings
+        lambda x: (1.0 + a * x) ** -nu * dist.gsc_pdf(pair.strong, x)
     )
     return _ec_from_expectation(r.value, r.error_estimate, nu)[0]
 
 
-def ec_strong_series(
-    pair: UserPairSpec,
-    split: PowerSplit,
-    qos: QosProfile,
-    snr: SnrPoint,
-    settings: QuadratureSettings = DEFAULT_SETTINGS,
+def ec_weak(
+    pair: UserPairSpec, split: PowerSplit, qos: QosProfile, snr: SnrPoint
 ) -> float:
-    """Cross-check route for the strong user's EC.
-
-    Assembles the inner expectation from the density's term-by-term
-    integrals: the gamma-shaped head and the polynomial tail corrections
-    by quadrature, the pure exponential terms in closed form through the
-    upper incomplete gamma with first argument 1 - nu.
-    """
+    """EC of the weak user's symbol, decoded with the strong user's symbol
+    as interference; its SINR is a function of min(g_s, g_w)."""
     if qos.is_ergodic_limit:
-        return ergodic_rate(pair, split, snr, settings).e_strong
-    spec = pair.strong
-    N, n, omega = spec.antennas, spec.combined, spec.omega
-    nu, a = qos.nu, split.a_s * snr.rho
-    if nu == 1.0:
-        raise ValidityError("series route is singular at nu = 1; use ec_strong")
-
-    def weight(x: float) -> float:
-        return (1.0 + a * x) ** -nu
-
-    head = integrate_semi_infinite(
-        lambda x: weight(x) * x ** (n - 1) * math.exp(-x / omega), settings
-    ).value / (omega**n * math.factorial(n - 1))
-    terms = [head]
-    for l in range(1, N - n + 1):
-        sign = (-1.0) ** (n + l - 1)
-        coeff = sign * math.comb(N - n, l) * (n / l) ** (n - 1) / omega
-        phi = (1.0 + l / n) / omega
-        # int_0^inf (1 + a x)^-nu exp(-phi x) dx in closed form
-        z = phi / a
-        exp_term = z ** (nu - 1) / a * upper_incomplete_gamma_scaled(1.0 - nu, z)
-        terms.append(coeff * exp_term)
-        for m in range(n - 1):
-            tail = integrate_semi_infinite(
-                lambda x, m=m: weight(x) * x**m * math.exp(-x / omega), settings
-            ).value
-            terms.append(-coeff * (-l / (n * omega)) ** m / math.factorial(m) * tail)
-    value = math.comb(N, n) * math.fsum(terms)
-    return _ec_from_expectation(value, 0.0, nu)[0]
-
-
-def _ec_weak_from_pdf(pdf, split, qos, snr, settings) -> float:
+        return ergodic_rate(pair, split, snr).e_weak
     nu, rho = qos.nu, snr.rho
     a_s, a_w = split.a_s, split.a_w
 
     def integrand(x):
         sinr = a_w * rho * x / (a_s * rho * x + 1.0)
-        return (1.0 + sinr) ** -nu * pdf(x)
+        return (1.0 + sinr) ** -nu * dist.min_pdf(pair, x)
 
-    r = integrate_semi_infinite(integrand, settings)
+    r = integrate_semi_infinite(integrand)
     return _ec_from_expectation(r.value, r.error_estimate, nu)[0]
 
 
-def ec_weak_sc(
-    pair: UserPairSpec,
-    split: PowerSplit,
-    qos: QosProfile,
-    snr: SnrPoint,
-    settings: QuadratureSettings = DEFAULT_SETTINGS,
-) -> float:
-    """EC of the weak user's symbol with single-branch selection on both sides."""
-    if not pair.is_sc:
-        raise ValueError("ec_weak_sc requires single-branch selection on both sides")
-    if qos.is_ergodic_limit:
-        return ergodic_rate(pair, split, snr, settings).e_weak
-    return _ec_weak_from_pdf(
-        lambda x: dist.min_pdf_sc(pair, x), split, qos, snr, settings
-    )
-
-
-def ec_weak_mrc(
-    pair: UserPairSpec,
-    split: PowerSplit,
-    qos: QosProfile,
-    snr: SnrPoint,
-    settings: QuadratureSettings = DEFAULT_SETTINGS,
-) -> float:
-    """EC of the weak user's symbol with full combining on both sides."""
-    if not pair.is_mrc:
-        raise ValueError("ec_weak_mrc requires full combining on both sides")
-    if qos.is_ergodic_limit:
-        return ergodic_rate(pair, split, snr, settings).e_weak
-    return _ec_weak_from_pdf(
-        lambda x: dist.min_pdf_mrc(pair, x), split, qos, snr, settings
-    )
-
-
-def ec_weak_general(
-    pair: UserPairSpec,
-    split: PowerSplit,
-    qos: QosProfile,
-    snr: SnrPoint,
-    settings: QuadratureSettings = DEFAULT_SETTINGS,
-) -> float:
-    """EC of the weak user's symbol for arbitrary combining configurations."""
-    if qos.is_ergodic_limit:
-        return ergodic_rate(pair, split, snr, settings).e_weak
-    return _ec_weak_from_pdf(
-        lambda x: dist.min_pdf_general(pair, x), split, qos, snr, settings
-    )
-
-
-def ec_oma(
-    spec: GscSpec,
-    qos: QosProfile,
-    snr: SnrPoint,
-    settings: QuadratureSettings = DEFAULT_SETTINGS,
-) -> float:
+def ec_oma(spec: GscSpec, qos: QosProfile, snr: SnrPoint) -> float:
     """EC of one user under time-division OMA (full power, half rate)."""
     if qos.is_ergodic_limit:
-        return 0.5 * ergodic_rate_oma(spec, snr, settings)
+        return 0.5 * ergodic_rate_oma(spec, snr)
     nu, rho = qos.nu, snr.rho
     r = integrate_semi_infinite(
-        lambda x: (1.0 + rho * x) ** (-nu / 2.0) * dist.gsc_pdf(spec, x), settings
+        lambda x: (1.0 + rho * x) ** (-nu / 2.0) * dist.gsc_pdf(spec, x)
     )
     return _ec_from_expectation(r.value, r.error_estimate, nu)[0]
 
@@ -263,58 +162,35 @@ def ec_high_snr(
 ) -> EcReport:
     """High-SNR closed-form approximation; requires nu < 1.
 
-    The weak user's EC saturates at log2(1 + a_w/a_s), independent of
-    the delay exponent and its antenna count.
+    The strong user's EC is log2(a_s rho) - log2(E[g^-nu]) / nu.  The weak
+    user's EC saturates at log2(1 + a_w/a_s), independent of the delay
+    exponent and its antenna count.
     """
     nu = qos.nu
     if nu >= 1.0:
         raise ValidityError(
             f"high-SNR approximation requires nu < 1, got nu = {nu:.4f}"
         )
-    spec = pair.strong
-    N, n, omega = spec.antennas, spec.combined, spec.omega
-    terms = [math.gamma(n - nu) / (omega**nu * math.gamma(n))]
-    for l in range(1, N - n + 1):
-        sign = (-1.0) ** (n + l - 1)
-        coeff = sign * math.comb(N - n, l) * (n / l) ** (n - 1) / omega
-        phi = (1.0 + l / n) / omega
-        terms.append(coeff * math.gamma(1.0 - nu) * phi ** (nu - 1.0))
-        for m in range(n - 1):
-            terms.append(
-                -coeff
-                * math.gamma(m - nu + 1.0)
-                * omega ** (m - nu + 1.0)
-                / math.factorial(m)
-                * (-l / (n * omega)) ** m
-            )
-    inner = math.comb(N, n) * math.fsum(terms)
+    inner = dist.gsc_mellin(pair.strong, -nu)
     e_strong = math.log2(split.a_s * snr.rho) - math.log2(inner) / nu
     e_weak = math.log2(1.0 + split.a_w / split.a_s)
     return EcReport(max(e_strong, 0.0), e_weak, method="high_snr")
 
 
 def ec_low_snr(
-    pair: UserPairSpec,
-    split: PowerSplit,
-    qos: QosProfile,
-    snr: SnrPoint,
-    mode: str = "auto",
+    pair: UserPairSpec, split: PowerSplit, qos: QosProfile, snr: SnrPoint
 ) -> EcReport:
     """Two-term low-SNR expansion E ~ rho*E' + 0.5*rho^2*E''.
 
-    The derivative coefficients use the first two moments of the channel
-    powers; with ``mode='general'`` the minimum's moments come from
-    quadrature instead of the SC/MRC closed forms.
+    The derivative coefficients use the first two moments of the strong
+    user's channel power and of min(g_s, g_w).
     """
-    mode = mode.lower()
-    if mode == "auto":
-        mode = "sc" if pair.is_sc else "mrc" if pair.is_mrc else "general"
     nu, rho = qos.nu, snr.rho
     a_s, a_w = split.a_s, split.a_w
     mg, mg2 = dist.gsc_moments(pair.strong)
     e1s = LOG2E * a_s * mg
     e2s = LOG2E * a_s**2 * (nu * mg**2 - (nu + 1.0) * mg2)
-    mm, mm2 = dist.min_moments(pair, mode)
+    mm, mm2 = dist.min_moments(pair)
     e1w = LOG2E * a_w * mm
     e2w = LOG2E * a_w * (
         nu * a_w * mm**2 - ((nu + 1.0) * a_w + 2.0 * a_s) * mm2
@@ -324,24 +200,19 @@ def ec_low_snr(
     return EcReport(max(e_strong, 0.0), max(e_weak, 0.0), method="low_snr")
 
 
-def ergodic_rate(
-    pair: UserPairSpec,
-    split: PowerSplit,
-    snr: SnrPoint,
-    settings: QuadratureSettings = DEFAULT_SETTINGS,
-) -> EcReport:
+def ergodic_rate(pair: UserPairSpec, split: PowerSplit, snr: SnrPoint) -> EcReport:
     """Average achievable rates E[log2(1 + gamma)]; the Jensen upper bound
     on the EC at the same operating point, independent of theta."""
     rho = snr.rho
     a_s, a_w = split.a_s, split.a_w
     rs = integrate_semi_infinite(
-        lambda x: math.log2(1.0 + a_s * rho * x) * dist.gsc_pdf(pair.strong, x),
-        settings,
+        lambda x: math.log2(1.0 + a_s * rho * x) * dist.gsc_pdf(pair.strong, x)
     )
+    # the general form for every pair: the SC/MRC closed forms round
+    # differently and would move the ergodic values in their last digits
     rw = integrate_semi_infinite(
         lambda x: math.log2(1.0 + a_w * rho * x / (a_s * rho * x + 1.0))
-        * dist.min_pdf_general(pair, x),
-        settings,
+        * dist.min_pdf_general(pair, x)
     )
     return EcReport(
         rs.value,
@@ -351,44 +222,29 @@ def ergodic_rate(
     )
 
 
-def ergodic_rate_oma(
-    spec: GscSpec, snr: SnrPoint, settings: QuadratureSettings = DEFAULT_SETTINGS
-) -> float:
+def ergodic_rate_oma(spec: GscSpec, snr: SnrPoint) -> float:
     """Full-rate ergodic capacity E[log2(1 + rho*g)] of one OMA user."""
     return integrate_semi_infinite(
-        lambda x: math.log2(1.0 + snr.rho * x) * dist.gsc_pdf(spec, x), settings
+        lambda x: math.log2(1.0 + snr.rho * x) * dist.gsc_pdf(spec, x)
     ).value
 
 
+# EcReport.method of an exact NOMA report, per distributions.min_law
+_NOMA_METHODS = {"sc": "sc_closed", "mrc": "mrc_closed", "general": "general_quadrature"}
+
+
 def evaluate_noma(
-    pair: UserPairSpec,
-    split: PowerSplit,
-    qos: QosProfile,
-    snr: SnrPoint,
-    settings: QuadratureSettings = DEFAULT_SETTINGS,
+    pair: UserPairSpec, split: PowerSplit, qos: QosProfile, snr: SnrPoint
 ) -> EcReport:
-    """Exact NOMA EC report, routing the weak user through the cheapest
-    density for the pair's combining configuration."""
-    es = ec_strong(pair, split, qos, snr, settings)
-    if pair.is_sc:
-        ew, method = ec_weak_sc(pair, split, qos, snr, settings), "sc_closed"
-    elif pair.is_mrc:
-        ew, method = ec_weak_mrc(pair, split, qos, snr, settings), "mrc_closed"
-    else:
-        ew, method = (
-            ec_weak_general(pair, split, qos, snr, settings),
-            "general_quadrature",
-        )
-    return EcReport(es, ew, method=method)
+    """Exact NOMA EC report; ``method`` names the law of the minimum the
+    weak user's EC was integrated over."""
+    es = ec_strong(pair, split, qos, snr)
+    ew = ec_weak(pair, split, qos, snr)
+    return EcReport(es, ew, method=_NOMA_METHODS[dist.min_law(pair)])
 
 
-def evaluate_oma(
-    pair: UserPairSpec,
-    qos: QosProfile,
-    snr: SnrPoint,
-    settings: QuadratureSettings = DEFAULT_SETTINGS,
-) -> EcReport:
+def evaluate_oma(pair: UserPairSpec, qos: QosProfile, snr: SnrPoint) -> EcReport:
     """OMA baseline: each user gets full power in its own time slot."""
-    es = ec_oma(pair.strong, qos, snr, settings)
-    ew = ec_oma(pair.weak, qos, snr, settings)
+    es = ec_oma(pair.strong, qos, snr)
+    ew = ec_oma(pair.weak, qos, snr)
     return EcReport(es, ew, method="oma")

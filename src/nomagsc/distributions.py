@@ -3,9 +3,12 @@
 The combined power of the n strongest of N i.i.d. Rayleigh branches
 (each branch power exponential with mean Omega) has the classical
 order-statistics density built from an alternating series over the
-discarded branches.  This module provides that PDF, its CDF, the
-densities of the minimum of two independent combined powers (SC, MRC
-and general combining), and first/second moments.
+discarded branches.  This module provides that PDF, its CDF and its
+Mellin transform E[g^s] (the moments and the high-SNR expectation), and
+the density and first two moments of the minimum of two independent
+combined powers.  ``min_law`` is the one rule that picks the minimum's
+closed form from the pair: selection (SC) or full combining (MRC) on
+both sides, otherwise the general composition of the two GSC laws.
 """
 
 from __future__ import annotations
@@ -13,15 +16,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
 from scipy import special
 
-from .numerics import (
-    DEFAULT_SETTINGS,
-    DomainError,
-    alternating_sum,
-    integrate_semi_infinite,
-)
+from .numerics import DomainError, integrate_semi_infinite
 
 # The alternating l-series loses roughly one digit per discarded branch;
 # past this many antennas the closed forms are no longer trustworthy.
@@ -113,7 +110,7 @@ def gsc_pdf(spec: GscSpec, x: float) -> float:
         raise DomainError(f"gsc_pdf requires x >= 0, got {x}")
     if x == 0 and spec.combined > 1:
         return 0.0
-    return math.comb(spec.antennas, spec.combined) * alternating_sum(
+    return math.comb(spec.antennas, spec.combined) * math.fsum(
         _series_terms(spec, x)
     )
 
@@ -134,7 +131,7 @@ def gsc_cdf(spec: GscSpec, x: float) -> float:
             terms.append(
                 -coeff * (-l / n) ** m * special.gammainc(m + 1, x / omega)
             )
-    value = math.comb(N, n) * alternating_sum(terms)
+    value = math.comb(N, n) * math.fsum(terms)
     return min(max(value, 0.0), 1.0)
 
 
@@ -156,7 +153,7 @@ def min_pdf_sc(pair: UserPairSpec, x: float) -> float:
                 * chi
                 * math.exp(-chi * x)
             )
-    return alternating_sum(terms)
+    return math.fsum(terms)
 
 
 def min_pdf_mrc(pair: UserPairSpec, x: float) -> float:
@@ -194,31 +191,58 @@ def min_pdf_general(pair: UserPairSpec, x: float) -> float:
     )
 
 
-def _gsc_raw_moment(spec: GscSpec, p: int) -> float:
-    """p-th raw moment of the combined power, term-by-term integration."""
+def min_law(pair: UserPairSpec) -> str:
+    """The closed form of the law of min(g_s, g_w) that fits the pair:
+    "sc" when both receivers select one branch, "mrc" when both combine
+    all branches, otherwise "general" (composed from the two GSC laws)."""
+    if pair.is_sc:
+        return "sc"
+    if pair.is_mrc:
+        return "mrc"
+    return "general"
+
+
+def min_pdf(pair: UserPairSpec, x: float) -> float:
+    """Density of min(g_s, g_w) in the form ``min_law`` picks."""
+    law = min_law(pair)
+    if law == "sc":
+        return min_pdf_sc(pair, x)
+    if law == "mrc":
+        return min_pdf_mrc(pair, x)
+    return min_pdf_general(pair, x)
+
+
+def gsc_mellin(spec: GscSpec, s: float) -> float:
+    """Mellin transform E[g^s] of the combined power, for real s > -1.
+
+    Integrates the order-statistics series term by term: every term is a
+    gamma integral.  s = 1 and s = 2 give the raw moments; s = -nu gives
+    the high-SNR expectation E[g^-nu].
+    """
+    if not s > -1:
+        raise DomainError(f"gsc_mellin requires s > -1, got {s}")
     N, n, omega = spec.antennas, spec.combined, spec.omega
     terms = [
-        math.gamma(n + p) * omega**p / math.gamma(n)  # leading gamma term
+        math.gamma(n + s) * omega**s / math.gamma(n)  # leading gamma term
     ]
     for l in range(1, N - n + 1):
         sign = (-1.0) ** (n + l - 1)
         coeff = sign * math.comb(N - n, l) * (n / l) ** (n - 1) / omega
-        phi = _phi(spec, l)
-        terms.append(coeff * math.factorial(p) / phi ** (p + 1))
+        terms.append(coeff * math.gamma(1 + s) / _phi(spec, l) ** (1 + s))
         for m in range(n - 1):
             terms.append(
                 -coeff
                 * (-l / (n * omega)) ** m
-                * math.gamma(m + p + 1)
+                * math.gamma(m + s + 1)
                 / math.factorial(m)
-                * omega ** (m + p + 1)
+                * omega ** (m + s + 1)
             )
-    return math.comb(N, n) * alternating_sum(terms)
+    return math.comb(N, n) * math.fsum(terms)
 
 
 def gsc_moments(spec: GscSpec) -> tuple[float, float]:
     """(mean, second raw moment) of the combined channel power."""
-    return _gsc_raw_moment(spec, 1), _gsc_raw_moment(spec, 2)
+    return gsc_mellin(spec, 1), gsc_mellin(spec, 2)
 
 
 def _min_moments_sc(pair: UserPairSpec, p: int) -> float:
@@ -234,7 +258,7 @@ def _min_moments_sc(pair: UserPairSpec, p: int) -> float:
                 * math.factorial(p)
                 / chi**p
             )
-    return alternating_sum(terms)
+    return math.fsum(terms)
 
 
 def _min_moments_mrc(pair: UserPairSpec, p: int) -> float:
@@ -257,27 +281,14 @@ def _min_moments_mrc(pair: UserPairSpec, p: int) -> float:
     return total
 
 
-def min_moments(pair: UserPairSpec, mode: str) -> tuple[float, float]:
-    """(mean, second raw moment) of min(g_s, g_w).
-
-    ``mode`` is "sc", "mrc" (closed forms, configuration must match) or
-    "general" (moments by quadrature over the composed minimum density).
-    """
-    mode = mode.lower()
-    if mode == "sc":
-        if not pair.is_sc:
-            raise ValueError("mode 'sc' requires single-branch selection on both sides")
+def min_moments(pair: UserPairSpec) -> tuple[float, float]:
+    """(mean, second raw moment) of min(g_s, g_w): closed forms for the
+    SC and MRC laws, quadrature over the general density otherwise."""
+    law = min_law(pair)
+    if law == "sc":
         return _min_moments_sc(pair, 1), _min_moments_sc(pair, 2)
-    if mode == "mrc":
-        if not pair.is_mrc:
-            raise ValueError("mode 'mrc' requires full combining on both sides")
+    if law == "mrc":
         return _min_moments_mrc(pair, 1), _min_moments_mrc(pair, 2)
-    if mode == "general":
-        m1 = integrate_semi_infinite(
-            lambda x: x * min_pdf_general(pair, x), DEFAULT_SETTINGS
-        ).value
-        m2 = integrate_semi_infinite(
-            lambda x: x * x * min_pdf_general(pair, x), DEFAULT_SETTINGS
-        ).value
-        return m1, m2
-    raise ValueError(f"unknown mode {mode!r}; expected 'sc', 'mrc' or 'general'")
+    m1 = integrate_semi_infinite(lambda x: x * min_pdf_general(pair, x)).value
+    m2 = integrate_semi_infinite(lambda x: x * x * min_pdf_general(pair, x)).value
+    return m1, m2

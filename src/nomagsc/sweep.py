@@ -89,29 +89,39 @@ class SweepSpec:
 
     @classmethod
     def from_dict(cls, raw: dict) -> "SweepSpec":
-        def need(key, ctx=raw, where="config"):
+        def need(key, ctx=raw, where="config", kind=None):
             if key not in ctx:
                 raise ConfigError(f"missing field {key!r} in {where}")
+            if kind is not None and not isinstance(ctx[key], kind):
+                kind_name = "object" if kind is dict else "list"
+                raise ConfigError(f"field {key!r} must be a JSON {kind_name}")
             return ctx[key]
+
+        def grid(key, convert):
+            values = need(key, kind=list)
+            try:
+                return tuple(convert(v) for v in values)
+            except (TypeError, ValueError) as exc:
+                raise ConfigError(f"invalid {key!r}: {exc}") from exc
 
         if not isinstance(raw, dict):
             raise ConfigError("config root must be a JSON object")
-        pair = need("pair")
-        n_values = tuple(int(n) for n in need("n"))
-        snr_db = tuple(float(v) for v in need("snr_db"))
-        theta = tuple(float(t) for t in need("theta"))
+        pair = need("pair", kind=dict)
+        n_values = grid("n", int)
+        snr_db = grid("snr_db", float)
+        theta = grid("theta", float)
         if not n_values or not snr_db or not theta:
             raise ConfigError("grids 'n', 'snr_db' and 'theta' must be non-empty")
-        power = need("power")
+        power = need("power", kind=dict)
         a_s = None
         search = None
         if "a_s" in power:
-            a_s = float(power["a_s"])
+            a_s = power["a_s"]
         elif "search" in power:
             search = _build(SearchSpec, power["search"], "power.search")
         else:
             raise ConfigError("field 'power' needs either 'a_s' or 'search'")
-        methods = tuple(need("methods"))
+        methods = grid("methods", str)
         for m in methods:
             if m not in METHODS:
                 raise ConfigError(f"unknown method {m!r}; expected one of {METHODS}")
@@ -127,12 +137,12 @@ class SweepSpec:
                 theta=theta,
                 block_length=float(raw.get("block_length", 1e-5)),
                 bandwidth=float(raw.get("bandwidth", 1e5)),
-                a_s=a_s,
+                a_s=float(a_s) if search is None else None,
                 search=search,
                 methods=methods,
                 sim=sim,
             )
-        except ValueError as exc:
+        except (TypeError, ValueError) as exc:
             raise ConfigError(str(exc)) from exc
 
     def to_dict(self) -> dict:

@@ -57,7 +57,8 @@ class ValidationRow:
 
     @property
     def passed(self) -> bool:
-        return self.z <= 3.0
+        # an estimate without a finite standard error (one sample) checks nothing
+        return math.isfinite(self.std_error) and self.z <= 3.0
 
 
 def _pair(n: int) -> UserPairSpec:

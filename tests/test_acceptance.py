@@ -20,7 +20,7 @@ from nomagsc.capacity import (
     ValidityError,
     ec_high_snr,
     ec_low_snr,
-    ec_weak_general,
+    ec_weak,
     ergodic_rate,
     evaluate_noma,
     evaluate_oma,
@@ -119,7 +119,7 @@ class TestAcceptance:
         snr = SnrPoint.from_db(40)
         limit = math.log2(5)
         values = [
-            ec_weak_general(
+            ec_weak(
                 UserPairSpec(GscSpec(4, 4, 1.0), GscSpec(4, n_w, 0.1)),
                 split,
                 QosProfile(theta),
@@ -141,14 +141,14 @@ class TestAcceptance:
         qos = QosProfile(0.5)
         ok = True
         detail = []
-        for n, mode in [(1, "sc"), (4, "mrc")]:
+        for n, law in [(1, "sc"), (4, "mrc")]:
             prev = None
             for db in (-10.0, -20.0, -30.0):
                 snr = SnrPoint.from_db(db)
-                lo = ec_low_snr(pair44(n), PowerSplit(0.24), qos, snr, mode)
+                lo = ec_low_snr(pair44(n), PowerSplit(0.24), qos, snr)
                 ex = evaluate_noma(pair44(n), PowerSplit(0.24), qos, snr)
                 rel = abs(lo.e_sum - ex.e_sum) / ex.e_sum
-                detail.append(f"{mode}@{db:g}dB={rel:.2e}")
+                detail.append(f"{law}@{db:g}dB={rel:.2e}")
                 ok &= rel <= 0.05 and (prev is None or rel < prev)
                 prev = rel
         self._verdict(

@@ -1,7 +1,9 @@
 import math
 
+import mp_oracle
 import pytest
 
+from nomagsc import distributions
 from nomagsc.capacity import (
     EcReport,
     PowerSplit,
@@ -12,10 +14,7 @@ from nomagsc.capacity import (
     ec_low_snr,
     ec_oma,
     ec_strong,
-    ec_strong_series,
-    ec_weak_general,
-    ec_weak_mrc,
-    ec_weak_sc,
+    ec_weak,
     ergodic_rate,
     ergodic_rate_oma,
     evaluate_noma,
@@ -88,15 +87,18 @@ class TestEcStrong:
         assert value == pytest.approx(3.021576, abs=3 * 0.000261)
 
     def test_series_cross_path(self):
+        # 30-digit mpmath quadrature over the series summed in mpmath
         for n in (1, 2, 3, 4):
             a = ec_strong(pair44(n), SPLIT, QOS1, SNR10)
-            b = ec_strong_series(pair44(n), SPLIT, QOS1, SNR10)
-            assert b == pytest.approx(a, rel=1e-7)
+            b = mp_oracle.ec_strong(pair44(n), SPLIT, QOS1, SNR10)
+            assert b == pytest.approx(a, rel=1e-9)
 
-    def test_series_rejects_nu_one(self):
-        qos = QosProfile(math.log(2))  # nu exactly 1
-        with pytest.raises(ValidityError):
-            ec_strong_series(pair44(2), SPLIT, qos, SNR10)
+
+def ec_weak_by(law, monkeypatch, *args):
+    """ec_weak with the minimum's law forced to ``law``."""
+    with monkeypatch.context() as m:
+        m.setattr(distributions, "min_law", lambda pair: law)
+        return ec_weak(*args)
 
 
 class TestEcWeak:
@@ -104,53 +106,47 @@ class TestEcWeak:
         # a_w -> 0 is a_s -> 1; closest admissible split still shows decay
         near_half = PowerSplit(0.499999999999)
         pair = pair44(1)
-        full = ec_weak_sc(pair, PowerSplit(0.25), QOS1, SNR10)
-        assert ec_weak_sc(pair, near_half, QOS1, SNR10) < full
+        full = ec_weak(pair, PowerSplit(0.25), QOS1, SNR10)
+        assert ec_weak(pair, near_half, QOS1, SNR10) < full
 
     def test_high_snr_saturation(self):
         split = PowerSplit(0.2)
         limit = math.log2(5)
-        value = ec_weak_sc(pair44(1), split, QOS1, SnrPoint(1e6))
+        value = ec_weak(pair44(1), split, QOS1, SnrPoint(1e6))
         assert value == pytest.approx(limit, rel=0.01)
 
     def test_sc_frozen_monte_carlo_value(self):
-        value = ec_weak_sc(pair44(1), SPLIT, QOS1, SNR10)
+        value = ec_weak(pair44(1), SPLIT, QOS1, SNR10)
         assert value == pytest.approx(0.930428, abs=3 * 8.8e-5)
 
     def test_mrc_frozen_monte_carlo_value(self):
-        value = ec_weak_mrc(pair44(4), SPLIT, QOS1, SNR20)
+        value = ec_weak(pair44(4), SPLIT, QOS1, SNR20)
         assert value == pytest.approx(1.919332, abs=3 * 2.8e-5)
 
     def test_general_frozen_monte_carlo_value(self):
-        value = ec_weak_general(pair44(2), SPLIT, QOS1, SnrPoint.from_db(15))
+        value = ec_weak(pair44(2), SPLIT, QOS1, SnrPoint.from_db(15))
         assert value == pytest.approx(1.607868, abs=3 * 6.9e-5)
 
-    def test_mrc_equals_sc_single_antenna(self):
+    def test_mrc_equals_sc_single_antenna(self, monkeypatch):
         pair = UserPairSpec(GscSpec(1, 1, 1.0), GscSpec(1, 1, 0.1))
-        a = ec_weak_sc(pair, SPLIT, QOS1, SNR10)
-        b = ec_weak_mrc(pair, SPLIT, QOS1, SNR10)
+        a = ec_weak_by("sc", monkeypatch, pair, SPLIT, QOS1, SNR10)
+        b = ec_weak_by("mrc", monkeypatch, pair, SPLIT, QOS1, SNR10)
         assert b == pytest.approx(a, rel=1e-9)
 
-    def test_general_reduces_to_sc_and_mrc(self):
-        a = ec_weak_sc(pair44(1), SPLIT, QOS1, SNR10)
-        b = ec_weak_general(pair44(1), SPLIT, QOS1, SNR10)
+    def test_general_reduces_to_sc_and_mrc(self, monkeypatch):
+        a = ec_weak(pair44(1), SPLIT, QOS1, SNR10)
+        b = ec_weak_by("general", monkeypatch, pair44(1), SPLIT, QOS1, SNR10)
         assert b == pytest.approx(a, rel=1e-8)
-        a = ec_weak_mrc(pair44(4), SPLIT, QOS1, SNR10)
-        b = ec_weak_general(pair44(4), SPLIT, QOS1, SNR10)
+        a = ec_weak(pair44(4), SPLIT, QOS1, SNR10)
+        b = ec_weak_by("general", monkeypatch, pair44(4), SPLIT, QOS1, SNR10)
         assert b == pytest.approx(a, rel=1e-8)
-
-    def test_precondition_enforcement(self):
-        with pytest.raises(ValueError):
-            ec_weak_sc(pair44(2), SPLIT, QOS1, SNR10)
-        with pytest.raises(ValueError):
-            ec_weak_mrc(pair44(2), SPLIT, QOS1, SNR10)
 
     def test_sinr_saturation_bound(self):
         # the SINR never exceeds a_w/a_s, so neither does the weak EC's cap
         cap = math.log2(1 + SPLIT.a_w / SPLIT.a_s)
         for n in (1, 2, 4):
             for snr in (SNR10, SNR40, SnrPoint(1e6)):
-                assert ec_weak_general(pair44(n), SPLIT, QOS1, snr) <= cap + 1e-9
+                assert ec_weak(pair44(n), SPLIT, QOS1, snr) <= cap + 1e-9
 
 
 class TestEcOma:
@@ -201,21 +197,17 @@ class TestLowSnr:
         assert slope == pytest.approx(expected, rel=0.01)
 
     def test_five_percent_below_minus_ten_db(self):
-        for n, mode in [(1, "sc"), (4, "mrc")]:
+        for n in (1, 4):
             prev = None
             for db in (-10, -20, -30):
                 snr = SnrPoint.from_db(db)
-                lo = ec_low_snr(pair44(n), SPLIT, QOS05, snr, mode)
+                lo = ec_low_snr(pair44(n), SPLIT, QOS05, snr)
                 ex = evaluate_noma(pair44(n), SPLIT, QOS05, snr)
                 rel = abs(lo.e_sum - ex.e_sum) / ex.e_sum
                 assert rel <= 0.05
                 if prev is not None:
                     assert rel < prev
                 prev = rel
-
-    def test_mode_mismatch(self):
-        with pytest.raises(ValueError):
-            ec_low_snr(pair44(2), SPLIT, QOS05, SNR10, mode="sc")
 
 
 class TestErgodicBound:

@@ -71,6 +71,12 @@ class TestSweepCommand:
             {"sim": {"samples": 0}},
             {"power": {"search": {"a_min": 0.05, "a_mx": 0.3}}},
             {"power": {"search": {"a_min": 0.05, "a_max": 0.3, "step": -1}}},
+            {"n": 5},
+            {"n": ["a"]},
+            {"snr_db": None},
+            {"power": 5},
+            {"power": {"a_s": None}},
+            {"methods": 5},
         ],
     )
     def test_bad_sim_or_search_is_config_error(self, overrides, tmp_path, capsys):
@@ -181,6 +187,14 @@ class TestValidateCommand:
         monkeypatch.setattr(validate_mod.montecarlo, "estimate_cases", broken)
         assert main(["validate", "--samples", "1000"]) == EXIT_VALIDATION
         assert "FAIL" in capsys.readouterr().out
+
+    def test_single_sample_fails(self, capsys, monkeypatch):
+        # one sample has no finite standard error, so no check can pass
+        from nomagsc import validate as validate_mod
+
+        monkeypatch.setattr(validate_mod, "DEFAULT_GRID", self.GRID)
+        assert main(["validate", "--samples", "1"]) == EXIT_VALIDATION
+        assert "0/12 checks passed" in capsys.readouterr().out
 
 
 class TestFigureCommand:

@@ -1,15 +1,20 @@
 import math
 
+import mp_oracle
 import numpy as np
 import pytest
 
+from nomagsc import distributions
 from nomagsc.distributions import (
     GscSpec,
     UserPairSpec,
     gsc_cdf,
+    gsc_mellin,
     gsc_moments,
     gsc_pdf,
+    min_law,
     min_moments,
+    min_pdf,
     min_pdf_general,
     min_pdf_mrc,
     min_pdf_sc,
@@ -172,6 +177,12 @@ class TestMinPdfs:
         with pytest.raises(ValueError):
             min_pdf_mrc(PAIR_SC, 0.1)
 
+    def test_min_pdf_follows_min_law(self):
+        assert [min_law(p) for p in (PAIR_SC, PAIR_MRC, PAIR_GSC)] == ["sc", "mrc", "general"]
+        for pair, form in ((PAIR_SC, min_pdf_sc), (PAIR_MRC, min_pdf_mrc), (PAIR_GSC, min_pdf_general)):
+            for x in (0.0, 0.05, 0.3, 1.0):
+                assert min_pdf(pair, x) == form(pair, x)
+
     def test_general_normalization(self):
         for pair in (PAIR_SC, PAIR_MRC, PAIR_GSC, pair44(3)):
             r = integrate_semi_infinite(lambda x: min_pdf_general(pair, x))
@@ -200,22 +211,25 @@ class TestMoments:
             assert m1 == pytest.approx(q1, rel=1e-8)
             assert m2 == pytest.approx(q2, rel=1e-8)
 
-    def test_min_moments_exponential(self):
+    def test_min_moments_exponential(self, monkeypatch):
         pair = UserPairSpec(GscSpec(1, 1, 1.0), GscSpec(1, 1, 0.1))
-        m1, m2 = min_moments(pair, "sc")
+        assert min_law(pair) == "sc"
+        m1, m2 = min_moments(pair)
         assert m1 == pytest.approx(1 / 11, rel=1e-12)
         assert m2 == pytest.approx(2 / 121, rel=1e-12)
-        assert min_moments(pair, "mrc") == pytest.approx((m1, m2), rel=1e-12)
+        # one antenna per side: the MRC closed form applies too
+        monkeypatch.setattr(distributions, "min_law", lambda pair: "mrc")
+        assert min_moments(pair) == pytest.approx((m1, m2), rel=1e-12)
 
     def test_min_moments_sc_frozen_monte_carlo(self):
         # 1e7-sample moment estimates: 0.207967 +- 3.8e-5, 0.057323 +- 2.3e-5
-        m1, m2 = min_moments(PAIR_SC, "sc")
+        m1, m2 = min_moments(PAIR_SC)
         assert m1 == pytest.approx(0.207967, abs=1.2e-4)
         assert m2 == pytest.approx(0.057323, abs=7e-5)
 
     def test_min_moments_match_quadrature(self):
-        for pair, mode in [(PAIR_SC, "sc"), (PAIR_MRC, "mrc"), (PAIR_GSC, "general")]:
-            m1, m2 = min_moments(pair, mode)
+        for pair in (PAIR_SC, PAIR_MRC, PAIR_GSC):
+            m1, m2 = min_moments(pair)
             q1 = integrate_semi_infinite(lambda x: x * min_pdf_general(pair, x)).value
             q2 = integrate_semi_infinite(
                 lambda x: x * x * min_pdf_general(pair, x)
@@ -223,10 +237,28 @@ class TestMoments:
             assert m1 == pytest.approx(q1, rel=1e-7)
             assert m2 == pytest.approx(q2, rel=1e-7)
 
-    def test_mode_configuration_mismatch(self):
-        with pytest.raises(ValueError):
-            min_moments(PAIR_GSC, "sc")
-        with pytest.raises(ValueError):
-            min_moments(PAIR_GSC, "mrc")
-        with pytest.raises(ValueError):
-            min_moments(PAIR_GSC, "bogus")
+
+class TestMellin:
+    def test_moments_match_renyi_closed_forms(self):
+        # Renyi: g = omega*(Gamma(n, 1) + sum_{i>n} (n/i) E_i), so
+        # mean = omega*(n + sum n/i) and var = omega^2*(n + sum (n/i)^2)
+        for N in range(1, 7):
+            for n in range(1, N + 1):
+                for omega in (0.1, 1.0, 10.0):
+                    spec = GscSpec(N, n, omega)
+                    tail = [n / i for i in range(n + 1, N + 1)]
+                    mean = omega * (n + math.fsum(tail))
+                    var = omega**2 * (n + math.fsum(t * t for t in tail))
+                    assert gsc_mellin(spec, 1) == pytest.approx(mean, rel=1e-12)
+                    assert gsc_mellin(spec, 2) == pytest.approx(var + mean**2, rel=1e-12)
+
+    def test_negative_order_matches_mpmath(self):
+        for n in (1, 2, 3, 4):
+            spec = GscSpec(4, n, 1.0)
+            for nu in (0.3, 0.7):
+                ref = float(mp_oracle.expectation(spec, lambda x: x**-nu))
+                assert gsc_mellin(spec, -nu) == pytest.approx(ref, rel=1e-12)
+
+    def test_domain_error(self):
+        with pytest.raises(DomainError):
+            gsc_mellin(GscSpec(4, 2, 1.0), -1.0)

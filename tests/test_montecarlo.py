@@ -9,7 +9,7 @@ from nomagsc.capacity import (
     SnrPoint,
     ec_oma,
     ec_strong,
-    ec_weak_sc,
+    ec_weak,
     ergodic_rate,
     ergodic_rate_oma,
 )
@@ -85,7 +85,7 @@ class TestEcEstimates:
     def test_weak_matches_analytic(self):
         est = estimate_ec_weak(PAIR_SC, SPLIT, QOS, SNR, PLAN)
         assert est.value == pytest.approx(
-            ec_weak_sc(PAIR_SC, SPLIT, QOS, SNR), abs=3 * est.std_error
+            ec_weak(PAIR_SC, SPLIT, QOS, SNR), abs=3 * est.std_error
         )
 
     def test_weak_saturation(self):

@@ -1,107 +1,12 @@
 import math
 
-import mpmath as mp
-import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from nomagsc.numerics import (
-    DomainError,
     IntegrationError,
     QuadratureSettings,
-    alternating_sum,
     integrate_semi_infinite,
-    upper_incomplete_gamma,
-    upper_incomplete_gamma_scaled,
 )
-
-mp.mp.dps = 40
-
-
-class TestUpperIncompleteGamma:
-    def test_a_one_is_exponential(self):
-        assert upper_incomplete_gamma(1.0, 1.0) == pytest.approx(math.exp(-1), rel=1e-12)
-
-    def test_small_x_limit_is_gamma(self):
-        # Gamma(0.5, x) = sqrt(pi) - 2*sqrt(x) + O(x^1.5); at x = 1e-12 the
-        # exact value sits 2e-6 below the limit
-        x = 1e-12
-        assert upper_incomplete_gamma(0.5, x) == pytest.approx(
-            math.sqrt(math.pi) - 2 * math.sqrt(x), rel=1e-10
-        )
-        assert upper_incomplete_gamma(0.5, x) == pytest.approx(
-            math.sqrt(math.pi), abs=2.1e-6
-        )
-
-    def test_negative_noninteger_a(self):
-        # frozen from a 30-digit quadrature of the defining integral
-        assert upper_incomplete_gamma(-0.4427, 2.5) == pytest.approx(
-            0.014925651011350891, rel=1e-10
-        )
-
-    def test_domain_error(self):
-        with pytest.raises(DomainError):
-            upper_incomplete_gamma(1.0, 0.0)
-        with pytest.raises(DomainError):
-            upper_incomplete_gamma(1.0, -1.0)
-
-    def test_ten_digits_over_domain(self):
-        rng = np.random.default_rng(7)
-        for _ in range(200):
-            a = rng.uniform(-20, 20)
-            x = 10.0 ** rng.uniform(-8, 2.8)
-            ref = float(mp.gammainc(a, x, mp.inf))
-            assert upper_incomplete_gamma(a, x) == pytest.approx(ref, rel=1e-10), (a, x)
-
-    def test_recurrence(self):
-        # Gamma(a+1, x) = a*Gamma(a, x) + x^a * exp(-x)
-        rng = np.random.default_rng(11)
-        for _ in range(100):
-            a = rng.uniform(-10, 10)
-            x = 10.0 ** rng.uniform(-4, 2)
-            lhs = upper_incomplete_gamma(a + 1.0, x)
-            rhs = a * upper_incomplete_gamma(a, x) + x**a * math.exp(-x)
-            assert lhs == pytest.approx(rhs, rel=1e-9, abs=1e-300)
-
-    def test_scaled_variant_where_exp_overflows(self):
-        x = 800.0
-        ref = float(mp.exp(x) * mp.gammainc(0.3, x, mp.inf))
-        assert upper_incomplete_gamma_scaled(0.3, x) == pytest.approx(ref, rel=1e-10)
-
-    def test_nonpositive_integer_a(self):
-        for a in (0.0, -1.0, -3.0):
-            ref = float(mp.gammainc(a, 0.25, mp.inf))
-            assert upper_incomplete_gamma(a, 0.25) == pytest.approx(ref, rel=1e-10)
-
-
-class TestAlternatingSum:
-    def test_cancellation(self):
-        assert alternating_sum([1.0, -1.0]) == 0.0
-
-    def test_compensated_canonical_case(self):
-        assert alternating_sum([1e16, 1.0, -1e16]) == 1.0
-
-    def test_empty(self):
-        assert alternating_sum([]) == 0.0
-
-    def test_gsc_series_against_extended_precision(self):
-        # term list of the order-statistics density for N=6, n=1 at x=0.01
-        x = 0.01
-        terms = [math.exp(-x)] + [
-            (-1.0) ** l * math.comb(5, l) * math.exp(-x) * math.exp(-l * x)
-            for l in range(1, 6)
-        ]
-        with mp.workprec(200):
-            ref = float(mp.fsum([mp.mpf(t) for t in terms]))
-        assert alternating_sum(terms) == pytest.approx(ref, rel=1e-12)
-
-    @given(st.lists(st.floats(min_value=-1e12, max_value=1e12), max_size=50))
-    @settings(max_examples=200, deadline=None)
-    def test_within_two_ulp_of_exact_sum(self, terms):
-        with mp.workprec(200):
-            ref = float(mp.fsum([mp.mpf(t) for t in terms]))
-        assert abs(alternating_sum(terms) - ref) <= 2 * math.ulp(ref)
 
 
 # integrands with known values for the error-bound corpus
