@@ -1,18 +1,22 @@
-"""Integration primitive and the numerical error types.
+"""Integration primitive, the upper incomplete gamma and the numerical
+error types.
 
 The package's analytic evaluators are one-dimensional integrals over
 [0, inf); ``integrate_semi_infinite`` evaluates them by adaptive
 quadrature and raises ``IntegrationError`` when the result misses its
-tolerance contract.
+tolerance contract.  ``upper_incomplete_gamma`` (and its exp-scaled
+variant) accepts any real first argument, including negative and
+non-integer ones.
 """
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import integrate
+from scipy import integrate, special
 
 
 class DomainError(ValueError):
@@ -85,3 +89,87 @@ def integrate_semi_infinite(
             f"error estimate={abserr} after {info['last']} subdivisions"
         )
     return QuadratureResult(value, abserr, info["last"])
+
+
+def _upper_gamma_cf(a: float, x: float) -> float:
+    """exp(x) * x**(-a) * Gamma(a, x) by continued fraction, reliable for
+    x >= max(1, a + 1) and any real a.
+
+    Modified Lentz iteration on
+    Gamma(a, x) = exp(-x) * x**a / (x + 1 - a - 1*(1-a)/(x + 3 - a - ...)).
+    """
+    tiny = 1e-300
+    b = x + 1.0 - a
+    c = 1.0 / tiny
+    d = 1.0 / b if b != 0 else 1.0 / tiny
+    h = d
+    for i in range(1, 10_000):
+        an = -i * (i - a)
+        b += 2.0
+        d = an * d + b
+        if abs(d) < tiny:
+            d = tiny
+        c = b + an / c
+        if abs(c) < tiny:
+            c = tiny
+        d = 1.0 / d
+        delta = d * c
+        h *= delta
+        if abs(delta - 1.0) < 1e-15:
+            return h
+    raise IntegrationError(f"continued fraction for Gamma({a}, {x}) did not converge")
+
+
+def upper_incomplete_gamma(a: float, x: float) -> float:
+    """Upper incomplete gamma Gamma(a, x) = int_x^inf t^(a-1) e^(-t) dt.
+
+    Supports any real ``a`` (including negative and non-integer values);
+    requires ``x > 0``.
+    """
+    if not x > 0:
+        raise DomainError(f"upper_incomplete_gamma requires x > 0, got x={x}")
+    if x >= max(1.0, a + 1.0):
+        if -x + a * math.log(x) < -745.0:
+            # underflows double precision; the true value is < 5e-324
+            return 0.0
+        value = _upper_gamma_cf(a, x) * math.exp(-x + a * math.log(x))
+    elif a > 0:
+        value = special.gammaincc(a, x) * special.gamma(a)
+    else:
+        # x < 1 and a <= 0: downward recurrence
+        # Gamma(b - 1, x) = (Gamma(b, x) - x**(b-1) * exp(-x)) / (b - 1),
+        # started from Gamma(a + k, x) with a + k in (0, 1].  For x < 1 the
+        # power term dominates each step, so the recurrence is stable.
+        if a == math.floor(a):
+            k = int(-a)
+            g = special.exp1(x)  # Gamma(0, x)
+            b = 0.0
+        else:
+            k = int(math.floor(-a)) + 1
+            b = a + k
+            g = special.gammaincc(b, x) * special.gamma(b)
+        ex = math.exp(-x)
+        for _ in range(k):
+            b -= 1.0
+            g = (g - x**b * ex) / b
+        value = g
+    if not math.isfinite(value):
+        raise IntegrationError(
+            f"upper_incomplete_gamma({a}, {x}) overflowed to {value}"
+        )
+    return value
+
+
+def upper_incomplete_gamma_scaled(a: float, x: float) -> float:
+    """exp(x) * Gamma(a, x), safe where exp(x) alone would overflow."""
+    if not x > 0:
+        raise DomainError(f"upper_incomplete_gamma_scaled requires x > 0, got x={x}")
+    if x >= max(1.0, a + 1.0):
+        value = _upper_gamma_cf(a, x) * x**a
+    else:
+        value = math.exp(x) * upper_incomplete_gamma(a, x)
+    if not math.isfinite(value):
+        raise IntegrationError(
+            f"upper_incomplete_gamma_scaled({a}, {x}) overflowed to {value}"
+        )
+    return value

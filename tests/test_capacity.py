@@ -141,6 +141,13 @@ class TestEcWeak:
         b = ec_weak_by("general", monkeypatch, pair44(4), SPLIT, QOS1, SNR10)
         assert b == pytest.approx(a, rel=1e-8)
 
+    def test_precondition_enforcement(self, monkeypatch):
+        # the SC and MRC closed forms refuse a GSC pair even when forced
+        with pytest.raises(ValueError):
+            ec_weak_by("sc", monkeypatch, pair44(2), SPLIT, QOS1, SNR10)
+        with pytest.raises(ValueError):
+            ec_weak_by("mrc", monkeypatch, pair44(2), SPLIT, QOS1, SNR10)
+
     def test_sinr_saturation_bound(self):
         # the SINR never exceeds a_w/a_s, so neither does the weak EC's cap
         cap = math.log2(1 + SPLIT.a_w / SPLIT.a_s)

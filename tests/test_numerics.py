@@ -1,12 +1,138 @@
 import math
 
+import mpmath as mp
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy import stats
 
+from nomagsc.distributions import GscSpec, _series_terms, gsc_mellin, gsc_pdf
 from nomagsc.numerics import (
+    DomainError,
     IntegrationError,
     QuadratureSettings,
     integrate_semi_infinite,
+    upper_incomplete_gamma,
+    upper_incomplete_gamma_scaled,
 )
+
+mp.mp.dps = 40
+
+
+class TestUpperIncompleteGamma:
+    def test_a_one_is_exponential(self):
+        assert upper_incomplete_gamma(1.0, 1.0) == pytest.approx(math.exp(-1), rel=1e-12)
+
+    def test_small_x_limit_is_gamma(self):
+        # Gamma(0.5, x) = sqrt(pi) - 2*sqrt(x) + O(x^1.5); at x = 1e-12 the
+        # exact value sits 2e-6 below the limit
+        x = 1e-12
+        assert upper_incomplete_gamma(0.5, x) == pytest.approx(
+            math.sqrt(math.pi) - 2 * math.sqrt(x), rel=1e-10
+        )
+        assert upper_incomplete_gamma(0.5, x) == pytest.approx(
+            math.sqrt(math.pi), abs=2.1e-6
+        )
+
+    def test_negative_noninteger_a(self):
+        # frozen from a 30-digit quadrature of the defining integral
+        assert upper_incomplete_gamma(-0.4427, 2.5) == pytest.approx(
+            0.014925651011350891, rel=1e-10
+        )
+
+    def test_domain_error(self):
+        with pytest.raises(DomainError):
+            upper_incomplete_gamma(1.0, 0.0)
+        with pytest.raises(DomainError):
+            upper_incomplete_gamma(1.0, -1.0)
+
+    def test_ten_digits_over_domain(self):
+        rng = np.random.default_rng(7)
+        for _ in range(200):
+            a = rng.uniform(-20, 20)
+            x = 10.0 ** rng.uniform(-8, 2.8)
+            ref = float(mp.gammainc(a, x, mp.inf))
+            assert upper_incomplete_gamma(a, x) == pytest.approx(ref, rel=1e-10), (a, x)
+
+    def test_recurrence(self):
+        # Gamma(a+1, x) = a*Gamma(a, x) + x^a * exp(-x)
+        rng = np.random.default_rng(11)
+        for _ in range(100):
+            a = rng.uniform(-10, 10)
+            x = 10.0 ** rng.uniform(-4, 2)
+            lhs = upper_incomplete_gamma(a + 1.0, x)
+            rhs = a * upper_incomplete_gamma(a, x) + x**a * math.exp(-x)
+            assert lhs == pytest.approx(rhs, rel=1e-9, abs=1e-300)
+
+    def test_scaled_variant_where_exp_overflows(self):
+        x = 800.0
+        ref = float(mp.exp(x) * mp.gammainc(0.3, x, mp.inf))
+        assert upper_incomplete_gamma_scaled(0.3, x) == pytest.approx(ref, rel=1e-10)
+
+    def test_nonpositive_integer_a(self):
+        for a in (0.0, -1.0, -3.0):
+            ref = float(mp.gammainc(a, 0.25, mp.inf))
+            assert upper_incomplete_gamma(a, 0.25) == pytest.approx(ref, rel=1e-10)
+
+
+def _exact_pdf(spec, x):
+    """The density as the correctly rounded sum of its float series terms."""
+    with mp.workprec(2000):
+        total = mp.fsum([mp.mpf(t) for t in _series_terms(spec, x)])
+        return float(math.comb(spec.antennas, spec.combined) * total)
+
+
+class TestAlternatingSum:
+    """The order-statistics density is an alternating series; ``gsc_pdf``
+    sums its terms exactly (math.fsum), so it is the correctly rounded
+    sum of the float terms however much they cancel."""
+
+    def test_cancellation(self):
+        # best of N at x = 0: the integer terms sum(-1)^l C(N-1, l) cancel
+        for N in range(2, 17):
+            assert gsc_pdf(GscSpec(N, 1, 1.0), 0.0) == 0.0
+
+    def test_compensated_canonical_case(self):
+        # best of 16 at x = 1e-3: terms up to C(15, 7) = 6435 sum to -1.4e-11;
+        # a naive running sum is off by about 1e14 ulp, the density by none
+        spec, x = GscSpec(16, 1, 1.0), 1e-3
+        ref = _exact_pdf(spec, x)
+        assert gsc_pdf(spec, x) == ref
+        assert 16 * sum(_series_terms(spec, x)) != ref
+
+    def test_empty(self):
+        # n = N discards no branch: the l-series is empty and only the
+        # gamma-shaped head remains
+        for N in (1, 3, 6):
+            spec = GscSpec(N, N, 2.0)
+            for x in (0.5, 3.0, 20.0):
+                assert gsc_pdf(spec, x) == pytest.approx(
+                    stats.gamma.pdf(x, N, scale=2.0), rel=1e-13
+                )
+            assert gsc_mellin(spec, -0.5) == pytest.approx(
+                math.gamma(N - 0.5) * 2.0**-0.5 / math.gamma(N), rel=1e-14
+            )
+
+    def test_gsc_series_against_extended_precision(self):
+        # term list of the order-statistics density for N=6, n=1 at x=0.01
+        spec, x = GscSpec(6, 1, 1.0), 0.01
+        with mp.workprec(200):
+            ref = float(6 * mp.fsum([mp.mpf(t) for t in _series_terms(spec, x)]))
+        assert gsc_pdf(spec, x) == pytest.approx(ref, rel=1e-12)
+
+    @given(
+        st.integers(min_value=1, max_value=16).flatmap(
+            lambda N: st.tuples(st.just(N), st.integers(min_value=1, max_value=N))
+        ),
+        st.floats(min_value=0.1, max_value=10.0),
+        st.floats(min_value=0.0, max_value=50.0),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_within_two_ulp_of_exact_sum(self, sizes, omega, x):
+        spec = GscSpec(sizes[0], sizes[1], omega)
+        ref = _exact_pdf(spec, x)
+        assert abs(gsc_pdf(spec, x) - ref) <= 2 * math.ulp(ref)
 
 
 # integrands with known values for the error-bound corpus
