@@ -22,7 +22,6 @@ from .numerics import (
     DomainError,
     IntegrationError,
     QuadratureResult,
-    QuadratureSettings,
     integrate_semi_infinite,
 )
 from .optimizer import OptimizeResult, SearchSpec, optimize_power

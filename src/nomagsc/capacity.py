@@ -6,12 +6,13 @@ The effective capacity of a symbol with post-combining SNR/SINR gamma is
 
 Each quantity has one route.  The exact values are one-dimensional
 integrals over the channel-power densities from
-:mod:`nomagsc.distributions`, evaluated by adaptive quadrature with the
-default settings: the strong user's over the GSC density, the weak
-user's over the density of min(g_s, g_w) in the form
-``distributions.min_law`` picks.  The high-SNR approximation uses the
-Mellin transform ``gsc_mellin``, the low-SNR one the first two moments.
-All rates are spectral efficiencies in bits/s/Hz.
+:mod:`nomagsc.distributions`, evaluated by adaptive quadrature under the
+fixed tolerance contract of :mod:`nomagsc.numerics`: the strong user's
+over the GSC density, the weak user's over the density of
+min(g_s, g_w) in the form ``distributions.min_law`` picks.  The
+high-SNR approximation uses the Mellin transform ``gsc_mellin``, the
+low-SNR one the first two moments.  All rates are spectral efficiencies
+in bits/s/Hz.
 """
 
 from __future__ import annotations
@@ -237,7 +238,10 @@ def evaluate_noma(
     pair: UserPairSpec, split: PowerSplit, qos: QosProfile, snr: SnrPoint
 ) -> EcReport:
     """Exact NOMA EC report; ``method`` names the law of the minimum the
-    weak user's EC was integrated over."""
+    weak user's EC was integrated over.  In the ergodic limit it is the
+    ergodic bound's report, method "ergodic_bound"."""
+    if qos.is_ergodic_limit:
+        return ergodic_rate(pair, split, snr)
     es = ec_strong(pair, split, qos, snr)
     ew = ec_weak(pair, split, qos, snr)
     return EcReport(es, ew, method=_NOMA_METHODS[dist.min_law(pair)])

@@ -71,6 +71,20 @@ def _build(cls, fields, where: str):
         raise ConfigError(f"invalid {where}: {exc}") from exc
 
 
+def _real(value) -> float:
+    """A JSON number as a float; booleans and other types are rejected."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise TypeError(f"expected a number, got {value!r}")
+    return float(value)
+
+
+def _count(value) -> int:
+    """A JSON number with an integral value (2 or 2.0) as an int."""
+    if not _real(value).is_integer():
+        raise ValueError(f"expected an integer, got {value!r}")
+    return int(value)
+
+
 @dataclass(frozen=True)
 class SweepSpec:
     antennas_strong: int
@@ -107,9 +121,9 @@ class SweepSpec:
         if not isinstance(raw, dict):
             raise ConfigError("config root must be a JSON object")
         pair = need("pair", kind=dict)
-        n_values = grid("n", int)
-        snr_db = grid("snr_db", float)
-        theta = grid("theta", float)
+        n_values = grid("n", _count)
+        snr_db = grid("snr_db", _real)
+        theta = grid("theta", _real)
         if not n_values or not snr_db or not theta:
             raise ConfigError("grids 'n', 'snr_db' and 'theta' must be non-empty")
         power = need("power", kind=dict)
@@ -128,16 +142,16 @@ class SweepSpec:
         sim = _build(SimPlan, raw.get("sim", {}), "sim")
         try:
             return cls(
-                antennas_strong=int(need("N_s", pair, "pair")),
-                antennas_weak=int(need("N_w", pair, "pair")),
-                omega_strong=float(need("omega_s", pair, "pair")),
-                omega_weak=float(need("omega_w", pair, "pair")),
+                antennas_strong=_count(need("N_s", pair, "pair")),
+                antennas_weak=_count(need("N_w", pair, "pair")),
+                omega_strong=_real(need("omega_s", pair, "pair")),
+                omega_weak=_real(need("omega_w", pair, "pair")),
                 n_values=n_values,
                 snr_db=snr_db,
                 theta=theta,
-                block_length=float(raw.get("block_length", 1e-5)),
-                bandwidth=float(raw.get("bandwidth", 1e5)),
-                a_s=float(a_s) if search is None else None,
+                block_length=_real(raw.get("block_length", 1e-5)),
+                bandwidth=_real(raw.get("bandwidth", 1e5)),
+                a_s=_real(a_s) if search is None else None,
                 search=search,
                 methods=methods,
                 sim=sim,

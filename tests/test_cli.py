@@ -77,6 +77,15 @@ class TestSweepCommand:
             {"power": 5},
             {"power": {"a_s": None}},
             {"methods": 5},
+            {"n": [2.7, True]},
+            {"n": [True]},
+            {"pair": {**CONFIG["pair"], "N_s": 4.9}},
+            {"pair": {**CONFIG["pair"], "N_w": True}},
+            {"snr_db": [True]},
+            {"theta": [True]},
+            {"block_length": True},
+            {"power": {"a_s": True}},
+            {"snr_db": ["10"]},
         ],
     )
     def test_bad_sim_or_search_is_config_error(self, overrides, tmp_path, capsys):

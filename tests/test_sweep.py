@@ -38,6 +38,11 @@ class TestConfigParsing:
         spec = make_spec(power={"search": {"a_min": 0.05, "a_max": 0.3, "step": 0.05}})
         assert SweepSpec.from_dict(spec.to_dict()) == spec
 
+    def test_integral_floats_are_counts(self):
+        spec = make_spec(n=[2.0], pair={**BASE_CONFIG["pair"], "N_s": 4.0})
+        assert spec.n_values == (2,) and type(spec.n_values[0]) is int
+        assert spec.antennas_strong == 4 and type(spec.antennas_strong) is int
+
     def test_missing_field(self):
         raw = {k: v for k, v in BASE_CONFIG.items() if k != "snr_db"}
         with pytest.raises(ConfigError, match="snr_db"):
