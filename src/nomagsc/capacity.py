@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 from . import distributions as dist
 from .distributions import GscSpec, UserPairSpec
-from .numerics import integrate_semi_infinite
+from .numerics import IntegrationError, integrate_semi_infinite
 
 LOG2E = math.log2(math.e)
 
@@ -111,7 +111,7 @@ class EcReport:
 def _ec_from_expectation(value: float, error: float, nu: float) -> tuple[float, float]:
     """Map the inner expectation to the EC and propagate the quadrature error."""
     if not 0 < value <= 1 + 1e-12:
-        raise ValueError(f"inner EC expectation out of range: {value}")
+        raise IntegrationError(f"inner EC expectation out of range: {value}")
     ec = -math.log2(value) / nu
     return max(ec, 0.0), error / (nu * math.log(2) * value)
 

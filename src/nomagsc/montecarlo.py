@@ -8,11 +8,13 @@ matter how batches are scheduled; accumulators are merged in fixed batch
 order for bit-identical repeats.
 
 Stream contract: a batch's stream holds the strong user's branch powers
-first and the weak user's after them; an estimator of one user alone
-(``estimate_ec_oma``, ``sample_gsc_power``) reads its spec from the start
-of the stream.  ``estimate_cases`` draws each batch once and evaluates
-every quantity of every (split, qos, snr) case on it, with the same
-values as the separate estimators.
+first and the weak user's after them; one user alone
+(``estimate_ec_oma``, ``sample_gsc_power``) is read from the start of
+the stream.  ``estimate_cases`` is the one pass that turns a pair's
+draws into estimates: it draws each batch once and evaluates every
+requested quantity of every (split, qos, snr) case on it.
+``estimate_ec_strong``, ``estimate_ec_weak`` and ``estimate_ergodic``
+are that pass with one case.
 """
 
 from __future__ import annotations
@@ -84,11 +86,6 @@ def _combined(spec: GscSpec, unit: np.ndarray, size: int) -> np.ndarray:
     return branches[:, N - n :].sum(axis=1)
 
 
-def _draw(rng: np.random.Generator, size: int, spec: GscSpec) -> np.ndarray:
-    """Combined powers of ``spec`` from the next ``size * N`` stream values."""
-    return _combined(spec, rng.standard_exponential(size * spec.antennas), size)
-
-
 def _draw_pair(
     rng: np.random.Generator, size: int, pair: UserPairSpec, weak_first: bool = False
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
@@ -117,9 +114,10 @@ def _draw_pair(
 
 
 def sample_gsc_power(spec: GscSpec, plan: SimPlan) -> Iterator[np.ndarray]:
-    """Stream of combined-power sample batches (deterministic given seed)."""
+    """Stream of combined-power sample batches (deterministic given seed);
+    each batch reads ``spec`` from the start of its stream."""
     for size, rng in _batches(plan):
-        yield _draw(rng, size, spec)
+        yield _combined(spec, rng.standard_exponential(size * spec.antennas), size)
 
 
 class _MeanAccumulator:
@@ -147,39 +145,11 @@ class _MeanAccumulator:
         return math.sqrt(var / self.count)
 
 
-def _accumulate(plan: SimPlan, per_batch) -> _MeanAccumulator:
-    acc = _MeanAccumulator()
-    for size, rng in _batches(plan):
-        acc.add(per_batch(rng, size))
-    return acc
-
-
 def _ec_estimate(acc: _MeanAccumulator, nu: float) -> Estimate:
     """-(1/nu)log2(mean), with the delta-method standard error."""
     value = -math.log2(acc.mean) / nu
     std_error = acc.se_mean / (nu * math.log(2) * acc.mean)
     return Estimate(value, std_error, acc.count)
-
-
-def _mean_estimate(acc: _MeanAccumulator) -> Estimate:
-    return Estimate(acc.mean, acc.se_mean, acc.count)
-
-
-# Per-sample functionals, shared by the single estimators and the fused
-# pass so that both evaluate the same floating-point expressions.
-
-
-def _strong_ec_term(gs, split: PowerSplit, qos: QosProfile, snr: SnrPoint):
-    return (1.0 + split.a_s * snr.rho * gs) ** -qos.nu
-
-
-def _strong_rate(gs, split: PowerSplit, snr: SnrPoint):
-    return np.log2(1.0 + split.a_s * snr.rho * gs)
-
-
-def _weak_sinr(gmin, split: PowerSplit, snr: SnrPoint):
-    rho = snr.rho
-    return split.a_w * rho * gmin / (split.a_s * rho * gmin + 1.0)
 
 
 def _oma_ec_term(g, qos: QosProfile, snr: SnrPoint):
@@ -195,11 +165,7 @@ def estimate_ec_strong(
     plan: SimPlan,
 ) -> Estimate:
     """Monte Carlo EC of the strong user's symbol."""
-
-    def per_batch(rng, size):
-        return _strong_ec_term(_draw(rng, size, pair.strong), split, qos, snr)
-
-    return _ec_estimate(_accumulate(plan, per_batch), qos.nu)
+    return estimate_cases(pair, [(split, qos, snr)], plan, ("ec_strong",))[0]["ec_strong"]
 
 
 def estimate_ec_weak(
@@ -210,36 +176,28 @@ def estimate_ec_weak(
     plan: SimPlan,
 ) -> Estimate:
     """Monte Carlo EC of the weak user's symbol (SINR through g_min)."""
-
-    def per_batch(rng, size):
-        gs, gw, _ = _draw_pair(rng, size, pair)
-        return (1.0 + _weak_sinr(np.minimum(gs, gw), split, snr)) ** -qos.nu
-
-    return _ec_estimate(_accumulate(plan, per_batch), qos.nu)
+    return estimate_cases(pair, [(split, qos, snr)], plan, ("ec_weak",))[0]["ec_weak"]
 
 
 def estimate_ergodic(
     pair: UserPairSpec, split: PowerSplit, snr: SnrPoint, plan: SimPlan
 ) -> tuple[Estimate, Estimate]:
     """Monte Carlo average achievable rates (strong, weak)."""
-    acc_s = _MeanAccumulator()
-    acc_w = _MeanAccumulator()
-    for size, rng in _batches(plan):
-        gs, gw, _ = _draw_pair(rng, size, pair)
-        acc_s.add(_strong_rate(gs, split, snr))
-        acc_w.add(np.log2(1.0 + _weak_sinr(np.minimum(gs, gw), split, snr)))
-    return _mean_estimate(acc_s), _mean_estimate(acc_w)
+    # the rates do not depend on theta
+    (est,) = estimate_cases(
+        pair, [(split, QosProfile(0.0), snr)], plan, ("ergodic_strong", "ergodic_weak")
+    )
+    return est["ergodic_strong"], est["ergodic_weak"]
 
 
 def estimate_ec_oma(
     spec: GscSpec, qos: QosProfile, snr: SnrPoint, plan: SimPlan
 ) -> Estimate:
     """Monte Carlo EC of one OMA user (full power, half rate)."""
-
-    def per_batch(rng, size):
-        return _oma_ec_term(_draw(rng, size, spec), qos, snr)
-
-    return _ec_estimate(_accumulate(plan, per_batch), qos.nu)
+    acc = _MeanAccumulator()
+    for g in sample_gsc_power(spec, plan):
+        acc.add(_oma_ec_term(g, qos, snr))
+    return _ec_estimate(acc, qos.nu)
 
 
 # Quantities of the fused pass, in the order ``validate`` reports them.
@@ -265,9 +223,9 @@ def estimate_cases(
     case, from one pass over the batches.
 
     The channel law does not depend on the case, so each batch is drawn
-    and combined once and every case's functionals read it.  Each
-    estimate is bit-identical to the separate estimator's (``ec_oma_*``
-    is ``estimate_ec_oma`` of that user's spec).  Returns one
+    and combined once and every case's functionals read it.  This is the
+    only code that turns a pair's draws into estimates; ``ec_oma_*``
+    equals ``estimate_ec_oma`` of that user's spec.  Returns one
     {quantity: Estimate} dict per case, in QUANTITIES order.
     """
     unknown = set(quantities) - set(QUANTITIES)
@@ -279,20 +237,25 @@ def estimate_cases(
         gs, gw, gw_first = _draw_pair(rng, size, pair, "ec_oma_weak" in wanted)
         gmin = np.minimum(gs, gw)
         for (split, qos, snr), acc in zip(cases, accs):
-            sinr = _weak_sinr(gmin, split, snr)
+            a_s, rho = split.a_s, snr.rho
+            # the strong user decodes after interference removal; the weak
+            # user's SINR is limited by g_min
+            sinr = split.a_w * rho * gmin / (a_s * rho * gmin + 1.0)
             terms = {
-                "ec_strong": lambda: _strong_ec_term(gs, split, qos, snr),
+                "ec_strong": lambda: (1.0 + a_s * rho * gs) ** -qos.nu,
                 "ec_weak": lambda: (1.0 + sinr) ** -qos.nu,
                 "ec_oma_strong": lambda: _oma_ec_term(gs, qos, snr),
                 "ec_oma_weak": lambda: _oma_ec_term(gw_first, qos, snr),
-                "ergodic_strong": lambda: _strong_rate(gs, split, snr),
+                "ergodic_strong": lambda: np.log2(1.0 + a_s * rho * gs),
                 "ergodic_weak": lambda: np.log2(1.0 + sinr),
             }
             for q, a in acc.items():
                 a.add(terms[q]())
     return [
         {
-            q: _ec_estimate(a, qos.nu) if q.startswith("ec_") else _mean_estimate(a)
+            q: _ec_estimate(a, qos.nu)
+            if q.startswith("ec_")
+            else Estimate(a.mean, a.se_mean, a.count)
             for q, a in acc.items()
         }
         for (_, qos, _), acc in zip(cases, accs)

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from . import capacity, montecarlo
+from . import capacity
 from .capacity import EcReport, PowerSplit, QosProfile, SnrPoint
 from .distributions import UserPairSpec
 
@@ -61,35 +61,20 @@ def optimize_power(
     qos: QosProfile,
     snr: SnrPoint,
     search: SearchSpec = SearchSpec(),
-    use_montecarlo: bool = False,
-    plan: montecarlo.SimPlan | None = None,
 ) -> OptimizeResult:
     """Grid search over a_s maximizing the requested sum objective.
 
-    With ``use_montecarlo`` every split is estimated in one pass over
-    shared channel draws.  Raises SearchError when the objective fails.
+    Every split is evaluated analytically: ``evaluate_noma`` for sum EC,
+    ``ergodic_rate`` for sum rate.  Raises SearchError, naming the split,
+    when the objective fails.
     """
-    grid = search.grid()
-    if use_montecarlo:
-        try:
-            reports = _montecarlo_reports(
-                pair, grid, qos, snr, search.objective, plan or montecarlo.SimPlan()
-            )
-        except Exception as exc:
-            raise SearchError(
-                f"Monte Carlo objective evaluation failed on a_s in "
-                f"[{grid[0]}, {grid[-1]}]: {exc}"
-            ) from exc
-    else:
-        reports = []
-        for a in grid:
-            try:
-                reports.append(_analytic_report(pair, PowerSplit(a), qos, snr, search.objective))
-            except Exception as exc:
-                raise SearchError(f"objective evaluation failed at a_s={a}: {exc}") from exc
     best = None
     grid_values: list[tuple[float, float]] = []
-    for a, report in zip(grid, reports):
+    for a in search.grid():
+        try:
+            report = _analytic_report(pair, PowerSplit(a), qos, snr, search.objective)
+        except Exception as exc:
+            raise SearchError(f"objective evaluation failed at a_s={a}: {exc}") from exc
         objective = report.e_sum
         grid_values.append((a, objective))
         if best is None or objective >= best[1]:
@@ -101,15 +86,3 @@ def _analytic_report(pair, split, qos, snr, objective) -> EcReport:
     if objective == "sum_rate":
         return capacity.ergodic_rate(pair, split, snr)
     return capacity.evaluate_noma(pair, split, qos, snr)
-
-
-def _montecarlo_reports(pair, grid, qos, snr, objective, plan) -> list[EcReport]:
-    if objective == "sum_rate":
-        keys, method = ("ergodic_strong", "ergodic_weak"), "ergodic_bound"
-    else:
-        keys, method = ("ec_strong", "ec_weak"), "montecarlo"
-    cases = [(PowerSplit(a), qos, snr) for a in grid]
-    return [
-        EcReport(est[keys[0]].value, est[keys[1]].value, method=method)
-        for est in montecarlo.estimate_cases(pair, cases, plan, keys)
-    ]

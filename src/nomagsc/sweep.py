@@ -61,12 +61,13 @@ class ConfigError(ValueError):
     """A sweep configuration failed validation before any evaluation."""
 
 
-def _build(cls, fields, where: str):
-    """``cls(**fields)``, with any bad key or value reported as a ConfigError."""
+def _build(cls, fields, where: str, convert):
+    """``cls(**fields)`` with ``convert`` applied to every field it names;
+    any bad key or value is reported as a ConfigError."""
     if not isinstance(fields, dict):
         raise ConfigError(f"{where} must be a JSON object")
     try:
-        return cls(**fields)
+        return cls(**{k: convert[k](v) if k in convert else v for k, v in fields.items()})
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"invalid {where}: {exc}") from exc
 
@@ -132,14 +133,20 @@ class SweepSpec:
         if "a_s" in power:
             a_s = power["a_s"]
         elif "search" in power:
-            search = _build(SearchSpec, power["search"], "power.search")
+            search = _build(
+                SearchSpec, power["search"], "power.search",
+                {"a_min": _real, "a_max": _real, "step": _real},
+            )
         else:
             raise ConfigError("field 'power' needs either 'a_s' or 'search'")
         methods = grid("methods", str)
         for m in methods:
             if m not in METHODS:
                 raise ConfigError(f"unknown method {m!r}; expected one of {METHODS}")
-        sim = _build(SimPlan, raw.get("sim", {}), "sim")
+        sim = _build(
+            SimPlan, raw.get("sim", {}), "sim",
+            {"samples": _count, "seed": _count, "batch": _count},
+        )
         try:
             return cls(
                 antennas_strong=_count(need("N_s", pair, "pair")),

@@ -21,6 +21,7 @@ from nomagsc.capacity import (
     evaluate_oma,
 )
 from nomagsc.distributions import GscSpec, UserPairSpec
+from nomagsc.numerics import IntegrationError
 
 
 def pair44(n):
@@ -281,6 +282,13 @@ class TestCombinedEvaluators:
         rep = evaluate_noma(pair44(1), SPLIT, QosProfile(1e-12), SNR10)
         assert len(calls) == 1
         assert rep == original(pair44(1), SPLIT, SNR10)
+
+    def test_underflow_is_integration_error(self):
+        # every input is valid; the strong user's inner expectation
+        # underflows to 0, which is a numerical failure, not bad input
+        with pytest.raises(IntegrationError, match="out of range: 0.0") as info:
+            evaluate_noma(pair44(4), SPLIT, QosProfile(1e4), SNR40)
+        assert not isinstance(info.value, ValueError)
 
     def test_combining_monotonicity(self):
         sums = [evaluate_noma(pair44(n), SPLIT, QOS1, SNR20).e_sum for n in (1, 2, 3, 4)]

@@ -86,6 +86,14 @@ class TestSweepCommand:
             {"block_length": True},
             {"power": {"a_s": True}},
             {"snr_db": ["10"]},
+            {"sim": {"samples": True}},
+            {"sim": {"samples": 1e4 + 0.5}},
+            {"sim": {"seed": 2.5}},
+            {"sim": {"seed": True}},
+            {"sim": {"batch": "4096"}},
+            {"power": {"search": {"step": True}}},
+            {"power": {"search": {"a_min": "0.05"}}},
+            {"power": {"search": {"a_max": True}}},
         ],
     )
     def test_bad_sim_or_search_is_config_error(self, overrides, tmp_path, capsys):

@@ -158,8 +158,10 @@ class TestEstimateInvariants:
 
 
 class TestSharedDraw:
-    """estimate_cases draws each batch once; its estimates must equal the
-    separate estimators' exactly, not approximately."""
+    """estimate_cases is the one pass over a pair's draws.  Its estimates
+    must match the pair stream drawn with numpy directly, and many cases in
+    one pass must equal one case at a time (and the OMA loop) exactly, not
+    approximately."""
 
     PAIRS = [
         UserPairSpec(GscSpec(4, 2, 1.0), GscSpec(4, 2, 0.1)),
@@ -195,6 +197,47 @@ class TestSharedDraw:
             assert list(est) == list(QUANTITIES)
             assert est == separate
             assert est["ec_strong"].samples_used == plan.samples
+
+    def test_pair_stream_matches_numpy(self):
+        # reference: batch b is a fresh Philox(seed, b) stream holding the
+        # strong user's exponential block, then the weak user's; the weak
+        # user alone (OMA) reads its block from the start of the stream.
+        # Each user sums its n largest branches, found here by a full sort.
+        pair = self.PAIRS[1]  # N_s < N_w
+        plan = SimPlan(samples=6_000, seed=5, batch=4096)  # 4096 + a short 1904
+
+        def stream(index):
+            return np.random.Generator(np.random.Philox(key=[plan.seed, index]))
+
+        def combined(rng, spec, size):
+            branches = rng.exponential(spec.omega, size=(size, spec.antennas))
+            return np.sort(branches, axis=1)[:, -spec.combined :].sum(axis=1)
+
+        gs, gw, gw_first = [], [], []
+        for index, size in enumerate((4096, 1904)):
+            rng = stream(index)
+            gs.append(combined(rng, pair.strong, size))
+            gw.append(combined(rng, pair.weak, size))
+            gw_first.append(combined(stream(index), pair.weak, size))
+        gs, gw, gw_first = (np.concatenate(g) for g in (gs, gw, gw_first))
+        gmin = np.minimum(gs, gw)
+        fused = estimate_cases(pair, self.CASES, plan)
+        for (split, qos, snr), est in zip(self.CASES, fused):
+            rho, nu = snr.rho, qos.nu
+            sinr_s = split.a_s * rho * gs
+            sinr_w = split.a_w * rho * gmin / (split.a_s * rho * gmin + 1.0)
+            expected = {
+                "ec_strong": -np.log2(np.mean((1 + sinr_s) ** -nu)) / nu,
+                "ec_weak": -np.log2(np.mean((1 + sinr_w) ** -nu)) / nu,
+                "ec_oma_strong": -np.log2(np.mean((1 + rho * gs) ** (-nu / 2))) / nu,
+                "ec_oma_weak": -np.log2(np.mean((1 + rho * gw_first) ** (-nu / 2))) / nu,
+                "ergodic_strong": np.mean(np.log2(1 + sinr_s)),
+                "ergodic_weak": np.mean(np.log2(1 + sinr_w)),
+            }
+            assert list(est) == list(expected)
+            for q, value in expected.items():
+                assert est[q].value == pytest.approx(value, rel=1e-12), q
+                assert est[q].samples_used == plan.samples
 
     def test_numpy_stream_identities(self):
         # The shared draw rests on two properties of numpy's Generator: an

@@ -4,6 +4,7 @@ import math
 
 import pytest
 
+from nomagsc.montecarlo import SimPlan
 from nomagsc.sweep import (
     CSV_COLUMNS,
     METHODS,
@@ -39,9 +40,13 @@ class TestConfigParsing:
         assert SweepSpec.from_dict(spec.to_dict()) == spec
 
     def test_integral_floats_are_counts(self):
-        spec = make_spec(n=[2.0], pair={**BASE_CONFIG["pair"], "N_s": 4.0})
+        spec = make_spec(
+            n=[2.0], pair={**BASE_CONFIG["pair"], "N_s": 4.0}, sim={"samples": 1e4, "batch": 4096.0}
+        )
         assert spec.n_values == (2,) and type(spec.n_values[0]) is int
         assert spec.antennas_strong == 4 and type(spec.antennas_strong) is int
+        assert spec.sim == SimPlan(samples=10_000, batch=4096)
+        assert type(spec.sim.samples) is int and type(spec.sim.batch) is int
 
     def test_missing_field(self):
         raw = {k: v for k, v in BASE_CONFIG.items() if k != "snr_db"}
