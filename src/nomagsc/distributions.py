@@ -2,17 +2,21 @@
 
 The combined power of the n strongest of N i.i.d. Rayleigh branches
 (each branch power exponential with mean Omega) has the classical
-order-statistics density built from an alternating series over the
-discarded branches.  This module provides that PDF, its CDF and its
-Mellin transform E[g^s] (the moments and the high-SNR expectation), and
-the density and first two moments of the minimum of two independent
-combined powers.  ``min_law`` is the one rule that picks the minimum's
-closed form from the pair: selection (SC) or full combining (MRC) on
-both sides, otherwise the general composition of the two GSC laws.
+order-statistics density, an alternating series over the discarded
+branches.  Every closed-form law here is a finite signed sum of gamma
+kernels a * x**m * exp(-lam * x), held once per law as a table of
+(a, m, lam) terms: ``_gsc_terms`` for one receiver, ``_min_terms`` for
+min(g_s, g_w) when both receivers select one branch (SC) or combine all
+(MRC).  Three evaluators read any table, term by term: the density, the
+distribution (incomplete gamma functions) and the Mellin transform
+E[g^s] (gamma functions), which gives the moments and the high-SNR
+expectation.  ``min_law`` is the one rule that picks the minimum's law
+from the pair: SC, MRC, otherwise the general composition of the two
+GSC laws, whose moments are integrated numerically.
 """
-
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -20,8 +24,9 @@ from scipy import special
 
 from .numerics import DomainError, integrate_semi_infinite
 
-# The alternating l-series loses roughly one digit per discarded branch;
-# past this many antennas the closed forms are no longer trustworthy.
+# The signs in ``_gsc_terms`` alternate, and the table's sums lose roughly
+# one digit per discarded branch; past this many antennas its values are
+# no longer trustworthy.
 MAX_ANTENNAS = 16
 
 
@@ -74,64 +79,95 @@ class UserPairSpec:
         )
 
 
-def _chi(pair: UserPairSpec, k: int, j: int) -> float:
-    return k / pair.strong.omega + j / pair.weak.omega
+# Tables are built once per spec and read on every density call; a few
+# hundred covers every spec a sweep or a figure visits.
+_TABLE_CACHE = 256
+
+# (a, m, lam): one gamma kernel a * x**m * exp(-lam * x) of a law
+Term = tuple[float, int, float]
 
 
-def _phi(spec: GscSpec, l: int) -> float:
-    return (1.0 + l / spec.combined) / spec.omega
+@functools.lru_cache(maxsize=_TABLE_CACHE)
+def _gsc_terms(spec: GscSpec) -> tuple[Term, ...]:
+    """The order-statistics density as gamma kernels: pdf = C(N, n) * sum.
 
-
-def _series_terms(spec: GscSpec, x: float):
-    """Terms of the order-statistics density at x, ready for exact summation.
-
-    Yields every term of the density including the leading gamma-shaped
-    one; the caller multiplies the summed series by C(N, n).
+    The gamma-shaped head, then for each l = 1..N-n of the binomial
+    expansion over the discarded branches, an exponential term at rate
+    (1 + l/n)/omega and n - 1 polynomial terms at rate 1/omega, with
+    alternating signs.
     """
     N, n, omega = spec.antennas, spec.combined, spec.omega
-    yield x ** (n - 1) * math.exp(-x / omega) / (omega**n * math.factorial(n - 1))
+    terms = [(1.0 / (omega**n * math.factorial(n - 1)), n - 1, 1.0 / omega)]
     for l in range(1, N - n + 1):
-        sign = (-1.0) ** (n + l - 1)
-        coeff = (
-            sign
-            * math.comb(N - n, l)
-            * (n / l) ** (n - 1)
-            / omega
-        )
-        yield coeff * math.exp(-(1.0 + l / n) * x / omega)
-        e_common = math.exp(-x / omega)
+        coeff = (-1.0) ** (n + l - 1) * math.comb(N - n, l) * (n / l) ** (n - 1) / omega
+        terms.append((coeff, 0, (1.0 + l / n) / omega))
         for m in range(n - 1):
-            yield -coeff * e_common * (-l * x / (n * omega)) ** m / math.factorial(m)
+            terms.append(
+                (-coeff * (-l / (n * omega)) ** m / math.factorial(m), m, 1.0 / omega)
+            )
+    return tuple(terms)
+
+
+@functools.lru_cache(maxsize=_TABLE_CACHE)
+def _min_terms(pair: UserPairSpec, law: str) -> tuple[Term, ...]:
+    """The density of min(g_s, g_w) as gamma kernels, for the "sc" or
+    "mrc" law of ``min_law``."""
+    s, w = pair.strong, pair.weak
+    if law == "sc":
+        # inclusion-exclusion over the k strong and j weak branches below x
+        terms = []
+        for k in range(1, s.antennas + 1):
+            for j in range(1, w.antennas + 1):
+                chi = k / s.omega + j / w.omega
+                a = (-1.0) ** (k + j) * math.comb(s.antennas, k) * math.comb(w.antennas, j) * chi
+                terms.append((a, 0, chi))
+        return tuple(terms)
+    # one side's gamma density times the other side's gamma survival
+    chi = 1.0 / s.omega + 1.0 / w.omega
+    return tuple(
+        (
+            1.0 / (math.gamma(u.antennas) * u.omega**u.antennas * math.factorial(j) * v.omega**j),
+            u.antennas - 1 + j,
+            chi,
+        )
+        for u, v in ((s, w), (w, s))
+        for j in range(v.antennas)
+    )
+
+
+def _density(terms: tuple[Term, ...], x: float) -> float:
+    """sum a * x**m * exp(-lam * x), summed exactly."""
+    return math.fsum(a * x**m * math.exp(-lam * x) for a, m, lam in terms)
+
+
+def _distribution(terms: tuple[Term, ...], x: float) -> float:
+    """Integral of the density over [0, x]: a * m!/lam**(m+1) * P(m+1, lam*x)
+    per term, with P the regularized lower incomplete gamma."""
+    return math.fsum(
+        a / lam * (1.0 - math.exp(-lam * x))
+        if m == 0
+        else a * math.factorial(m) / lam ** (m + 1) * special.gammainc(m + 1, lam * x)
+        for a, m, lam in terms
+    )
+
+
+def _mellin(terms: tuple[Term, ...], s: float) -> float:
+    """Integral of x**s times the density: a * Gamma(m+s+1)/lam**(m+s+1) per term."""
+    return math.fsum(a * math.gamma(m + s + 1) / lam ** (m + s + 1) for a, m, lam in terms)
 
 
 def gsc_pdf(spec: GscSpec, x: float) -> float:
     """Density of the combined channel power at ``x``."""
     if x < 0:
         raise DomainError(f"gsc_pdf requires x >= 0, got {x}")
-    if x == 0 and spec.combined > 1:
-        return 0.0
-    return math.comb(spec.antennas, spec.combined) * math.fsum(
-        _series_terms(spec, x)
-    )
+    return math.comb(spec.antennas, spec.combined) * _density(_gsc_terms(spec), x)
 
 
 def gsc_cdf(spec: GscSpec, x: float) -> float:
     """Distribution function, by term-by-term integration of the density."""
     if x < 0:
         raise DomainError(f"gsc_cdf requires x >= 0, got {x}")
-    if x == 0:
-        return 0.0
-    N, n, omega = spec.antennas, spec.combined, spec.omega
-    terms = [special.gammainc(n, x / omega)]
-    for l in range(1, N - n + 1):
-        sign = (-1.0) ** (n + l - 1)
-        coeff = sign * math.comb(N - n, l) * (n / l) ** (n - 1)
-        terms.append(coeff * (1.0 - math.exp(-_phi(spec, l) * x)) * n / (n + l))
-        for m in range(n - 1):
-            terms.append(
-                -coeff * (-l / n) ** m * special.gammainc(m + 1, x / omega)
-            )
-    value = math.comb(N, n) * math.fsum(terms)
+    value = math.comb(spec.antennas, spec.combined) * _distribution(_gsc_terms(spec), x)
     return min(max(value, 0.0), 1.0)
 
 
@@ -141,19 +177,7 @@ def min_pdf_sc(pair: UserPairSpec, x: float) -> float:
         raise ValueError("min_pdf_sc requires single-branch selection on both sides")
     if x < 0:
         raise DomainError(f"min_pdf_sc requires x >= 0, got {x}")
-    Ns, Nw = pair.strong.antennas, pair.weak.antennas
-    terms = []
-    for k in range(1, Ns + 1):
-        for j in range(1, Nw + 1):
-            chi = _chi(pair, k, j)
-            terms.append(
-                (-1.0) ** (k + j)
-                * math.comb(Ns, k)
-                * math.comb(Nw, j)
-                * chi
-                * math.exp(-chi * x)
-            )
-    return math.fsum(terms)
+    return _density(_min_terms(pair, "sc"), x)
 
 
 def min_pdf_mrc(pair: UserPairSpec, x: float) -> float:
@@ -162,23 +186,7 @@ def min_pdf_mrc(pair: UserPairSpec, x: float) -> float:
         raise ValueError("min_pdf_mrc requires full combining on both sides")
     if x < 0:
         raise DomainError(f"min_pdf_mrc requires x >= 0, got {x}")
-    Ns, Nw = pair.strong.antennas, pair.weak.antennas
-    os_, ow = pair.strong.omega, pair.weak.omega
-    chi = _chi(pair, 1, 1)
-    e = math.exp(-chi * x)
-    a = (
-        x ** (Ns - 1)
-        / (math.gamma(Ns) * os_**Ns)
-        * e
-        * sum(x**j / (math.factorial(j) * ow**j) for j in range(Nw))
-    )
-    b = (
-        x ** (Nw - 1)
-        / (math.gamma(Nw) * ow**Nw)
-        * e
-        * sum(x**k / (math.factorial(k) * os_**k) for k in range(Ns))
-    )
-    return a + b
+    return _density(_min_terms(pair, "mrc"), x)
 
 
 def min_pdf_general(pair: UserPairSpec, x: float) -> float:
@@ -215,29 +223,12 @@ def min_pdf(pair: UserPairSpec, x: float) -> float:
 def gsc_mellin(spec: GscSpec, s: float) -> float:
     """Mellin transform E[g^s] of the combined power, for real s > -1.
 
-    Integrates the order-statistics series term by term: every term is a
-    gamma integral.  s = 1 and s = 2 give the raw moments; s = -nu gives
-    the high-SNR expectation E[g^-nu].
+    s = 1 and s = 2 give the raw moments; s = -nu gives the high-SNR
+    expectation E[g^-nu].
     """
     if not s > -1:
         raise DomainError(f"gsc_mellin requires s > -1, got {s}")
-    N, n, omega = spec.antennas, spec.combined, spec.omega
-    terms = [
-        math.gamma(n + s) * omega**s / math.gamma(n)  # leading gamma term
-    ]
-    for l in range(1, N - n + 1):
-        sign = (-1.0) ** (n + l - 1)
-        coeff = sign * math.comb(N - n, l) * (n / l) ** (n - 1) / omega
-        terms.append(coeff * math.gamma(1 + s) / _phi(spec, l) ** (1 + s))
-        for m in range(n - 1):
-            terms.append(
-                -coeff
-                * (-l / (n * omega)) ** m
-                * math.gamma(m + s + 1)
-                / math.factorial(m)
-                * omega ** (m + s + 1)
-            )
-    return math.comb(N, n) * math.fsum(terms)
+    return math.comb(spec.antennas, spec.combined) * _mellin(_gsc_terms(spec), s)
 
 
 def gsc_moments(spec: GscSpec) -> tuple[float, float]:
@@ -245,50 +236,13 @@ def gsc_moments(spec: GscSpec) -> tuple[float, float]:
     return gsc_mellin(spec, 1), gsc_mellin(spec, 2)
 
 
-def _min_moments_sc(pair: UserPairSpec, p: int) -> float:
-    Ns, Nw = pair.strong.antennas, pair.weak.antennas
-    terms = []
-    for k in range(1, Ns + 1):
-        for j in range(1, Nw + 1):
-            chi = _chi(pair, k, j)
-            terms.append(
-                (-1.0) ** (k + j)
-                * math.comb(Ns, k)
-                * math.comb(Nw, j)
-                * math.factorial(p)
-                / chi**p
-            )
-    return math.fsum(terms)
-
-
-def _min_moments_mrc(pair: UserPairSpec, p: int) -> float:
-    Ns, Nw = pair.strong.antennas, pair.weak.antennas
-    os_, ow = pair.strong.omega, pair.weak.omega
-    chi = _chi(pair, 1, 1)
-    total = 0.0
-    for j in range(Nw):
-        total += (
-            math.factorial(Ns + j + p - 1)
-            / (math.gamma(Ns) * os_**Ns * math.factorial(j) * ow**j)
-            * chi ** -(Ns + j + p)
-        )
-    for k in range(Ns):
-        total += (
-            math.factorial(Nw + k + p - 1)
-            / (math.gamma(Nw) * ow**Nw * math.factorial(k) * os_**k)
-            * chi ** -(Nw + k + p)
-        )
-    return total
-
-
 def min_moments(pair: UserPairSpec) -> tuple[float, float]:
     """(mean, second raw moment) of min(g_s, g_w): closed forms for the
     SC and MRC laws, quadrature over the general density otherwise."""
     law = min_law(pair)
-    if law == "sc":
-        return _min_moments_sc(pair, 1), _min_moments_sc(pair, 2)
-    if law == "mrc":
-        return _min_moments_mrc(pair, 1), _min_moments_mrc(pair, 2)
+    if law != "general":
+        terms = _min_terms(pair, law)
+        return _mellin(terms, 1), _mellin(terms, 2)
     m1 = integrate_semi_infinite(lambda x: x * min_pdf_general(pair, x)).value
     m2 = integrate_semi_infinite(lambda x: x * x * min_pdf_general(pair, x)).value
     return m1, m2

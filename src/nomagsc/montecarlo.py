@@ -87,14 +87,20 @@ def _combined(spec: GscSpec, unit: np.ndarray, size: int) -> np.ndarray:
 
 
 def _draw_pair(
-    rng: np.random.Generator, size: int, pair: UserPairSpec, weak_first: bool = False
-) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
+    rng: np.random.Generator,
+    size: int,
+    pair: UserPairSpec,
+    weak_block: bool,
+    weak_first: bool,
+) -> tuple[np.ndarray, np.ndarray | None, np.ndarray | None]:
     """(g_s, g_w, g_w_first) of one batch.
 
     g_s and g_w are the strong then the weak user's combined powers, drawn
-    in that order.  With ``weak_first``, g_w_first is the weak spec read
-    from the start of the stream instead, which is what an estimator of
-    the weak user alone draws; it reuses the values already drawn.
+    in that order.  Without ``weak_block``, g_w is None: the weak block is
+    not combined, and not drawn unless g_w_first reads it.  With
+    ``weak_first``, g_w_first is the weak spec read from the start of the
+    stream instead, which is what an estimator of the weak user alone
+    draws; it reuses the values already drawn.
     """
     strong, weak = pair.strong, pair.weak
     head = size * weak.antennas
@@ -108,6 +114,8 @@ def _draw_pair(
         gw_first = _combined(weak, first[:head].copy(), size)
     gs = _combined(strong, first, size)
     del first  # free it before the second block is drawn
+    if not weak_block:
+        return gs, None, gw_first
     if second is None:
         second = rng.standard_exponential(head)
     return gs, _combined(weak, second, size), gw_first
@@ -232,15 +240,17 @@ def estimate_cases(
     if unknown:
         raise ValueError(f"unknown quantities {sorted(unknown)}; expected {QUANTITIES}")
     wanted = [q for q in QUANTITIES if q in quantities]
+    # only the weak user's NOMA quantities read the weak block and g_min
+    weak = "ec_weak" in wanted or "ergodic_weak" in wanted
     accs = [{q: _MeanAccumulator() for q in wanted} for _ in cases]
     for size, rng in _batches(plan):
-        gs, gw, gw_first = _draw_pair(rng, size, pair, "ec_oma_weak" in wanted)
-        gmin = np.minimum(gs, gw)
+        gs, gw, gw_first = _draw_pair(rng, size, pair, weak, "ec_oma_weak" in wanted)
+        gmin = np.minimum(gs, gw) if weak else None
         for (split, qos, snr), acc in zip(cases, accs):
             a_s, rho = split.a_s, snr.rho
             # the strong user decodes after interference removal; the weak
             # user's SINR is limited by g_min
-            sinr = split.a_w * rho * gmin / (a_s * rho * gmin + 1.0)
+            sinr = split.a_w * rho * gmin / (a_s * rho * gmin + 1.0) if weak else None
             terms = {
                 "ec_strong": lambda: (1.0 + a_s * rho * gs) ** -qos.nu,
                 "ec_weak": lambda: (1.0 + sinr) ** -qos.nu,

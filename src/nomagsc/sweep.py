@@ -18,9 +18,11 @@ methods to run.  Example::
 
 ``power`` is either a fixed ``{"a_s": value}`` or
 ``{"search": {"a_min": ..., "a_max": ..., "step": ..., "objective": ...}}``,
-in which case the split is optimized per grid point.  Every requested
-(point, method) combination produces exactly one row; evaluator errors
-are recorded in-row under ``status`` and never abort sibling points.
+in which case the split is optimized per grid point.  An unknown key at
+any level, and a ``power`` with both entries, is a ``ConfigError``.
+Every requested (point, method) combination produces exactly one row;
+evaluator errors are recorded in-row under ``status`` and never abort
+sibling points.
 """
 
 from __future__ import annotations
@@ -56,6 +58,10 @@ CSV_COLUMNS = (
 
 WORKERS_ENV = "NOMAGSC_WORKERS"
 
+_CONFIG_FIELDS = (
+    "pair", "n", "snr_db", "theta", "block_length", "bandwidth", "power", "methods", "sim",
+)
+
 
 class ConfigError(ValueError):
     """A sweep configuration failed validation before any evaluation."""
@@ -70,6 +76,13 @@ def _build(cls, fields, where: str, convert):
         return cls(**{k: convert[k](v) if k in convert else v for k, v in fields.items()})
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"invalid {where}: {exc}") from exc
+
+
+def _known(fields: dict, allowed: tuple[str, ...], where: str) -> None:
+    """Reject any key of ``fields`` that is not in ``allowed``."""
+    unknown = sorted(set(fields) - set(allowed))
+    if unknown:
+        raise ConfigError(f"unknown field(s) {unknown} in {where}; expected {list(allowed)}")
 
 
 def _real(value) -> float:
@@ -121,24 +134,25 @@ class SweepSpec:
 
         if not isinstance(raw, dict):
             raise ConfigError("config root must be a JSON object")
+        _known(raw, _CONFIG_FIELDS, "config")
         pair = need("pair", kind=dict)
+        _known(pair, ("N_s", "N_w", "omega_s", "omega_w"), "pair")
         n_values = grid("n", _count)
         snr_db = grid("snr_db", _real)
         theta = grid("theta", _real)
         if not n_values or not snr_db or not theta:
             raise ConfigError("grids 'n', 'snr_db' and 'theta' must be non-empty")
         power = need("power", kind=dict)
-        a_s = None
+        _known(power, ("a_s", "search"), "power")
+        if len(power) != 1:
+            raise ConfigError("field 'power' needs exactly one of 'a_s' and 'search'")
+        a_s = power.get("a_s")
         search = None
-        if "a_s" in power:
-            a_s = power["a_s"]
-        elif "search" in power:
+        if "search" in power:
             search = _build(
                 SearchSpec, power["search"], "power.search",
                 {"a_min": _real, "a_max": _real, "step": _real},
             )
-        else:
-            raise ConfigError("field 'power' needs either 'a_s' or 'search'")
         methods = grid("methods", str)
         for m in methods:
             if m not in METHODS:

@@ -94,6 +94,11 @@ class TestSweepCommand:
             {"power": {"search": {"step": True}}},
             {"power": {"search": {"a_min": "0.05"}}},
             {"power": {"search": {"a_max": True}}},
+            {"block_lenght": 1.0},
+            {"pair": {**CONFIG["pair"], "omega": 1.0}},
+            {"power": {"a_s": 0.24, "serach": {}}},
+            {"power": {"a_s": 0.24, "search": {"a_min": 0.05, "a_max": 0.3}}},
+            {"power": {}},
         ],
     )
     def test_bad_sim_or_search_is_config_error(self, overrides, tmp_path, capsys):

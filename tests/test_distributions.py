@@ -228,7 +228,11 @@ class TestMoments:
         assert m2 == pytest.approx(0.057323, abs=7e-5)
 
     def test_min_moments_match_quadrature(self):
-        for pair in (PAIR_SC, PAIR_MRC, PAIR_GSC):
+        unequal = (
+            UserPairSpec(GscSpec(3, 1, 1.0), GscSpec(5, 1, 0.1)),
+            UserPairSpec(GscSpec(2, 2, 1.0), GscSpec(5, 5, 0.1)),
+        )
+        for pair in (PAIR_SC, PAIR_MRC, PAIR_GSC) + unequal:
             m1, m2 = min_moments(pair)
             q1 = integrate_semi_infinite(lambda x: x * min_pdf_general(pair, x)).value
             q2 = integrate_semi_infinite(
@@ -249,6 +253,7 @@ class TestMellin:
                     tail = [n / i for i in range(n + 1, N + 1)]
                     mean = omega * (n + math.fsum(tail))
                     var = omega**2 * (n + math.fsum(t * t for t in tail))
+                    assert gsc_mellin(spec, 0) == pytest.approx(1.0, rel=1e-12)
                     assert gsc_mellin(spec, 1) == pytest.approx(mean, rel=1e-12)
                     assert gsc_mellin(spec, 2) == pytest.approx(var + mean**2, rel=1e-12)
 
@@ -258,6 +263,15 @@ class TestMellin:
             for nu in (0.3, 0.7):
                 ref = float(mp_oracle.expectation(spec, lambda x: x**-nu))
                 assert gsc_mellin(spec, -nu) == pytest.approx(ref, rel=1e-12)
+
+    @pytest.mark.xfail(
+        strict=True,
+        reason="the alternating series cancels at N = 12: 5.6e-5 off the oracle",
+    )
+    def test_wide_array_negative_order_matches_mpmath(self):
+        spec = GscSpec(12, 9, 1.0)
+        ref = float(mp_oracle.expectation(spec, lambda x: x**-0.72))
+        assert gsc_mellin(spec, -0.72) == pytest.approx(ref, rel=1e-9)
 
     def test_domain_error(self):
         with pytest.raises(DomainError):

@@ -13,7 +13,7 @@ from nomagsc.capacity import (
     ergodic_rate,
     ergodic_rate_oma,
 )
-from nomagsc import validate
+from nomagsc import montecarlo, validate
 from nomagsc.distributions import GscSpec, UserPairSpec
 from nomagsc.montecarlo import (
     QUANTITIES,
@@ -262,6 +262,21 @@ class TestSharedDraw:
             branches = rng.exponential(spec.omega, size=(batch.size, 5))
             expected = np.partition(branches, 2, axis=1)[:, 2:].sum(axis=1)
             assert np.array_equal(batch, expected)
+
+    def test_strong_only_skips_the_weak_block(self, monkeypatch):
+        # the weak block follows the strong one in each batch's stream, so
+        # a strong-only estimate combines one block per batch
+        combined = montecarlo._combined
+        specs = []
+
+        def counting(spec, unit, size):
+            specs.append(spec)
+            return combined(spec, unit, size)
+
+        monkeypatch.setattr(montecarlo, "_combined", counting)
+        pair, plan = self.PAIRS[1], self.PLANS[1]  # three batches
+        estimate_ec_strong(pair, *self.CASES[1], plan)
+        assert specs == [pair.strong] * 3
 
     def test_whole_grid_validation_equals_per_point(self, tmp_path):
         grid = {"snr_db": (0.0, 30.0), "theta": (0.5, 1.0), "n": (2, 4), "a_s": (0.1, 0.24)}

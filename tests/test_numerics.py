@@ -6,8 +6,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
-from nomagsc.distributions import GscSpec, _series_terms, gsc_mellin, gsc_pdf
+from nomagsc.distributions import GscSpec, _gsc_terms, gsc_mellin, gsc_pdf
 from nomagsc.numerics import IntegrationError, integrate_semi_infinite
+
+
+def _series_terms(spec, x):
+    """The density's float terms a * x**m * exp(-lam * x), as gsc_pdf forms
+    them before summing; the caller multiplies the sum by C(N, n)."""
+    return [a * x**m * math.exp(-lam * x) for a, m, lam in _gsc_terms(spec)]
 
 
 def _exact_pdf(spec, x):
