@@ -138,10 +138,13 @@ def ec_weak(
         return ergodic_rate(pair, split, snr).e_weak
     nu, rho = qos.nu, snr.rho
     a_s, a_w = split.a_s, split.a_w
+    # the law is fixed per pair; read through the module at call time, so
+    # that a wrapper installed there is the one called
+    min_pdf = getattr(dist, f"min_pdf_{dist.min_law(pair)}")
 
     def integrand(x):
         sinr = a_w * rho * x / (a_s * rho * x + 1.0)
-        return (1.0 + sinr) ** -nu * dist.min_pdf(pair, x)
+        return (1.0 + sinr) ** -nu * min_pdf(pair, x)
 
     r = integrate_semi_infinite(integrand)
     return _ec_from_expectation(r.value, r.error_estimate, nu)[0]

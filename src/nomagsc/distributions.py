@@ -12,10 +12,14 @@ distribution (incomplete gamma functions) and the Mellin transform
 E[g^s] (gamma functions), which gives the moments and the high-SNR
 expectation.  ``min_law`` is the one rule that picks the minimum's law
 from the pair: SC, MRC, otherwise the general composition of the two
-GSC laws, whose moments are integrated numerically.
+GSC laws, whose moments are integrated numerically.  Inside a
+``reuse_densities`` block each density value is computed once, for
+callers that integrate many times over the same laws.
 """
 from __future__ import annotations
 
+import contextlib
+import contextvars
 import functools
 import math
 from dataclasses import dataclass
@@ -156,6 +160,47 @@ def _mellin(terms: tuple[Term, ...], s: float) -> float:
     return math.fsum(a * math.gamma(m + s + 1) / lam ** (m + s + 1) for a, m, lam in terms)
 
 
+# The density values of the innermost ``reuse_densities`` block, keyed by
+# (density function, law, x); None outside every block.
+_REUSED: contextvars.ContextVar[dict | None] = contextvars.ContextVar("_REUSED", default=None)
+
+
+@contextlib.contextmanager
+def reuse_densities():
+    """Inside the block, each density function computes its value at one
+    (law, x) once and returns the stored value on every later call.
+
+    QUADPACK's rule for [0, inf) evaluates every integral over one law at
+    the same nodes, so integrals that share a law share nearly all their
+    density values.  The values are exactly the computed ones; the store
+    is dropped when the block ends.
+    """
+    token = _REUSED.set({})
+    try:
+        yield
+    finally:
+        _REUSED.reset(token)
+
+
+def _reused(density):
+    """Serve ``density(law, x)`` from the active ``reuse_densities`` store."""
+
+    @functools.wraps(density)
+    def reader(*args, **kwargs):
+        store = _REUSED.get()
+        if store is None or kwargs:
+            return density(*args, **kwargs)
+        key = (density, *args)
+        try:
+            return store[key]
+        except KeyError:
+            value = store[key] = density(*args)
+            return value
+
+    return reader
+
+
+@_reused
 def gsc_pdf(spec: GscSpec, x: float) -> float:
     """Density of the combined channel power at ``x``."""
     if x < 0:
@@ -163,6 +208,7 @@ def gsc_pdf(spec: GscSpec, x: float) -> float:
     return math.comb(spec.antennas, spec.combined) * _density(_gsc_terms(spec), x)
 
 
+@_reused
 def gsc_cdf(spec: GscSpec, x: float) -> float:
     """Distribution function, by term-by-term integration of the density."""
     if x < 0:
@@ -171,6 +217,7 @@ def gsc_cdf(spec: GscSpec, x: float) -> float:
     return min(max(value, 0.0), 1.0)
 
 
+@_reused
 def min_pdf_sc(pair: UserPairSpec, x: float) -> float:
     """Density of min(g_s, g_w) when both receivers select one branch."""
     if not pair.is_sc:
@@ -180,6 +227,7 @@ def min_pdf_sc(pair: UserPairSpec, x: float) -> float:
     return _density(_min_terms(pair, "sc"), x)
 
 
+@_reused
 def min_pdf_mrc(pair: UserPairSpec, x: float) -> float:
     """Density of min(g_s, g_w) when both receivers combine all branches."""
     if not pair.is_mrc:
@@ -189,6 +237,7 @@ def min_pdf_mrc(pair: UserPairSpec, x: float) -> float:
     return _density(_min_terms(pair, "mrc"), x)
 
 
+@_reused
 def min_pdf_general(pair: UserPairSpec, x: float) -> float:
     """Density of min(g_s, g_w) for arbitrary combining on either side."""
     if x < 0:

@@ -9,10 +9,10 @@ max(ABS_TOL, REL_TOL * |value|) within MAX_SUBDIVISIONS subintervals.
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 
-import numpy as np
 from scipy import integrate
 
 REL_TOL = 1e-9
@@ -46,7 +46,7 @@ def integrate_semi_infinite(f) -> QuadratureResult:
 
     def checked(x):
         y = f(x)
-        if not np.isfinite(y):
+        if not math.isfinite(y):
             bad_x.append(x)
             return 0.0
         return y
@@ -56,7 +56,7 @@ def integrate_semi_infinite(f) -> QuadratureResult:
         value, abserr, info = integrate.quad(
             checked,
             0.0,
-            np.inf,
+            math.inf,
             epsabs=ABS_TOL,
             epsrel=REL_TOL,
             limit=MAX_SUBDIVISIONS,

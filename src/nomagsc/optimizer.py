@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 from . import capacity
 from .capacity import EcReport, PowerSplit, QosProfile, SnrPoint
-from .distributions import UserPairSpec
+from .distributions import UserPairSpec, reuse_densities
 
 
 @dataclass(frozen=True)
@@ -65,20 +65,25 @@ def optimize_power(
     """Grid search over a_s maximizing the requested sum objective.
 
     Every split is evaluated analytically: ``evaluate_noma`` for sum EC,
-    ``ergodic_rate`` for sum rate.  Raises SearchError, naming the split,
-    when the objective fails.
+    ``ergodic_rate`` for sum rate.  The splits integrate over the same
+    channel laws at the same quadrature nodes, so the whole scan runs in
+    one ``distributions.reuse_densities`` block: each density value is
+    computed once per search and dropped when the search returns or
+    fails.  Every value is the one a separate evaluation per split gives.
+    Raises SearchError, naming the split, when the objective fails.
     """
     best = None
     grid_values: list[tuple[float, float]] = []
-    for a in search.grid():
-        try:
-            report = _analytic_report(pair, PowerSplit(a), qos, snr, search.objective)
-        except Exception as exc:
-            raise SearchError(f"objective evaluation failed at a_s={a}: {exc}") from exc
-        objective = report.e_sum
-        grid_values.append((a, objective))
-        if best is None or objective >= best[1]:
-            best = (a, objective, report)
+    with reuse_densities():
+        for a in search.grid():
+            try:
+                report = _analytic_report(pair, PowerSplit(a), qos, snr, search.objective)
+            except Exception as exc:
+                raise SearchError(f"objective evaluation failed at a_s={a}: {exc}") from exc
+            objective = report.e_sum
+            grid_values.append((a, objective))
+            if best is None or objective >= best[1]:
+                best = (a, objective, report)
     return OptimizeResult(best[0], best[2], grid_values)
 
 

@@ -25,6 +25,12 @@ def expectation(spec, weight):
         return mp.quad(lambda x: weight(x) * _gsc_pdf(spec, x), [0, w, 10 * w, mp.inf])
 
 
+def distribution(spec, x):
+    """P(g <= x) for the combined power g of ``spec``."""
+    with mp.workdps(30):
+        return mp.quad(lambda t: _gsc_pdf(spec, t), [0, x])
+
+
 def ec_strong(pair, split, qos, snr):
     """-(1/nu) log2 E[(1 + a_s rho g_s)^-nu], the strong user's EC."""
     with mp.workdps(30):

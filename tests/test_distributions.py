@@ -131,6 +131,41 @@ class TestGscCdf:
                 for x in (0.1, 0.5, 1.0, 3.0, 8.0):
                     assert gsc_cdf(hi, x) <= gsc_cdf(lo, x) + 1e-12
 
+    @pytest.mark.xfail(
+        strict=True,
+        reason="the alternating series breaks down at N >= 14 and the clamp "
+        "to [0, 1] hides it: 1.0 against the oracle's 7.1e-7",
+    )
+    def test_wide_array_matches_mpmath(self):
+        spec = GscSpec(15, 14, 1.0)
+        ref = float(mp_oracle.distribution(spec, 3.0))
+        assert gsc_cdf(spec, 3.0) == pytest.approx(ref, rel=1e-9)
+
+
+class TestReuseDensities:
+    def test_values_are_the_computed_ones(self):
+        # min_pdf_sc and min_pdf_general give the same law in different
+        # roundings, and the strong and weak GSC laws share a form: every
+        # (function, law, x) keeps its own value
+        pair = UserPairSpec(GscSpec(12, 6, 1.0), GscSpec(12, 6, 0.1))
+        calls = [(f, PAIR_SC, x) for f in (min_pdf_sc, min_pdf_general) for x in (0.3, 2.0)]
+        calls += [(f, pair.strong, x) for f in (gsc_pdf, gsc_cdf) for x in (0.3, 2.0)]
+        calls += [(f, pair.weak, x) for f in (gsc_pdf, gsc_cdf) for x in (0.3, 2.0)]
+        calls += [(min_pdf_general, pair, 0.3), (min_pdf_mrc, PAIR_MRC, 0.3)]
+        fresh = [f(law, x) for f, law, x in calls]
+        with distributions.reuse_densities():
+            assert [f(law, x) for f, law, x in calls] == fresh
+            assert [f(law, x) for f, law, x in calls] == fresh
+        assert distributions._REUSED.get() is None
+
+    def test_errors_are_not_stored(self):
+        with distributions.reuse_densities():
+            for _ in range(2):
+                with pytest.raises(DomainError):
+                    gsc_pdf(GscSpec(4, 2, 1.0), -1.0)
+                with pytest.raises(ValueError):
+                    min_pdf_sc(PAIR_MRC, 1.0)
+
 
 class TestMinPdfs:
     def test_sc_rate_sum_at_origin(self):

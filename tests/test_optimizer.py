@@ -1,6 +1,7 @@
 import pytest
 
-from nomagsc.capacity import QosProfile, SnrPoint
+from nomagsc import capacity, distributions
+from nomagsc.capacity import PowerSplit, QosProfile, SnrPoint
 from nomagsc.distributions import GscSpec, UserPairSpec
 from nomagsc.numerics import IntegrationError
 from nomagsc.optimizer import SearchError, SearchSpec, optimize_power
@@ -72,3 +73,75 @@ class TestOptimizePower:
         with pytest.raises(SearchError, match="a_s=0.01") as info:
             optimize_power(bad, QOS, SnrPoint(1e308), SearchSpec(step=0.5))
         assert isinstance(info.value.__cause__, IntegrationError)
+
+
+def pair44(n):
+    return UserPairSpec(GscSpec(4, n, 1.0), GscSpec(4, n, 0.1))
+
+
+# N = 12 rounding noise makes every law's values its own: a value read
+# for the wrong law or function would change the result
+PAIR_12_6 = UserPairSpec(GscSpec(12, 6, 1.0), GscSpec(12, 6, 0.1))
+
+
+def separate_search(pair, qos, snr, search):
+    """(a*, report, grid) from one fresh evaluation per split."""
+    best, grid = None, []
+    for a in search.grid():
+        if search.objective == "sum_rate":
+            report = capacity.ergodic_rate(pair, PowerSplit(a), snr)
+        else:
+            report = capacity.evaluate_noma(pair, PowerSplit(a), qos, snr)
+        grid.append((a, report.e_sum))
+        if best is None or report.e_sum >= best[1].e_sum:
+            best = (a, report)
+    return best[0], best[1], grid
+
+
+class TestReusedDensities:
+    @pytest.mark.parametrize(
+        "pair, qos, snr, search",
+        [
+            pytest.param(
+                pair44(n), QosProfile(theta), SnrPoint.from_db(rho_db), SearchSpec(objective=objective),
+                id=f"n{n}-{objective}",
+            )
+            for n in (1, 2, 3, 4)
+            for theta, rho_db, objective in ((1.0, 20.0, "sum_ec"), (0.5, 0.0, "sum_rate"))
+        ]
+        + [
+            # the (12, 6) laws integrate only on part of the range
+            pytest.param(
+                PAIR_12_6, QosProfile(0.25), SnrPoint.from_db(30), SearchSpec(0.2, 0.24, 0.04),
+                id="12-6-sum_ec",
+            ),
+            pytest.param(
+                PAIR_12_6, QosProfile(1.0), SnrPoint.from_db(10), SearchSpec(0.04, 0.24, 0.04, "sum_rate"),
+                id="12-6-sum_rate",
+            ),
+        ],
+    )
+    def test_equals_separate_evaluations(self, pair, qos, snr, search):
+        res = optimize_power(pair, qos, snr, search)
+        assert (res.a_star, res.report, res.grid) == separate_search(pair, qos, snr, search)
+
+    def test_store_ends_with_the_call(self, monkeypatch):
+        computed = []
+        density = distributions._density
+
+        def counted(terms, x):
+            computed.append(x)
+            return density(terms, x)
+
+        monkeypatch.setattr(distributions, "_density", counted)
+        counts = []
+        for _ in range(2):
+            optimize_power(pair44(2), QOS, SNR, SearchSpec(step=0.05))
+            assert distributions._REUSED.get() is None
+            counts.append(len(computed))
+            computed.clear()
+        # nothing carries over: the second search computes every value again
+        assert counts[0] == counts[1] > 0
+        with pytest.raises(SearchError):
+            optimize_power(pair44(2), QOS, SnrPoint(1e308), SearchSpec(step=0.5))
+        assert distributions._REUSED.get() is None
