@@ -7,12 +7,15 @@ branches.  Every closed-form law here is a finite signed sum of gamma
 kernels a * x**m * exp(-lam * x), held once per law as a table of
 (a, m, lam) terms: ``_gsc_terms`` for one receiver, ``_min_terms`` for
 min(g_s, g_w) when both receivers select one branch (SC) or combine all
-(MRC).  Three evaluators read any table, term by term: the density, the
-distribution (incomplete gamma functions) and the Mellin transform
-E[g^s] (gamma functions), which gives the moments and the high-SNR
-expectation.  ``min_law`` is the one rule that picks the minimum's law
-from the pair: SC, MRC, otherwise the general composition of the two
-GSC laws, whose moments are integrated numerically.  Inside a
+(MRC).  Three evaluators read any table: the density, the distribution
+(incomplete gamma functions) and the Mellin transform E[g^s] (gamma
+functions), which gives the moments and the high-SNR expectation.  A
+table also holds its terms grouped by the kernel the density and the
+distribution compute, so that one call evaluates each distinct
+exp(-lam * x) and incomplete gamma once; the values are those of the
+term-by-term sums.  ``min_law`` is the one rule that picks the
+minimum's law from the pair: SC, MRC, otherwise the general composition
+of the two GSC laws, whose moments are integrated numerically.  Inside a
 ``reuse_densities`` block each density value is computed once, for
 callers that integrate many times over the same laws.
 """
@@ -87,13 +90,47 @@ class UserPairSpec:
 # hundred covers every spec a sweep or a figure visits.
 _TABLE_CACHE = 256
 
-# (a, m, lam): one gamma kernel a * x**m * exp(-lam * x) of a law
-Term = tuple[float, int, float]
+
+def _grouped(items) -> tuple:
+    """(key, (value, ...)) per distinct key, in order of first appearance."""
+    groups = {}
+    for key, value in items:
+        groups.setdefault(key, []).append(value)
+    return tuple((key, tuple(values)) for key, values in groups.items())
+
+
+class _Table:
+    """One law as gamma kernels: density = scale * sum a * x**m * exp(-lam * x).
+
+    It iterates as its (a, m, lam) terms, and holds them grouped by the
+    kernel each evaluator computes, so that one call computes each
+    distinct kernel once.  ``by_rate`` serves the density:
+    (lam, ((a, m), ...)), one exp(-lam * x) per rate.  ``by_kernel`` serves
+    the distribution: ((m+1, lam), (a * m!/lam**(m+1), ...)), one
+    1 - exp(-lam * x) (m = 0) or incomplete gamma P(m+1, lam * x) per key.
+    It is built on first use, because its coefficients can raise (lam = 0)
+    where the density does not.
+    """
+
+    def __init__(self, terms, scale: float = 1.0):
+        self.terms = tuple(terms)
+        self.scale = scale
+        self.by_rate = _grouped((lam, (a, m)) for a, m, lam in self.terms)
+
+    def __iter__(self):
+        return iter(self.terms)
+
+    @functools.cached_property
+    def by_kernel(self) -> tuple:
+        return _grouped(
+            ((m + 1, lam), a / lam if m == 0 else a * math.factorial(m) / lam ** (m + 1))
+            for a, m, lam in self.terms
+        )
 
 
 @functools.lru_cache(maxsize=_TABLE_CACHE)
-def _gsc_terms(spec: GscSpec) -> tuple[Term, ...]:
-    """The order-statistics density as gamma kernels: pdf = C(N, n) * sum.
+def _gsc_terms(spec: GscSpec) -> _Table:
+    """The order-statistics density as gamma kernels, at scale C(N, n).
 
     The gamma-shaped head, then for each l = 1..N-n of the binomial
     expansion over the discarded branches, an exponential term at rate
@@ -109,11 +146,11 @@ def _gsc_terms(spec: GscSpec) -> tuple[Term, ...]:
             terms.append(
                 (-coeff * (-l / (n * omega)) ** m / math.factorial(m), m, 1.0 / omega)
             )
-    return tuple(terms)
+    return _Table(terms, float(math.comb(N, n)))
 
 
 @functools.lru_cache(maxsize=_TABLE_CACHE)
-def _min_terms(pair: UserPairSpec, law: str) -> tuple[Term, ...]:
+def _min_terms(pair: UserPairSpec, law: str) -> _Table:
     """The density of min(g_s, g_w) as gamma kernels, for the "sc" or
     "mrc" law of ``min_law``."""
     s, w = pair.strong, pair.weak
@@ -125,10 +162,10 @@ def _min_terms(pair: UserPairSpec, law: str) -> tuple[Term, ...]:
                 chi = k / s.omega + j / w.omega
                 a = (-1.0) ** (k + j) * math.comb(s.antennas, k) * math.comb(w.antennas, j) * chi
                 terms.append((a, 0, chi))
-        return tuple(terms)
+        return _Table(terms)
     # one side's gamma density times the other side's gamma survival
     chi = 1.0 / s.omega + 1.0 / w.omega
-    return tuple(
+    return _Table(
         (
             1.0 / (math.gamma(u.antennas) * u.omega**u.antennas * math.factorial(j) * v.omega**j),
             u.antennas - 1 + j,
@@ -139,25 +176,41 @@ def _min_terms(pair: UserPairSpec, law: str) -> tuple[Term, ...]:
     )
 
 
-def _density(terms: tuple[Term, ...], x: float) -> float:
-    """sum a * x**m * exp(-lam * x), summed exactly."""
-    return math.fsum(a * x**m * math.exp(-lam * x) for a, m, lam in terms)
+# Each term's product below is formed with the same float operations as
+# a * x**m * exp(-lam * x) term by term (x**0 is exactly 1.0, and a * 1.0
+# is a, so m = 0 skips both), and math.fsum rounds correctly whatever the
+# order of its inputs, so grouping moves no value.
 
 
-def _distribution(terms: tuple[Term, ...], x: float) -> float:
-    """Integral of the density over [0, x]: a * m!/lam**(m+1) * P(m+1, lam*x)
-    per term, with P the regularized lower incomplete gamma."""
-    return math.fsum(
-        a / lam * (1.0 - math.exp(-lam * x))
-        if m == 0
-        else a * math.factorial(m) / lam ** (m + 1) * special.gammainc(m + 1, lam * x)
-        for a, m, lam in terms
+def _density(t: _Table, x: float) -> float:
+    """scale * sum a * x**m * exp(-lam * x), summed exactly."""
+    return t.scale * math.fsum(
+        [
+            a * x**m * e if m else a * e
+            for lam, group in t.by_rate
+            for e in (math.exp(-lam * x),)
+            for a, m in group
+        ]
     )
 
 
-def _mellin(terms: tuple[Term, ...], s: float) -> float:
+def _distribution(t: _Table, x: float) -> float:
+    """Integral of the density over [0, x]: a * m!/lam**(m+1) * P(m+1, lam*x)
+    per term, with P the regularized lower incomplete gamma, which is
+    1 - exp(-lam*x) when m = 0."""
+    return t.scale * math.fsum(
+        [
+            c * p
+            for (k, lam), cs in t.by_kernel
+            for p in (1.0 - math.exp(-lam * x) if k == 1 else special.gammainc(k, lam * x),)
+            for c in cs
+        ]
+    )
+
+
+def _mellin(t: _Table, s: float) -> float:
     """Integral of x**s times the density: a * Gamma(m+s+1)/lam**(m+s+1) per term."""
-    return math.fsum(a * math.gamma(m + s + 1) / lam ** (m + s + 1) for a, m, lam in terms)
+    return t.scale * math.fsum(a * math.gamma(m + s + 1) / lam ** (m + s + 1) for a, m, lam in t)
 
 
 # The density values of the innermost ``reuse_densities`` block, keyed by
@@ -186,15 +239,15 @@ def _reused(density):
     """Serve ``density(law, x)`` from the active ``reuse_densities`` store."""
 
     @functools.wraps(density)
-    def reader(*args, **kwargs):
+    def reader(law, x):
         store = _REUSED.get()
-        if store is None or kwargs:
-            return density(*args, **kwargs)
-        key = (density, *args)
+        if store is None:
+            return density(law, x)
+        key = (density, law, x)
         try:
             return store[key]
         except KeyError:
-            value = store[key] = density(*args)
+            value = store[key] = density(law, x)
             return value
 
     return reader
@@ -205,7 +258,7 @@ def gsc_pdf(spec: GscSpec, x: float) -> float:
     """Density of the combined channel power at ``x``."""
     if x < 0:
         raise DomainError(f"gsc_pdf requires x >= 0, got {x}")
-    return math.comb(spec.antennas, spec.combined) * _density(_gsc_terms(spec), x)
+    return _density(_gsc_terms(spec), x)
 
 
 @_reused
@@ -213,7 +266,7 @@ def gsc_cdf(spec: GscSpec, x: float) -> float:
     """Distribution function, by term-by-term integration of the density."""
     if x < 0:
         raise DomainError(f"gsc_cdf requires x >= 0, got {x}")
-    value = math.comb(spec.antennas, spec.combined) * _distribution(_gsc_terms(spec), x)
+    value = _distribution(_gsc_terms(spec), x)
     return min(max(value, 0.0), 1.0)
 
 
@@ -277,7 +330,7 @@ def gsc_mellin(spec: GscSpec, s: float) -> float:
     """
     if not s > -1:
         raise DomainError(f"gsc_mellin requires s > -1, got {s}")
-    return math.comb(spec.antennas, spec.combined) * _mellin(_gsc_terms(spec), s)
+    return _mellin(_gsc_terms(spec), s)
 
 
 def gsc_moments(spec: GscSpec) -> tuple[float, float]:

@@ -95,10 +95,10 @@ def run_validation(plan: SimPlan, grid: dict | None = None) -> list[ValidationRo
             qos = QosProfile(theta)
             for n in grid["n"]:
                 pair = _pair(n)
+                oma = capacity.evaluate_oma(pair, qos, snr)  # the same for every a_s
                 for a_s in grid["a_s"]:
                     split = PowerSplit(a_s)
                     rep = capacity.evaluate_noma(pair, split, qos, snr)
-                    oma = capacity.evaluate_oma(pair, qos, snr)
                     erg = capacity.ergodic_rate(pair, split, snr)
                     analytic = (
                         rep.e_strong, rep.e_weak, oma.e_strong, oma.e_weak,

@@ -7,11 +7,14 @@ omega_w = 0.1, T*B = 1.
 """
 
 import math
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import nomagsc
 from nomagsc import validate
 from nomagsc.capacity import (
     PowerSplit,
@@ -297,6 +300,11 @@ class TestAcceptance:
         )
 
     def test_11_validate_determinism(self, tmp_path):
+        # the subprocess imports the package from the same src directory,
+        # whether or not it is installed
+        src = str(Path(nomagsc.__file__).resolve().parents[1])
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
         outputs = []
         for name in ("a.csv", "b.csv"):
             out = tmp_path / name
@@ -306,6 +314,7 @@ class TestAcceptance:
                     "--samples", "20000", "--seed", "7", "--out", str(out),
                 ],
                 capture_output=True,
+                env=env,
             )
             assert proc.returncode == 0, proc.stdout.decode()[-2000:]
             outputs.append(out.read_bytes())

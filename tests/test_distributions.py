@@ -1,8 +1,10 @@
 import math
+import types
 
 import mp_oracle
 import numpy as np
 import pytest
+from scipy import special
 
 from nomagsc import distributions
 from nomagsc.distributions import (
@@ -165,6 +167,82 @@ class TestReuseDensities:
                     gsc_pdf(GscSpec(4, 2, 1.0), -1.0)
                 with pytest.raises(ValueError):
                     min_pdf_sc(PAIR_MRC, 1.0)
+
+
+def _per_term_density(terms, x):
+    return math.fsum(a * x**m * math.exp(-lam * x) for a, m, lam in terms)
+
+
+def _per_term_distribution(terms, x):
+    return math.fsum(
+        a / lam * (1.0 - math.exp(-lam * x))
+        if m == 0
+        else a * math.factorial(m) / lam ** (m + 1) * special.gammainc(m + 1, lam * x)
+        for a, m, lam in terms
+    )
+
+
+KERNEL_XS = (0.0, 1e-300, 1e-3, 0.7, 30.0, 700.0, 1e4)
+
+
+class TestKernelGroups:
+    """The evaluators compute each distinct kernel once per call; the
+    values are those of the term-by-term formulas, bit for bit."""
+
+    def test_gsc_laws_equal_per_term_formulas(self):
+        for N in range(1, 17):
+            for n in range(1, N + 1):
+                for omega in (0.1, 1.0, 3.7):
+                    spec = GscSpec(N, n, omega)
+                    terms = list(distributions._gsc_terms(spec))
+                    for x in KERNEL_XS:
+                        pdf = math.comb(N, n) * _per_term_density(terms, x)
+                        cdf = math.comb(N, n) * _per_term_distribution(terms, x)
+                        assert gsc_pdf(spec, x) == pdf, (spec, x)
+                        assert gsc_cdf(spec, x) == min(max(cdf, 0.0), 1.0), (spec, x)
+
+    def test_min_laws_equal_per_term_formulas(self):
+        for ns in range(1, 7):
+            for nw in range(1, 7):
+                for omega_s, omega_w in ((1.0, 0.1), (3.7, 1.0)):
+                    strong, weak = GscSpec(ns, 1, omega_s), GscSpec(nw, 1, omega_w)
+                    sc = UserPairSpec(strong, weak)
+                    mrc = UserPairSpec(GscSpec(ns, ns, omega_s), GscSpec(nw, nw, omega_w))
+                    for form, pair, law in ((min_pdf_sc, sc, "sc"), (min_pdf_mrc, mrc, "mrc")):
+                        table = distributions._min_terms(pair, law)
+                        terms = list(table)
+                        for x in KERNEL_XS:
+                            assert form(pair, x) == _per_term_density(terms, x), (pair, x)
+                            assert distributions._distribution(table, x) == (
+                                _per_term_distribution(terms, x)
+                            ), (pair, x)
+
+    def test_one_evaluation_per_distinct_kernel(self, monkeypatch):
+        # at (12, 6) the table has 37 terms over 7 rates: 12 with m = 0
+        # (7 rates) and 25 with m > 0 (5 distinct (m + 1, lam))
+        calls = {"exp": 0, "gammainc": 0}
+
+        def counted(name, fn):
+            def counting(*args):
+                calls[name] += 1
+                return fn(*args)
+
+            return counting
+
+        fake_math = types.SimpleNamespace(**vars(math))
+        fake_math.exp = counted("exp", math.exp)
+        monkeypatch.setattr(distributions, "math", fake_math)
+        monkeypatch.setattr(
+            distributions, "special", types.SimpleNamespace(gammainc=counted("gammainc", special.gammainc))
+        )
+        spec = GscSpec(12, 6, 1.0)
+        for x in (0.3, 2.0):
+            calls.update(exp=0, gammainc=0)
+            gsc_pdf(spec, x)
+            assert calls == {"exp": 7, "gammainc": 0}
+            calls.update(exp=0, gammainc=0)
+            gsc_cdf(spec, x)
+            assert calls == {"exp": 7, "gammainc": 5}
 
 
 class TestMinPdfs:

@@ -13,7 +13,7 @@ from nomagsc.capacity import (
     ergodic_rate,
     ergodic_rate_oma,
 )
-from nomagsc import montecarlo, validate
+from nomagsc import capacity, montecarlo, validate
 from nomagsc.distributions import GscSpec, UserPairSpec
 from nomagsc.montecarlo import (
     QUANTITIES,
@@ -305,3 +305,18 @@ class TestSharedDraw:
         validate.run_validation(SimPlan(samples=100_000, seed=0))
         # one batch of 1e5 samples per n = 1..4
         assert keys == [(0, 0)] * 4
+
+    def test_validation_evaluates_oma_once_per_point(self, monkeypatch):
+        # OMA does not depend on a_s: one evaluation per (rho, theta, n)
+        calls = []
+        evaluate_oma = capacity.evaluate_oma
+
+        def counting(pair, qos, snr):
+            calls.append((pair, qos, snr))
+            return evaluate_oma(pair, qos, snr)
+
+        monkeypatch.setattr(capacity, "evaluate_oma", counting)
+        grid = {"snr_db": (0.0, 30.0), "theta": (1.0,), "n": (2,), "a_s": (0.1, 0.24)}
+        rows = validate.run_validation(SimPlan(samples=1_000, seed=0), grid)
+        assert len(calls) == len(set(calls)) == 2
+        assert len(rows) == 4 * len(montecarlo.QUANTITIES)
