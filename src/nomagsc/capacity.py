@@ -4,15 +4,16 @@ The effective capacity of a symbol with post-combining SNR/SINR gamma is
 
     E = -(1/nu) * log2( E[ (1 + gamma)^(-nu) ] ),    nu = theta*T*B / ln 2.
 
-Each quantity has one route.  The exact values are one-dimensional
-integrals over the channel-power densities from
-:mod:`nomagsc.distributions`, evaluated by adaptive quadrature under the
-fixed tolerance contract of :mod:`nomagsc.numerics`: the strong user's
-over the GSC density, the weak user's over the density of
-min(g_s, g_w) in the form ``distributions.min_law`` picks.  The
-high-SNR approximation uses the Mellin transform ``gsc_mellin``, the
-low-SNR one the first two moments.  All rates are spectral efficiencies
-in bits/s/Hz.
+Each quantity has one route.  The exact values are expectations over
+the channel-power densities from :mod:`nomagsc.distributions`, each one
+``numerics.expectation`` call under the fixed tolerance contract of
+:mod:`nomagsc.numerics`: the strong user's over the GSC density, the
+weak user's over the density of min(g_s, g_w) that
+``distributions.min_density`` picks.  Densities are read from
+``distributions`` at call time, so that a wrapper installed there is the
+one integrated.  The high-SNR approximation uses the Mellin transform
+``gsc_mellin``, the low-SNR one the first two moments.  All rates are
+spectral efficiencies in bits/s/Hz.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from dataclasses import dataclass
 
 from . import distributions as dist
 from .distributions import GscSpec, UserPairSpec
-from .numerics import IntegrationError, integrate_semi_infinite
+from .numerics import IntegrationError, expectation
 
 LOG2E = math.log2(math.e)
 
@@ -123,9 +124,7 @@ def ec_strong(
     if qos.is_ergodic_limit:
         return ergodic_rate(pair, split, snr).e_strong
     nu, a = qos.nu, split.a_s * snr.rho
-    r = integrate_semi_infinite(
-        lambda x: (1.0 + a * x) ** -nu * dist.gsc_pdf(pair.strong, x)
-    )
+    r = expectation(lambda x: (1.0 + a * x) ** -nu, dist.gsc_pdf, pair.strong)
     return _ec_from_expectation(r.value, r.error_estimate, nu)[0]
 
 
@@ -138,15 +137,12 @@ def ec_weak(
         return ergodic_rate(pair, split, snr).e_weak
     nu, rho = qos.nu, snr.rho
     a_s, a_w = split.a_s, split.a_w
-    # the law is fixed per pair; read through the module at call time, so
-    # that a wrapper installed there is the one called
-    min_pdf = getattr(dist, f"min_pdf_{dist.min_law(pair)}")
 
-    def integrand(x):
+    def h(x):
         sinr = a_w * rho * x / (a_s * rho * x + 1.0)
-        return (1.0 + sinr) ** -nu * min_pdf(pair, x)
+        return (1.0 + sinr) ** -nu
 
-    r = integrate_semi_infinite(integrand)
+    r = expectation(h, dist.min_density(pair), pair)
     return _ec_from_expectation(r.value, r.error_estimate, nu)[0]
 
 
@@ -155,9 +151,7 @@ def ec_oma(spec: GscSpec, qos: QosProfile, snr: SnrPoint) -> float:
     if qos.is_ergodic_limit:
         return 0.5 * ergodic_rate_oma(spec, snr)
     nu, rho = qos.nu, snr.rho
-    r = integrate_semi_infinite(
-        lambda x: (1.0 + rho * x) ** (-nu / 2.0) * dist.gsc_pdf(spec, x)
-    )
+    r = expectation(lambda x: (1.0 + rho * x) ** (-nu / 2.0), dist.gsc_pdf, spec)
     return _ec_from_expectation(r.value, r.error_estimate, nu)[0]
 
 
@@ -209,14 +203,13 @@ def ergodic_rate(pair: UserPairSpec, split: PowerSplit, snr: SnrPoint) -> EcRepo
     on the EC at the same operating point, independent of theta."""
     rho = snr.rho
     a_s, a_w = split.a_s, split.a_w
-    rs = integrate_semi_infinite(
-        lambda x: math.log2(1.0 + a_s * rho * x) * dist.gsc_pdf(pair.strong, x)
-    )
+    rs = expectation(lambda x: math.log2(1.0 + a_s * rho * x), dist.gsc_pdf, pair.strong)
     # the general form for every pair: the SC/MRC closed forms round
     # differently and would move the ergodic values in their last digits
-    rw = integrate_semi_infinite(
-        lambda x: math.log2(1.0 + a_w * rho * x / (a_s * rho * x + 1.0))
-        * dist.min_pdf_general(pair, x)
+    rw = expectation(
+        lambda x: math.log2(1.0 + a_w * rho * x / (a_s * rho * x + 1.0)),
+        dist.min_pdf_general,
+        pair,
     )
     return EcReport(
         rs.value,
@@ -228,9 +221,7 @@ def ergodic_rate(pair: UserPairSpec, split: PowerSplit, snr: SnrPoint) -> EcRepo
 
 def ergodic_rate_oma(spec: GscSpec, snr: SnrPoint) -> float:
     """Full-rate ergodic capacity E[log2(1 + rho*g)] of one OMA user."""
-    return integrate_semi_infinite(
-        lambda x: math.log2(1.0 + snr.rho * x) * dist.gsc_pdf(spec, x)
-    ).value
+    return expectation(lambda x: math.log2(1.0 + snr.rho * x), dist.gsc_pdf, spec).value
 
 
 # EcReport.method of an exact NOMA report, per distributions.min_law

@@ -15,21 +15,20 @@ distribution compute, so that one call evaluates each distinct
 exp(-lam * x) and incomplete gamma once; the values are those of the
 term-by-term sums.  ``min_law`` is the one rule that picks the
 minimum's law from the pair: SC, MRC, otherwise the general composition
-of the two GSC laws, whose moments are integrated numerically.  Inside a
-``reuse_densities`` block each density value is computed once, for
-callers that integrate many times over the same laws.
+of the two GSC laws, whose moments are integrated numerically through
+``numerics.expectation``.  The density functions are pure: callers that
+integrate many times over the same laws share their values through
+``numerics.reuse_densities``.
 """
 from __future__ import annotations
 
-import contextlib
-import contextvars
 import functools
 import math
 from dataclasses import dataclass
 
 from scipy import special
 
-from .numerics import DomainError, integrate_semi_infinite
+from .numerics import DomainError, expectation
 
 # The signs in ``_gsc_terms`` alternate, and the table's sums lose roughly
 # one digit per discarded branch; past this many antennas its values are
@@ -56,8 +55,8 @@ class GscSpec:
                 f"antennas={self.antennas} exceeds the supported maximum "
                 f"{MAX_ANTENNAS} (alternating series would lose too much precision)"
             )
-        if not self.omega > 0:
-            raise ValueError(f"omega must be > 0, got {self.omega}")
+        if not 0 < self.omega < math.inf:
+            raise ValueError(f"omega must be finite and > 0, got {self.omega}")
 
 
 @dataclass(frozen=True)
@@ -213,47 +212,6 @@ def _mellin(t: _Table, s: float) -> float:
     return t.scale * math.fsum(a * math.gamma(m + s + 1) / lam ** (m + s + 1) for a, m, lam in t)
 
 
-# The density values of the innermost ``reuse_densities`` block, keyed by
-# (density function, law, x); None outside every block.
-_REUSED: contextvars.ContextVar[dict | None] = contextvars.ContextVar("_REUSED", default=None)
-
-
-@contextlib.contextmanager
-def reuse_densities():
-    """Inside the block, each density function computes its value at one
-    (law, x) once and returns the stored value on every later call.
-
-    QUADPACK's rule for [0, inf) evaluates every integral over one law at
-    the same nodes, so integrals that share a law share nearly all their
-    density values.  The values are exactly the computed ones; the store
-    is dropped when the block ends.
-    """
-    token = _REUSED.set({})
-    try:
-        yield
-    finally:
-        _REUSED.reset(token)
-
-
-def _reused(density):
-    """Serve ``density(law, x)`` from the active ``reuse_densities`` store."""
-
-    @functools.wraps(density)
-    def reader(law, x):
-        store = _REUSED.get()
-        if store is None:
-            return density(law, x)
-        key = (density, law, x)
-        try:
-            return store[key]
-        except KeyError:
-            value = store[key] = density(law, x)
-            return value
-
-    return reader
-
-
-@_reused
 def gsc_pdf(spec: GscSpec, x: float) -> float:
     """Density of the combined channel power at ``x``."""
     if x < 0:
@@ -261,7 +219,6 @@ def gsc_pdf(spec: GscSpec, x: float) -> float:
     return _density(_gsc_terms(spec), x)
 
 
-@_reused
 def gsc_cdf(spec: GscSpec, x: float) -> float:
     """Distribution function, by term-by-term integration of the density."""
     if x < 0:
@@ -270,7 +227,6 @@ def gsc_cdf(spec: GscSpec, x: float) -> float:
     return min(max(value, 0.0), 1.0)
 
 
-@_reused
 def min_pdf_sc(pair: UserPairSpec, x: float) -> float:
     """Density of min(g_s, g_w) when both receivers select one branch."""
     if not pair.is_sc:
@@ -280,7 +236,6 @@ def min_pdf_sc(pair: UserPairSpec, x: float) -> float:
     return _density(_min_terms(pair, "sc"), x)
 
 
-@_reused
 def min_pdf_mrc(pair: UserPairSpec, x: float) -> float:
     """Density of min(g_s, g_w) when both receivers combine all branches."""
     if not pair.is_mrc:
@@ -290,7 +245,6 @@ def min_pdf_mrc(pair: UserPairSpec, x: float) -> float:
     return _density(_min_terms(pair, "mrc"), x)
 
 
-@_reused
 def min_pdf_general(pair: UserPairSpec, x: float) -> float:
     """Density of min(g_s, g_w) for arbitrary combining on either side."""
     if x < 0:
@@ -312,14 +266,11 @@ def min_law(pair: UserPairSpec) -> str:
     return "general"
 
 
-def min_pdf(pair: UserPairSpec, x: float) -> float:
-    """Density of min(g_s, g_w) in the form ``min_law`` picks."""
-    law = min_law(pair)
-    if law == "sc":
-        return min_pdf_sc(pair, x)
-    if law == "mrc":
-        return min_pdf_mrc(pair, x)
-    return min_pdf_general(pair, x)
+def min_density(pair: UserPairSpec):
+    """The density function of min(g_s, g_w) in the form ``min_law`` picks:
+    ``min_pdf_sc``, ``min_pdf_mrc`` or ``min_pdf_general``, read from this
+    module when called."""
+    return {"sc": min_pdf_sc, "mrc": min_pdf_mrc, "general": min_pdf_general}[min_law(pair)]
 
 
 def gsc_mellin(spec: GscSpec, s: float) -> float:
@@ -345,6 +296,6 @@ def min_moments(pair: UserPairSpec) -> tuple[float, float]:
     if law != "general":
         terms = _min_terms(pair, law)
         return _mellin(terms, 1), _mellin(terms, 2)
-    m1 = integrate_semi_infinite(lambda x: x * min_pdf_general(pair, x)).value
-    m2 = integrate_semi_infinite(lambda x: x * x * min_pdf_general(pair, x)).value
+    m1 = expectation(lambda x: x, min_pdf_general, pair).value
+    m2 = expectation(lambda x: x * x, min_pdf_general, pair).value
     return m1, m2

@@ -1,14 +1,20 @@
-"""Integration primitive and the numerical error types.
+"""Integration primitive, the expectation seam and the numerical error types.
 
 The package's analytic evaluators are one-dimensional integrals over
 [0, inf); ``integrate_semi_infinite`` evaluates them by adaptive
 quadrature and raises ``IntegrationError`` when the result misses the
 fixed tolerance contract: an error estimate at most
 max(ABS_TOL, REL_TOL * |value|) within MAX_SUBDIVISIONS subintervals.
+Every analytic expectation E[h(g)] over a channel-power law is one
+``expectation`` call, the one place that integrates a density.  Inside a
+``reuse_densities`` block it computes each density value once, for
+callers that integrate many times over the same laws.
 """
 
 from __future__ import annotations
 
+import contextlib
+import contextvars
 import math
 import warnings
 from dataclasses import dataclass
@@ -70,3 +76,45 @@ def integrate_semi_infinite(f) -> QuadratureResult:
             f"error estimate={abserr} after {info['last']} subdivisions"
         )
     return QuadratureResult(value, abserr, info["last"])
+
+
+# The density values of the innermost ``reuse_densities`` block, keyed by
+# (density, law, x); None outside every block.
+_DENSITIES: contextvars.ContextVar[dict | None] = contextvars.ContextVar(
+    "_DENSITIES", default=None
+)
+
+
+@contextlib.contextmanager
+def reuse_densities():
+    """Inside the block, ``expectation`` computes each density at one
+    (law, x) once and uses the stored value on every later call.
+
+    QUADPACK's rule for [0, inf) evaluates every integral over one law at
+    the same nodes, so expectations that share a law share nearly all
+    their density values.  The values are exactly the computed ones; the
+    store is dropped when the block ends.
+    """
+    token = _DENSITIES.set({})
+    try:
+        yield
+    finally:
+        _DENSITIES.reset(token)
+
+
+def expectation(h, density, law) -> QuadratureResult:
+    """E[h(g)] for g with density ``density(law, x)`` on [0, inf), under
+    the tolerance contract of ``integrate_semi_infinite``."""
+    store = _DENSITIES.get()
+    if store is None:
+        return integrate_semi_infinite(lambda x: h(x) * density(law, x))
+
+    def integrand(x):
+        key = (density, law, x)
+        try:
+            value = store[key]
+        except KeyError:
+            value = store[key] = density(law, x)
+        return h(x) * value
+
+    return integrate_semi_infinite(integrand)

@@ -13,7 +13,8 @@ from dataclasses import dataclass, field
 
 from . import capacity
 from .capacity import EcReport, PowerSplit, QosProfile, SnrPoint
-from .distributions import UserPairSpec, reuse_densities
+from .distributions import UserPairSpec
+from .numerics import reuse_densities
 
 
 @dataclass(frozen=True)
@@ -67,7 +68,7 @@ def optimize_power(
     Every split is evaluated analytically: ``evaluate_noma`` for sum EC,
     ``ergodic_rate`` for sum rate.  The splits integrate over the same
     channel laws at the same quadrature nodes, so the whole scan runs in
-    one ``distributions.reuse_densities`` block: each density value is
+    one ``numerics.reuse_densities`` block: each density value is
     computed once per search and dropped when the search returns or
     fails.  Every value is the one a separate evaluation per split gives.
     Raises SearchError, naming the split, when the objective fails.

@@ -19,7 +19,9 @@ methods to run.  Example::
 ``power`` is either a fixed ``{"a_s": value}`` or
 ``{"search": {"a_min": ..., "a_max": ..., "step": ..., "objective": ...}}``,
 in which case the split is optimized per grid point.  An unknown key at
-any level, and a ``power`` with both entries, is a ``ConfigError``.
+any level, a ``power`` with both entries, and a user pair that is invalid
+at some ``n`` (a non-finite branch power, omega_w >= omega_s, an antenna
+count out of range) is a ``ConfigError``.
 Every requested (point, method) combination produces exactly one row;
 evaluator errors are recorded in-row under ``status`` and never abort
 sibling points.
@@ -162,7 +164,7 @@ class SweepSpec:
             {"samples": _count, "seed": _count, "batch": _count},
         )
         try:
-            return cls(
+            spec = cls(
                 antennas_strong=_count(need("N_s", pair, "pair")),
                 antennas_weak=_count(need("N_w", pair, "pair")),
                 omega_strong=_real(need("omega_s", pair, "pair")),
@@ -177,31 +179,12 @@ class SweepSpec:
                 methods=methods,
                 sim=sim,
             )
+            # a bad antenna count or branch power fails here, not per row
+            for n in n_values:
+                spec.pair_for(n)
         except (TypeError, ValueError) as exc:
             raise ConfigError(str(exc)) from exc
-
-    def to_dict(self) -> dict:
-        power = (
-            {"a_s": self.a_s}
-            if self.a_s is not None
-            else {"search": vars(self.search)}
-        )
-        return {
-            "pair": {
-                "N_s": self.antennas_strong,
-                "N_w": self.antennas_weak,
-                "omega_s": self.omega_strong,
-                "omega_w": self.omega_weak,
-            },
-            "n": list(self.n_values),
-            "snr_db": list(self.snr_db),
-            "theta": list(self.theta),
-            "block_length": self.block_length,
-            "bandwidth": self.bandwidth,
-            "power": power,
-            "methods": list(self.methods),
-            "sim": vars(self.sim),
-        }
+        return spec
 
     def pair_for(self, n: int) -> UserPairSpec:
         return UserPairSpec(

@@ -99,6 +99,10 @@ class TestSweepCommand:
             {"power": {"a_s": 0.24, "serach": {}}},
             {"power": {"a_s": 0.24, "search": {"a_min": 0.05, "a_max": 0.3}}},
             {"power": {}},
+            {"pair": {**CONFIG["pair"], "omega_w": 1.0}},
+            {"pair": {**CONFIG["pair"], "omega_w": 2.0}},
+            {"pair": {**CONFIG["pair"], "N_s": 17}},
+            {"n": [0]},
         ],
     )
     def test_bad_sim_or_search_is_config_error(self, overrides, tmp_path, capsys):
@@ -110,7 +114,14 @@ class TestSweepCommand:
         assert err.startswith("config error: ") and "Traceback" not in err
 
     @pytest.mark.parametrize(
-        "overrides", [{"theta": [math.nan]}, {"theta": [math.inf]}, {"snr_db": [math.inf]}]
+        "overrides",
+        [
+            {"theta": [math.nan]},
+            {"theta": [math.inf]},
+            {"snr_db": [math.inf]},
+            {"pair": {**CONFIG["pair"], "omega_s": math.inf}},
+            {"pair": {**CONFIG["pair"], "omega_w": math.nan}},
+        ],
     )
     def test_non_finite_input_is_rejected(self, overrides, tmp_path, capsys):
         path = tmp_path / "bad.json"

@@ -15,8 +15,8 @@ from nomagsc.distributions import (
     gsc_moments,
     gsc_pdf,
     min_law,
+    min_density,
     min_moments,
-    min_pdf,
     min_pdf_general,
     min_pdf_mrc,
     min_pdf_sc,
@@ -47,6 +47,11 @@ class TestSpecValidation:
     def test_omega_ordering(self):
         with pytest.raises(ValueError):
             UserPairSpec(GscSpec(2, 1, 0.1), GscSpec(2, 1, 1.0))
+
+    @pytest.mark.parametrize("omega", [math.inf, math.nan, 0.0, -1.0])
+    def test_omega_finite_and_positive(self, omega):
+        with pytest.raises(ValueError, match="finite"):
+            GscSpec(4, 2, omega)
 
 
 class TestGscPdf:
@@ -142,31 +147,6 @@ class TestGscCdf:
         spec = GscSpec(15, 14, 1.0)
         ref = float(mp_oracle.distribution(spec, 3.0))
         assert gsc_cdf(spec, 3.0) == pytest.approx(ref, rel=1e-9)
-
-
-class TestReuseDensities:
-    def test_values_are_the_computed_ones(self):
-        # min_pdf_sc and min_pdf_general give the same law in different
-        # roundings, and the strong and weak GSC laws share a form: every
-        # (function, law, x) keeps its own value
-        pair = UserPairSpec(GscSpec(12, 6, 1.0), GscSpec(12, 6, 0.1))
-        calls = [(f, PAIR_SC, x) for f in (min_pdf_sc, min_pdf_general) for x in (0.3, 2.0)]
-        calls += [(f, pair.strong, x) for f in (gsc_pdf, gsc_cdf) for x in (0.3, 2.0)]
-        calls += [(f, pair.weak, x) for f in (gsc_pdf, gsc_cdf) for x in (0.3, 2.0)]
-        calls += [(min_pdf_general, pair, 0.3), (min_pdf_mrc, PAIR_MRC, 0.3)]
-        fresh = [f(law, x) for f, law, x in calls]
-        with distributions.reuse_densities():
-            assert [f(law, x) for f, law, x in calls] == fresh
-            assert [f(law, x) for f, law, x in calls] == fresh
-        assert distributions._REUSED.get() is None
-
-    def test_errors_are_not_stored(self):
-        with distributions.reuse_densities():
-            for _ in range(2):
-                with pytest.raises(DomainError):
-                    gsc_pdf(GscSpec(4, 2, 1.0), -1.0)
-                with pytest.raises(ValueError):
-                    min_pdf_sc(PAIR_MRC, 1.0)
 
 
 def _per_term_density(terms, x):
@@ -290,11 +270,16 @@ class TestMinPdfs:
         with pytest.raises(ValueError):
             min_pdf_mrc(PAIR_SC, 0.1)
 
-    def test_min_pdf_follows_min_law(self):
+    def test_min_pdf_follows_min_law(self, monkeypatch):
         assert [min_law(p) for p in (PAIR_SC, PAIR_MRC, PAIR_GSC)] == ["sc", "mrc", "general"]
         for pair, form in ((PAIR_SC, min_pdf_sc), (PAIR_MRC, min_pdf_mrc), (PAIR_GSC, min_pdf_general)):
-            for x in (0.0, 0.05, 0.3, 1.0):
-                assert min_pdf(pair, x) == form(pair, x)
+            assert min_density(pair) is form
+        # read from the module when called, so a replacement installed there is returned
+        def replacement(pair, x):
+            return 0.0
+
+        monkeypatch.setattr(distributions, "min_pdf_mrc", replacement)
+        assert min_density(PAIR_MRC) is replacement
 
     def test_general_normalization(self):
         for pair in (PAIR_SC, PAIR_MRC, PAIR_GSC, pair44(3)):

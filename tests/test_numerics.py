@@ -6,8 +6,23 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
-from nomagsc.distributions import GscSpec, _gsc_terms, gsc_mellin, gsc_pdf
-from nomagsc.numerics import IntegrationError, integrate_semi_infinite
+from nomagsc import capacity, distributions, numerics
+from nomagsc.distributions import (
+    GscSpec,
+    UserPairSpec,
+    _gsc_terms,
+    gsc_mellin,
+    gsc_pdf,
+    min_pdf_general,
+    min_pdf_sc,
+)
+from nomagsc.numerics import (
+    DomainError,
+    IntegrationError,
+    expectation,
+    integrate_semi_infinite,
+    reuse_densities,
+)
 
 
 def _series_terms(spec, x):
@@ -138,3 +153,97 @@ class TestIntegrateSemiInfinite:
             integrate_semi_infinite(
                 lambda x: math.cos(50 * x) ** 2 * math.exp(-x / 50) / (1 + x) ** 0.5
             )
+
+
+class _Counted:
+    """A density that records every x it is called at."""
+
+    def __init__(self, density):
+        self.density = density
+        self.seen = []
+
+    def __call__(self, law, x):
+        self.seen.append(x)
+        return self.density(law, x)
+
+
+class TestExpectation:
+    def test_is_the_integral_of_h_times_the_density(self):
+        spec = GscSpec(4, 2, 1.0)
+        h = lambda x: (1.0 + 3.0 * x) ** -0.7
+        r = expectation(h, gsc_pdf, spec)
+        assert r == integrate_semi_infinite(lambda x: h(x) * gsc_pdf(spec, x))
+
+    def test_quadrature_stays_behind_numerics(self):
+        # the channel laws and the evaluators integrate only through
+        # numerics.expectation, so the quadrature rule is chosen in one place
+        for module in (capacity, distributions):
+            assert not hasattr(module, "integrate_semi_infinite"), module.__name__
+
+
+class TestReuseDensities:
+    PAIR_SC = UserPairSpec(GscSpec(4, 1, 1.0), GscSpec(4, 1, 0.1))
+    PAIR = UserPairSpec(GscSpec(6, 3, 1.0), GscSpec(6, 3, 0.1))
+
+    def test_values_are_the_computed_ones(self):
+        # min_pdf_sc and min_pdf_general give the same law in different
+        # roundings, and the strong and weak GSC laws share a form: every
+        # (density, law) keeps its own values
+        laws = [
+            (min_pdf_sc, self.PAIR_SC),
+            (min_pdf_general, self.PAIR_SC),
+            (gsc_pdf, self.PAIR.strong),
+            (gsc_pdf, self.PAIR.weak),
+            (min_pdf_general, self.PAIR),
+        ]
+        h = lambda x: (1.0 + 3.0 * x) ** -0.7
+        g = lambda x: math.log2(1.0 + 30.0 * x)
+        fresh_h = [expectation(h, d, law) for d, law in laws]
+        fresh_g = [expectation(g, d, law) for d, law in laws]
+        counted = [_Counted(d) for d, _ in laws]
+        with reuse_densities():
+            first = [expectation(h, c, law) for c, (_, law) in zip(counted, laws)]
+            nodes = [set(c.seen) for c in counted]
+            assert all(len(n) == len(c.seen) > 0 for n, c in zip(nodes, counted))
+            for c in counted:
+                c.seen.clear()
+            second = [expectation(h, c, law) for c, (_, law) in zip(counted, laws)]
+            assert [c.seen for c in counted] == [[]] * len(laws)
+            other = [expectation(g, c, law) for c, (_, law) in zip(counted, laws)]
+        assert first == fresh_h and second == first and other == fresh_g
+        # another h over the same law computes the density only at new nodes
+        for c, n in zip(counted, nodes):
+            assert not n & set(c.seen)
+
+    def test_errors_are_not_stored(self):
+        raised = []
+
+        def density(law, x):
+            if x > 5.0:
+                raised.append(x)
+                raise DomainError(f"no density at {x}")
+            return math.exp(-x)
+
+        with reuse_densities():
+            for _ in range(2):
+                with pytest.raises(DomainError):
+                    expectation(lambda x: 1.0, density, "law")
+            stored = numerics._DENSITIES.get()
+            assert stored and all(x <= 5.0 for _, _, x in stored)
+        # the second pass computed the failing node again
+        assert len(raised) == 2 and raised[0] == raised[1]
+
+    def test_store_ends_with_the_block(self):
+        density = _Counted(lambda law, x: math.exp(-x))
+        assert numerics._DENSITIES.get() is None
+        with pytest.raises(IntegrationError):
+            with reuse_densities():
+                expectation(lambda x: x, density, "law")
+                assert numerics._DENSITIES.get()
+                raise IntegrationError("the caller fails inside the block")
+        assert numerics._DENSITIES.get() is None
+        # nothing carries over to the next block
+        evaluated = len(density.seen)
+        with reuse_densities():
+            expectation(lambda x: x, density, "law")
+        assert len(density.seen) == 2 * evaluated

@@ -1,6 +1,6 @@
 import pytest
 
-from nomagsc import capacity, distributions
+from nomagsc import capacity, distributions, numerics
 from nomagsc.capacity import PowerSplit, QosProfile, SnrPoint
 from nomagsc.distributions import GscSpec, UserPairSpec
 from nomagsc.numerics import IntegrationError
@@ -137,11 +137,11 @@ class TestReusedDensities:
         counts = []
         for _ in range(2):
             optimize_power(pair44(2), QOS, SNR, SearchSpec(step=0.05))
-            assert distributions._REUSED.get() is None
+            assert numerics._DENSITIES.get() is None
             counts.append(len(computed))
             computed.clear()
         # nothing carries over: the second search computes every value again
         assert counts[0] == counts[1] > 0
         with pytest.raises(SearchError):
             optimize_power(pair44(2), QOS, SnrPoint(1e308), SearchSpec(step=0.5))
-        assert distributions._REUSED.get() is None
+        assert numerics._DENSITIES.get() is None

@@ -49,3 +49,30 @@ def test_wrappers_install_and_restore(tracing):
     assert capacity.evaluate_noma is evaluate_noma
     for name in tracing.DENSITY_FUNCTIONS:
         assert getattr(distributions, name) in originals
+
+
+@pytest.mark.parametrize(
+    "n, low_snr_quads", [(1, 0), (4, 0), (2, 2)], ids=["sc", "mrc", "general"]
+)
+def test_one_quadrature_span_per_expectation(tracing, n, low_snr_quads):
+    # every analytic expectation reaches numerics.integrate_semi_infinite
+    # through the module global, where the tracer counts it
+    pair = UserPairSpec(GscSpec(4, n, 1.0), GscSpec(4, n, 0.1))
+    split, qos, snr = PowerSplit(0.24), QosProfile(1.0), SnrPoint(10.0)
+    calls = (
+        (lambda: capacity.evaluate_noma(pair, split, qos, snr), 2),
+        (lambda: capacity.evaluate_oma(pair, qos, snr), 2),
+        (lambda: capacity.ergodic_rate(pair, split, snr), 2),
+        (lambda: capacity.ec_low_snr(pair, split, QosProfile(0.5), SnrPoint(0.1)), low_snr_quads),
+    )
+    tracer = tracing.Tracer("contract")
+    restore = tracer.install()
+    try:
+        spans = []
+        for call, _ in calls:
+            before = tracer.calls["numerics.quad"]
+            call()
+            spans.append(tracer.calls["numerics.quad"] - before)
+    finally:
+        restore()
+    assert spans == [quads for _, quads in calls]
