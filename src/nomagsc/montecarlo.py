@@ -66,24 +66,78 @@ def _batches(plan: SimPlan) -> Iterator[tuple[int, np.random.Generator]]:
         yield size, np.random.Generator(np.random.Philox(key=[plan.seed, index]))
 
 
+# Rows of fewer branches than this are combined column by column.  numpy
+# sums fewer than 8 terms left to right and 8 or more pairwise, so only
+# below 8 do column adds equal the row sum bit for bit; above it the
+# compare-exchange network's O(N^2) cost also outgrows a row partition.
+_COLUMN_WISE_BELOW = 8
+# Rows per column block: N < 8 columns of this many doubles stay in cache.
+_CHUNK_ROWS = 8192
+
+
 def _combined(spec: GscSpec, unit: np.ndarray, size: int) -> np.ndarray:
     """Combined powers: sum of the n largest of N exponential branch powers.
 
     ``unit`` holds ``size * N`` standard exponentials in stream order;
     scaled by omega they are bit for bit the ``rng.exponential(spec.omega,
-    (size, N))`` draw at that stream position.  ``unit`` is overwritten:
-    scaling and selection work in place, so no batch-sized copy is made.
+    (size, N))`` draw at that stream position.  ``unit`` may be
+    overwritten.  Every result equals the row-wise one bit for bit: the
+    maximum for n = 1, the row sum for n = N, and otherwise the row sum of
+    the n largest that ``np.partition`` leaves (in ascending order).
     """
     N, n = spec.antennas, spec.combined
     branches = unit.reshape(size, N)
-    branches *= spec.omega
+    if N >= _COLUMN_WISE_BELOW:
+        # in place: no batch-sized copy is made
+        branches *= spec.omega
+        if n == N:
+            return branches.sum(axis=1)
+        if n == 1:
+            return branches.max(axis=1)
+        branches.partition(N - n, axis=1)
+        return branches[:, N - n :].sum(axis=1)
+    # A row reduction over a few branches costs per row, not per element:
+    # scale each chunk of rows into contiguous columns and combine those.
+    # One column at a time, because numpy may buffer a whole transposed
+    # chunk.
+    out = np.empty(size)
+    block = np.empty((N, min(size, _CHUNK_ROWS)))
+    spare = np.empty(block.shape[1])
+    for lo in range(0, size, _CHUNK_ROWS):
+        hi = min(lo + _CHUNK_ROWS, size)
+        cols = list(block[:, : hi - lo])
+        for col, drawn in zip(cols, branches[lo:hi].T):
+            np.multiply(drawn, spec.omega, out=col)
+        _combine_columns(cols, n, spare[: hi - lo], out[lo:hi])
+    return out
+
+
+def _combine_columns(cols: list[np.ndarray], n: int, spare: np.ndarray, out: np.ndarray):
+    """Write to ``out`` the sum of the n largest of ``cols`` per element.
+
+    Adds run left to right, over the columns as drawn for n = N and in
+    ascending order otherwise, as the row-wise sum does.  ``cols`` and
+    ``spare`` are overwritten.
+    """
+    N = len(cols)
     if n == N:
-        return branches.sum(axis=1)
-    if n == 1:
-        return branches.max(axis=1)
-    # partial selection of the n largest per row; no full sort needed
-    branches.partition(N - n, axis=1)
-    return branches[:, N - n :].sum(axis=1)
+        np.copyto(out, cols[0])
+        for col in cols[1:]:
+            out += col
+        return
+    # n - 1 bubble passes of compare-exchanges carry the n - 1 largest to
+    # the top columns in ascending order; the n-th largest is the maximum
+    # of the columns left below them
+    for top in range(N - 1, N - n, -1):
+        for i in range(top):
+            np.minimum(cols[i], cols[i + 1], out=spare)
+            np.maximum(cols[i], cols[i + 1], out=cols[i + 1])
+            cols[i], spare = spare, cols[i]
+    np.maximum(cols[0], cols[1], out=out)
+    for col in cols[2 : N - n + 1]:
+        np.maximum(out, col, out=out)
+    for col in cols[N - n + 1 :]:
+        out += col
 
 
 def _draw_pair(
@@ -154,7 +208,13 @@ class _MeanAccumulator:
 
 
 def _ec_estimate(acc: _MeanAccumulator, nu: float) -> Estimate:
-    """-(1/nu)log2(mean), with the delta-method standard error."""
+    """-(1/nu)log2(mean), with the delta-method standard error.
+
+    Raises FloatingPointError (a numerical failure, not bad input) when
+    every term underflowed, so that the mean is 0.
+    """
+    if acc.mean == 0.0:
+        raise FloatingPointError("Monte Carlo EC mean out of range: 0.0 (every term underflowed)")
     value = -math.log2(acc.mean) / nu
     std_error = acc.se_mean / (nu * math.log(2) * acc.mean)
     return Estimate(value, std_error, acc.count)
@@ -208,15 +268,19 @@ def estimate_ec_oma(
     return _ec_estimate(acc, qos.nu)
 
 
-# Quantities of the fused pass, in the order ``validate`` reports them.
-QUANTITIES = (
-    "ec_strong",
-    "ec_weak",
-    "ec_oma_strong",
-    "ec_oma_weak",
-    "ergodic_strong",
-    "ergodic_weak",
-)
+# Quantities of the fused pass, in the order ``validate`` reports them,
+# each with the case parameters its functional reads.  Cases that agree on
+# those share one accumulator, so each distinct functional is evaluated
+# once per batch.
+_READS = {
+    "ec_strong": lambda split, qos, snr: (split.a_s, qos.nu, snr.rho),
+    "ec_weak": lambda split, qos, snr: (split.a_s, qos.nu, snr.rho),
+    "ec_oma_strong": lambda split, qos, snr: (qos.nu, snr.rho),
+    "ec_oma_weak": lambda split, qos, snr: (qos.nu, snr.rho),
+    "ergodic_strong": lambda split, qos, snr: (split.a_s, snr.rho),
+    "ergodic_weak": lambda split, qos, snr: (split.a_s, snr.rho),
+}
+QUANTITIES = tuple(_READS)
 
 Case = tuple[PowerSplit, QosProfile, SnrPoint]
 
@@ -242,25 +306,38 @@ def estimate_cases(
     wanted = [q for q in QUANTITIES if q in quantities]
     # only the weak user's NOMA quantities read the weak block and g_min
     weak = "ec_weak" in wanted or "ergodic_weak" in wanted
-    accs = [{q: _MeanAccumulator() for q in wanted} for _ in cases]
+    distinct: dict[tuple, tuple[str, Case, _MeanAccumulator]] = {}
+    accs = []
+    for case in cases:
+        acc = {}
+        for q in wanted:
+            key = (q, *_READS[q](*case))
+            if key not in distinct:
+                distinct[key] = (q, case, _MeanAccumulator())
+            acc[q] = distinct[key][2]
+        accs.append(acc)
     for size, rng in _batches(plan):
         gs, gw, gw_first = _draw_pair(rng, size, pair, weak, "ec_oma_weak" in wanted)
         gmin = np.minimum(gs, gw) if weak else None
-        for (split, qos, snr), acc in zip(cases, accs):
+        sinrs = {}
+        for q, (split, qos, snr), a in distinct.values():
             a_s, rho = split.a_s, snr.rho
-            # the strong user decodes after interference removal; the weak
-            # user's SINR is limited by g_min
-            sinr = split.a_w * rho * gmin / (a_s * rho * gmin + 1.0) if weak else None
-            terms = {
-                "ec_strong": lambda: (1.0 + a_s * rho * gs) ** -qos.nu,
-                "ec_weak": lambda: (1.0 + sinr) ** -qos.nu,
-                "ec_oma_strong": lambda: _oma_ec_term(gs, qos, snr),
-                "ec_oma_weak": lambda: _oma_ec_term(gw_first, qos, snr),
-                "ergodic_strong": lambda: np.log2(1.0 + a_s * rho * gs),
-                "ergodic_weak": lambda: np.log2(1.0 + sinr),
-            }
-            for q, a in acc.items():
-                a.add(terms[q]())
+            if q in ("ec_weak", "ergodic_weak") and (a_s, rho) not in sinrs:
+                # the strong user decodes after interference removal; the
+                # weak user's SINR is limited by g_min
+                sinrs[a_s, rho] = split.a_w * rho * gmin / (a_s * rho * gmin + 1.0)
+            if q == "ec_strong":
+                a.add((1.0 + a_s * rho * gs) ** -qos.nu)
+            elif q == "ec_weak":
+                a.add((1.0 + sinrs[a_s, rho]) ** -qos.nu)
+            elif q == "ec_oma_strong":
+                a.add(_oma_ec_term(gs, qos, snr))
+            elif q == "ec_oma_weak":
+                a.add(_oma_ec_term(gw_first, qos, snr))
+            elif q == "ergodic_strong":
+                a.add(np.log2(1.0 + a_s * rho * gs))
+            else:
+                a.add(np.log2(1.0 + sinrs[a_s, rho]))
     return [
         {
             q: _ec_estimate(a, qos.nu)

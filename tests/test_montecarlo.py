@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -39,6 +40,18 @@ def all_samples(spec, plan):
     return np.concatenate(list(sample_gsc_power(spec, plan)))
 
 
+def row_wise(spec, unit, size):
+    """Reference combining, one row per sample: the maximum, the row sum,
+    or the row sum of the n largest left by partial selection."""
+    N, n = spec.antennas, spec.combined
+    branches = unit.reshape(size, N) * spec.omega
+    if n == 1:
+        return branches.max(axis=1)
+    if n == N:
+        return branches.sum(axis=1)
+    return np.partition(branches, N - n, axis=1)[:, N - n :].sum(axis=1)
+
+
 class TestSampling:
     def test_plan_validation(self):
         with pytest.raises(ValueError):
@@ -63,6 +76,42 @@ class TestSampling:
         a = all_samples(GscSpec(4, 2, 1.0), SimPlan(samples=1000, seed=5, batch=1000))
         b = all_samples(GscSpec(4, 2, 1.0), SimPlan(samples=1000, seed=5, batch=1000))
         assert np.array_equal(a, b)
+
+
+class TestCombining:
+    @pytest.mark.parametrize("N", range(1, 17))
+    def test_equals_row_wise(self, N):
+        # N < 8 is combined column by column, N >= 8 row by row; both must
+        # give the row-wise powers bit for bit, across chunk boundaries too
+        rng = np.random.default_rng(N)
+        for size in (1, montecarlo._CHUNK_ROWS + 1, 20_001):
+            unit = rng.standard_exponential(size * N)
+            for n in range(1, N + 1):
+                for omega in (0.1, 1.0, 3.7):
+                    spec = GscSpec(N, n, omega)
+                    combined = montecarlo._combined(spec, unit.copy(), size)
+                    assert np.array_equal(combined, row_wise(spec, unit.copy(), size)), (
+                        n, omega, size,
+                    )
+
+    def test_memory_stays_chunk_sized(self):
+        # the output, N + 1 chunk-sized columns and a few small objects; one
+        # more batch-sized column would add 800 kB
+        spec, size = GscSpec(4, 2, 1.0), 100_000
+        unit = np.random.default_rng(0).standard_exponential(size * spec.antennas)
+        tracing = tracemalloc.is_tracing()
+        if not tracing:
+            tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            base = tracemalloc.get_traced_memory()[0]
+            out = montecarlo._combined(spec, unit, size)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            if not tracing:
+                tracemalloc.stop()
+        chunk = (spec.antennas + 1) * montecarlo._CHUNK_ROWS * 8
+        assert peak <= out.nbytes + chunk + 16_384
 
 
 class TestEcEstimates:
@@ -104,6 +153,32 @@ class TestEcEstimates:
         assert est.value == pytest.approx(
             0.5 * ergodic_rate_oma(spec, SNR), abs=max(3 * est.std_error, 1e-3)
         )
+
+    def test_underflowed_mean_is_a_numerical_error(self):
+        # every term (1 + a_s rho g)^-nu underflows to 0.0, so -log2(mean)
+        # has no value: a numerical failure (exit 2), not bad input
+        for qos, snr in (
+            (QosProfile(1e4), SnrPoint.from_db(40)),
+            (QOS, SnrPoint.from_db(3000)),
+        ):
+            with pytest.raises(FloatingPointError, match="out of range: 0.0") as info:
+                estimate_ec_strong(PAIR_MRC, SPLIT, qos, snr, SimPlan(samples=1_000))
+            assert isinstance(info.value, ArithmeticError)
+            assert not isinstance(info.value, ValueError)
+
+    @pytest.mark.xfail(
+        strict=True,
+        reason="s2 - s1^2/n: the terms span 0 to 1.5e-183, so their squares "
+        "underflow and the standard error reads 0.0",
+    )
+    def test_std_error_of_tiny_terms(self):
+        (est,) = estimate_cases(
+            PAIR_MRC,
+            [(SPLIT, QosProfile(50), SnrPoint.from_db(40))],
+            SimPlan(samples=1_000, seed=0),
+        )
+        # a log-domain delta-method estimate from the same draws
+        assert est["ec_strong"].std_error == pytest.approx(0.0200, rel=1e-3)
 
 
 class TestErgodicEstimates:
@@ -305,6 +380,21 @@ class TestSharedDraw:
         validate.run_validation(SimPlan(samples=100_000, seed=0))
         # one batch of 1e5 samples per n = 1..4
         assert keys == [(0, 0)] * 4
+
+    def test_validation_evaluates_each_functional_once(self, monkeypatch):
+        # ec_* read (a_s, nu, rho), ec_oma_* (nu, rho) and ergodic_* (a_s,
+        # rho): on DEFAULT_GRID, 20 + 20 + 10 + 10 + 10 + 10 = 80 distinct
+        # functionals per (n, batch) instead of 6 for each of 20 cases
+        calls = []
+        add = montecarlo._MeanAccumulator.add
+
+        def counting(acc, values):
+            calls.append(values.size)
+            add(acc, values)
+
+        monkeypatch.setattr(montecarlo._MeanAccumulator, "add", counting)
+        validate.run_validation(SimPlan(samples=3_000, seed=0, batch=1_000))
+        assert len(calls) == 80 * len(validate.DEFAULT_GRID["n"]) * 3
 
     def test_validation_evaluates_oma_once_per_point(self, monkeypatch):
         # OMA does not depend on a_s: one evaluation per (rho, theta, n)

@@ -154,6 +154,16 @@ class TestRunSweep:
         )
         assert run_sweep(spec) == run_sweep(spec)
 
+    def test_montecarlo_underflow_is_an_error_row(self):
+        # every EC term underflows at theta = 1e4, 40 dB
+        spec = make_spec(
+            n=[4], snr_db=[40], theta=[1e4], methods=["montecarlo"],
+            sim={"samples": 1_000, "seed": 0},
+        )
+        (row,) = run_sweep(spec)
+        assert row.status.startswith("error: Monte Carlo EC mean out of range: 0.0")
+        assert row.e_sum is None
+
     def test_worker_env(self, monkeypatch):
         monkeypatch.setenv("NOMAGSC_WORKERS", "3")
         assert worker_count() == 3
