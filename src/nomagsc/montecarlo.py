@@ -165,7 +165,10 @@ def _draw_pair(
         second = rng.standard_exponential(head)
         gw_first = _combined(weak, np.concatenate((first, second[: head - first.size])), size)
     elif weak_first:
-        gw_first = _combined(weak, first[:head].copy(), size)
+        # only the row-wise combine writes to its input; the strong user
+        # reads this block next
+        in_place = weak.antennas >= _COLUMN_WISE_BELOW
+        gw_first = _combined(weak, first[:head].copy() if in_place else first[:head], size)
     gs = _combined(strong, first, size)
     del first  # free it before the second block is drawn
     if not weak_block:
@@ -220,9 +223,36 @@ def _ec_estimate(acc: _MeanAccumulator, nu: float) -> Estimate:
     return Estimate(value, std_error, acc.count)
 
 
-def _oma_ec_term(g, qos: QosProfile, snr: SnrPoint):
-    # full power over half the resources: half rate, so exponent -nu/2
-    return (1.0 + snr.rho * g) ** (-qos.nu / 2.0)
+def _term(base: np.ndarray, exponent: float | None) -> np.ndarray:
+    """Per-sample term of a quantity: base^-exponent, or log2(base) for a
+    rate (exponent None)."""
+    return np.log2(base) if exponent is None else base**-exponent
+
+
+def _exponent(quantity: str, qos: QosProfile) -> float | None:
+    """EC terms are (1 + SINR)^-nu, OMA's (1 + rho g)^(-nu/2): full power
+    over half the resources.  Rates, and an EC in its ergodic limit
+    (theta -> 0, where nu vanishes), average log2(1 + SINR) instead."""
+    if quantity.startswith("ergodic") or qos.is_ergodic_limit:
+        return None
+    return qos.nu / 2.0 if quantity.startswith("ec_oma") else qos.nu
+
+
+def _finish(quantity: str, qos: QosProfile, acc: _MeanAccumulator) -> Estimate:
+    if quantity.startswith("ergodic"):
+        return Estimate(acc.mean, acc.se_mean, acc.count)
+    if qos.is_ergodic_limit:
+        # the EC tends to the average rate, halved for OMA's half resources
+        half = 0.5 if quantity.startswith("ec_oma") else 1.0
+        return Estimate(half * acc.mean, half * acc.se_mean, acc.count)
+    return _ec_estimate(acc, qos.nu)
+
+
+def _one_case(pair: UserPairSpec, case: Case, plan: SimPlan, quantities) -> dict[str, Estimate]:
+    (est,) = estimate_cases(pair, [case], plan, quantities)
+    if isinstance(est, Exception):
+        raise est
+    return est
 
 
 def estimate_ec_strong(
@@ -233,7 +263,7 @@ def estimate_ec_strong(
     plan: SimPlan,
 ) -> Estimate:
     """Monte Carlo EC of the strong user's symbol."""
-    return estimate_cases(pair, [(split, qos, snr)], plan, ("ec_strong",))[0]["ec_strong"]
+    return _one_case(pair, (split, qos, snr), plan, ("ec_strong",))["ec_strong"]
 
 
 def estimate_ec_weak(
@@ -244,7 +274,7 @@ def estimate_ec_weak(
     plan: SimPlan,
 ) -> Estimate:
     """Monte Carlo EC of the weak user's symbol (SINR through g_min)."""
-    return estimate_cases(pair, [(split, qos, snr)], plan, ("ec_weak",))[0]["ec_weak"]
+    return _one_case(pair, (split, qos, snr), plan, ("ec_weak",))["ec_weak"]
 
 
 def estimate_ergodic(
@@ -252,9 +282,7 @@ def estimate_ergodic(
 ) -> tuple[Estimate, Estimate]:
     """Monte Carlo average achievable rates (strong, weak)."""
     # the rates do not depend on theta
-    (est,) = estimate_cases(
-        pair, [(split, QosProfile(0.0), snr)], plan, ("ergodic_strong", "ergodic_weak")
-    )
+    est = _one_case(pair, (split, QosProfile(0.0), snr), plan, ("ergodic_strong", "ergodic_weak"))
     return est["ergodic_strong"], est["ergodic_weak"]
 
 
@@ -263,26 +291,35 @@ def estimate_ec_oma(
 ) -> Estimate:
     """Monte Carlo EC of one OMA user (full power, half rate)."""
     acc = _MeanAccumulator()
+    exponent = _exponent("ec_oma_strong", qos)
     for g in sample_gsc_power(spec, plan):
-        acc.add(_oma_ec_term(g, qos, snr))
-    return _ec_estimate(acc, qos.nu)
+        acc.add(_term(1.0 + snr.rho * g, exponent))
+    return _finish("ec_oma_strong", qos, acc)
 
 
 # Quantities of the fused pass, in the order ``validate`` reports them,
-# each with the case parameters its functional reads.  Cases that agree on
-# those share one accumulator, so each distinct functional is evaluated
-# once per batch.
-_READS = {
-    "ec_strong": lambda split, qos, snr: (split.a_s, qos.nu, snr.rho),
-    "ec_weak": lambda split, qos, snr: (split.a_s, qos.nu, snr.rho),
-    "ec_oma_strong": lambda split, qos, snr: (qos.nu, snr.rho),
-    "ec_oma_weak": lambda split, qos, snr: (qos.nu, snr.rho),
-    "ergodic_strong": lambda split, qos, snr: (split.a_s, snr.rho),
-    "ergodic_weak": lambda split, qos, snr: (split.a_s, snr.rho),
+# each with the signal its per-sample term reads: the strong user's SINR
+# a_s rho g_s, the weak user's SINR through g_min, or the full-power SNR
+# rho g of one OMA user.
+_SIGNALS = {
+    "ec_strong": "strong",
+    "ec_weak": "weak",
+    "ec_oma_strong": "oma_strong",
+    "ec_oma_weak": "oma_weak",
+    "ergodic_strong": "strong",
+    "ergodic_weak": "weak",
 }
-QUANTITIES = tuple(_READS)
+QUANTITIES = tuple(_SIGNALS)
 
 Case = tuple[PowerSplit, QosProfile, SnrPoint]
+
+
+def _term_key(quantity: str, split: PowerSplit, qos: QosProfile, snr: SnrPoint) -> tuple:
+    """(a_s, rho, signal, exponent): everything the per-sample term of
+    ``quantity`` reads at a case.  OMA does not read the split (a_s = 0)."""
+    signal = _SIGNALS[quantity]
+    a_s = 0.0 if signal.startswith("oma") else split.a_s
+    return (a_s, snr.rho, signal, _exponent(quantity, qos))
 
 
 def estimate_cases(
@@ -290,15 +327,19 @@ def estimate_cases(
     cases: list[Case],
     plan: SimPlan,
     quantities: tuple[str, ...] = QUANTITIES,
-) -> list[dict[str, Estimate]]:
+) -> list[dict[str, Estimate] | ArithmeticError]:
     """Monte Carlo ``quantities`` of ``pair`` for each (split, qos, snr)
     case, from one pass over the batches.
 
     The channel law does not depend on the case, so each batch is drawn
-    and combined once and every case's functionals read it.  This is the
-    only code that turns a pair's draws into estimates; ``ec_oma_*``
-    equals ``estimate_ec_oma`` of that user's spec.  Returns one
-    {quantity: Estimate} dict per case, in QUANTITIES order.
+    and combined once and every case's terms read it.  Cases that agree on
+    what a term reads share its running sums, so each distinct term is
+    evaluated once per batch.  This is the only code that turns a pair's
+    draws into estimates; ``ec_oma_*`` equals ``estimate_ec_oma`` of that
+    user's spec.  Returns one {quantity: Estimate} dict per case, in
+    QUANTITIES order; a case whose estimate fails (every EC term
+    underflowed) gets the ArithmeticError instead, and the other cases
+    keep their estimates.
     """
     unknown = set(quantities) - set(QUANTITIES)
     if unknown:
@@ -306,44 +347,35 @@ def estimate_cases(
     wanted = [q for q in QUANTITIES if q in quantities]
     # only the weak user's NOMA quantities read the weak block and g_min
     weak = "ec_weak" in wanted or "ergodic_weak" in wanted
-    distinct: dict[tuple, tuple[str, Case, _MeanAccumulator]] = {}
-    accs = []
-    for case in cases:
-        acc = {}
-        for q in wanted:
-            key = (q, *_READS[q](*case))
-            if key not in distinct:
-                distinct[key] = (q, case, _MeanAccumulator())
-            acc[q] = distinct[key][2]
-        accs.append(acc)
+    accs: dict[tuple, _MeanAccumulator] = {}
+    case_accs = [
+        {q: accs.setdefault(_term_key(q, *case), _MeanAccumulator()) for q in wanted}
+        for case in cases
+    ]
+    # in (a_s, rho) order, so that one weak SINR array is alive at a time
+    terms = sorted(accs.items(), key=lambda item: item[0][:3])
     for size, rng in _batches(plan):
         gs, gw, gw_first = _draw_pair(rng, size, pair, weak, "ec_oma_weak" in wanted)
         gmin = np.minimum(gs, gw) if weak else None
-        sinrs = {}
-        for q, (split, qos, snr), a in distinct.values():
-            a_s, rho = split.a_s, snr.rho
-            if q in ("ec_weak", "ergodic_weak") and (a_s, rho) not in sinrs:
-                # the strong user decodes after interference removal; the
-                # weak user's SINR is limited by g_min
-                sinrs[a_s, rho] = split.a_w * rho * gmin / (a_s * rho * gmin + 1.0)
-            if q == "ec_strong":
-                a.add((1.0 + a_s * rho * gs) ** -qos.nu)
-            elif q == "ec_weak":
-                a.add((1.0 + sinrs[a_s, rho]) ** -qos.nu)
-            elif q == "ec_oma_strong":
-                a.add(_oma_ec_term(gs, qos, snr))
-            elif q == "ec_oma_weak":
-                a.add(_oma_ec_term(gw_first, qos, snr))
-            elif q == "ergodic_strong":
-                a.add(np.log2(1.0 + a_s * rho * gs))
+        sinr_at = sinr = None
+        for (a_s, rho, signal, exponent), acc in terms:
+            if signal == "strong":
+                acc.add(_term(1.0 + a_s * rho * gs, exponent))
+            elif signal == "weak":
+                if sinr_at != (a_s, rho):
+                    # the strong user decodes after interference removal;
+                    # the weak user's SINR is limited by g_min
+                    sinr = None  # free the last one first
+                    sinr = (1.0 - a_s) * rho * gmin / (a_s * rho * gmin + 1.0)
+                    sinr_at = (a_s, rho)
+                acc.add(_term(1.0 + sinr, exponent))
             else:
-                a.add(np.log2(1.0 + sinrs[a_s, rho]))
-    return [
-        {
-            q: _ec_estimate(a, qos.nu)
-            if q.startswith("ec_")
-            else Estimate(a.mean, a.se_mean, a.count)
-            for q, a in acc.items()
-        }
-        for (_, qos, _), acc in zip(cases, accs)
-    ]
+                g = gs if signal == "oma_strong" else gw_first
+                acc.add(_term(1.0 + rho * g, exponent))
+    results = []
+    for (_, qos, _), acc in zip(cases, case_accs):
+        try:
+            results.append({q: _finish(q, qos, a) for q, a in acc.items()})
+        except ArithmeticError as exc:
+            results.append(exc)
+    return results

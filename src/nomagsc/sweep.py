@@ -24,7 +24,9 @@ at some ``n`` (a non-finite branch power, omega_w >= omega_s, an antenna
 count out of range) is a ``ConfigError``.
 Every requested (point, method) combination produces exactly one row;
 evaluator errors are recorded in-row under ``status`` and never abort
-sibling points.
+sibling points.  The ``montecarlo`` rows of one n come from one pass over
+that n's draws; a point whose estimate fails gets an error row, and an
+error in the pass's batch loop fails every ``montecarlo`` row of that n.
 """
 
 from __future__ import annotations
@@ -220,7 +222,20 @@ def load_spec(path: str) -> SweepSpec:
     return SweepSpec.from_dict(raw)
 
 
+def _row(coords: dict, method: str, status: str, values=(None, None, None)) -> SweepRow:
+    """A row without values (a failed method), or with (e_s, e_w, std)."""
+    e_s, e_w, std = values
+    e_sum = None if e_s is None else e_s + e_w
+    return SweepRow(**coords, method=method, e_strong=e_s, e_weak=e_w, e_sum=e_sum,
+                    std_error=std, status=status)
+
+
 def _evaluate_point(args):
+    """(coords, case, rows) of one grid point: its row coordinates, its
+    (split, qos, snr) case and the rows of every method but
+    ``montecarlo``, which ``run_sweep`` estimates per n.  The split is the
+    fixed a_s or the searched optimum; when the search fails, case is None
+    and every method, ``montecarlo`` included, has an error row."""
     spec, rho_db, theta, n, a_s = args
     pair = spec.pair_for(n)
     qos = QosProfile(theta, spec.block_length, spec.bandwidth)
@@ -237,37 +252,26 @@ def _evaluate_point(args):
         try:
             a_s = optimize_power(pair, qos, snr, spec.search).a_star
         except Exception as exc:
-            return [
-                SweepRow(**coords, a_s=None, method=method, e_strong=None, e_weak=None,
-                         e_sum=None, std_error=None, status=f"error: {exc}")
-                for method in methods
-            ]
+            coords["a_s"] = None
+            return coords, None, [_row(coords, method, f"error: {exc}") for method in methods]
     coords["a_s"] = a_s
     split = PowerSplit(a_s)
     rows = []
     for method in methods:
+        if method == "montecarlo":
+            continue
         try:
-            e_s, e_w, std = _run_method(method, pair, split, qos, snr, spec.sim)
+            values = _run_method(method, pair, split, qos, snr)
         except ValidityError as exc:
-            rows.append(
-                SweepRow(**coords, method=method, e_strong=None, e_weak=None,
-                         e_sum=None, std_error=None, status=f"invalid: {exc}")
-            )
-            continue
+            rows.append(_row(coords, method, f"invalid: {exc}"))
         except Exception as exc:
-            rows.append(
-                SweepRow(**coords, method=method, e_strong=None, e_weak=None,
-                         e_sum=None, std_error=None, status=f"error: {exc}")
-            )
-            continue
-        rows.append(
-            SweepRow(**coords, method=method, e_strong=e_s, e_weak=e_w,
-                     e_sum=e_s + e_w, std_error=std)
-        )
-    return rows
+            rows.append(_row(coords, method, f"error: {exc}"))
+        else:
+            rows.append(_row(coords, method, "ok", values))
+    return coords, (split, qos, snr), rows
 
 
-def _run_method(method, pair, split, qos, snr, sim):
+def _run_method(method, pair, split, qos, snr):
     if method == "exact":
         rep = capacity.evaluate_noma(pair, split, qos, snr)
         return rep.e_strong, rep.e_weak, rep.numeric_error
@@ -283,14 +287,25 @@ def _run_method(method, pair, split, qos, snr, sim):
     if method == "ergodic":
         rep = capacity.ergodic_rate(pair, split, snr)
         return rep.e_strong, rep.e_weak, rep.numeric_error
-    if method == "montecarlo":
-        (est,) = montecarlo.estimate_cases(
-            pair, [(split, qos, snr)], sim, ("ec_strong", "ec_weak")
-        )
-        es, ew = est["ec_strong"], est["ec_weak"]
-        std = (es.std_error**2 + ew.std_error**2) ** 0.5
-        return es.value, ew.value, std
     raise ValueError(f"unknown method {method!r}")
+
+
+def _montecarlo_pass(args):
+    """Monte Carlo EC of every case of one n, from one pass over its draws:
+    per case, the estimates or the exception that failed it."""
+    spec, n, cases = args
+    try:
+        return montecarlo.estimate_cases(spec.pair_for(n), cases, spec.sim, ("ec_strong", "ec_weak"))
+    except Exception as exc:  # the batch loop failed: every case of this n
+        return [exc] * len(cases)
+
+
+def _montecarlo_row(coords: dict, est) -> SweepRow:
+    if isinstance(est, Exception):
+        return _row(coords, "montecarlo", f"error: {est}")
+    es, ew = est["ec_strong"], est["ec_weak"]
+    std = (es.std_error**2 + ew.std_error**2) ** 0.5
+    return _row(coords, "montecarlo", "ok", (es.value, ew.value, std))
 
 
 def worker_count() -> int:
@@ -305,19 +320,35 @@ def worker_count() -> int:
 def run_sweep(spec: SweepSpec) -> list[SweepRow]:
     """Evaluate the full grid; rows come back in lexicographic grid order
     (rho_db, theta, n) then canonical method order."""
+    workers = worker_count()
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            return _run(spec, pool.map)
+    return _run(spec, map)
+
+
+def _run(spec: SweepSpec, mapper) -> list[SweepRow]:
     points = [
         (spec, rho_db, theta, n, spec.a_s)
         for rho_db in sorted(spec.snr_db)
         for theta in sorted(spec.theta)
         for n in sorted(spec.n_values)
     ]
-    workers = worker_count()
-    if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            chunks = list(pool.map(_evaluate_point, points))
-    else:
-        chunks = [_evaluate_point(p) for p in points]
-    return [row for chunk in chunks for row in chunk]
+    evaluated = list(mapper(_evaluate_point, points))
+    if "montecarlo" in spec.methods:
+        # The channel law depends on n only, so one pass over its draws
+        # estimates every point of that n.  montecarlo is the last method,
+        # so its row goes at the end of the point's rows.
+        by_n: dict[int, list[int]] = {}
+        for i, (point, (_, case, _)) in enumerate(zip(points, evaluated)):
+            if case is not None:
+                by_n.setdefault(point[3], []).append(i)
+        tasks = [(spec, n, [evaluated[i][1] for i in idx]) for n, idx in by_n.items()]
+        for idx, estimates in zip(by_n.values(), mapper(_montecarlo_pass, tasks)):
+            for i, est in zip(idx, estimates):
+                coords, _, rows = evaluated[i]
+                rows.append(_montecarlo_row(coords, est))
+    return [row for _, _, rows in evaluated for row in rows]
 
 
 def _fmt(value) -> str:

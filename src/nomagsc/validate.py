@@ -84,10 +84,13 @@ def run_validation(plan: SimPlan, grid: dict | None = None) -> list[ValidationRo
         (PowerSplit(a_s), QosProfile(theta), SnrPoint.from_db(rho_db))
         for rho_db, theta, a_s in points
     ]
-    estimates = {
-        n: dict(zip(points, montecarlo.estimate_cases(_pair(n), cases, plan)))
-        for n in grid["n"]
-    }
+    estimates = {}
+    for n in grid["n"]:
+        results = montecarlo.estimate_cases(_pair(n), cases, plan)
+        for est in results:
+            if isinstance(est, Exception):
+                raise est  # a numerical failure: the run has no table
+        estimates[n] = dict(zip(points, results))
     rows = []
     for rho_db in grid["snr_db"]:
         snr = SnrPoint.from_db(rho_db)

@@ -410,3 +410,116 @@ class TestSharedDraw:
         rows = validate.run_validation(SimPlan(samples=1_000, seed=0), grid)
         assert len(calls) == len(set(calls)) == 2
         assert len(rows) == 4 * len(montecarlo.QUANTITIES)
+
+
+class TestWeakOmaBlock:
+    """The weak user's OMA estimate reads its block from the start of the
+    stream, which the strong user reads next.  Only the row-wise combine
+    (N_w >= 8) writes to its input, so only then is the block copied."""
+
+    PAIRS = {
+        (4, 4): UserPairSpec(GscSpec(4, 2, 1.0), GscSpec(4, 3, 0.1)),
+        (4, 12): UserPairSpec(GscSpec(4, 2, 1.0), GscSpec(12, 7, 0.1)),
+        (12, 4): UserPairSpec(GscSpec(12, 7, 1.0), GscSpec(4, 2, 0.1)),
+        (12, 12): UserPairSpec(GscSpec(12, 5, 1.0), GscSpec(12, 12, 0.1)),
+        (9, 8): UserPairSpec(GscSpec(9, 4, 1.0), GscSpec(8, 1, 0.1)),
+    }
+    # QUANTITIES values of each pair with the block copied in every batch
+    FROZEN = {
+        (4, 4): (5.751862001432506, 1.9106173578068386, 3.9822413438580506,
+                 2.4794188716190377, 6.084281215104746, 1.9140266930975103),
+        (4, 12): (5.751862001432506, 2.0121688859154068, 3.9822413438580506,
+                  3.316628361570353, 6.084281215104746, 2.012287279732072),
+        (12, 4): (7.8387157276849075, 1.8878839329754866, 4.970469017346638,
+                  2.3555721857129797, 7.933411701272738, 1.8921108667726443),
+        (12, 12): (7.614601301952471, 2.0187776495982157, 4.85924964744135,
+                   3.409135102638158, 7.714288203487612, 2.018852476130716),
+        (9, 8): (7.17603756059919, 1.877510756658865, 4.647484537070058,
+                 2.294631366219396, 7.309491355277867, 1.8803595482807778),
+    }
+    CASE = (PowerSplit(0.24), QosProfile(1.0), SnrPoint.from_db(20))
+    PLAN = SimPlan(samples=5_000, seed=21, batch=2048)
+
+    @pytest.mark.parametrize("sizes", list(PAIRS), ids=[f"{s}-{w}" for s, w in PAIRS])
+    def test_estimates_unchanged(self, sizes):
+        pair = self.PAIRS[sizes]
+        (est,) = estimate_cases(pair, [self.CASE], self.PLAN)
+        assert tuple(e.value for e in est.values()) == self.FROZEN[sizes]
+        # neither of these passes draws the weak user's OMA block
+        assert est["ec_strong"] == estimate_ec_strong(pair, *self.CASE, self.PLAN)
+        assert est["ec_oma_weak"] == estimate_ec_oma(pair.weak, *self.CASE[1:], self.PLAN)
+
+
+class TestCaseErrors:
+    def test_failed_case_leaves_the_others(self):
+        # every EC term underflows at theta = 1e4, 40 dB; theta = 1 does not
+        plan = SimPlan(samples=1_000, seed=0)
+        ok, underflow = (
+            (SPLIT, QosProfile(theta), SnrPoint.from_db(40)) for theta in (1.0, 1e4)
+        )
+        first, second = estimate_cases(PAIR_MRC, [ok, underflow], plan)
+        assert first == estimate_cases(PAIR_MRC, [ok], plan)[0]
+        assert isinstance(second, FloatingPointError)
+        assert str(second).startswith("Monte Carlo EC mean out of range: 0.0")
+
+    def test_one_weak_sinr_alive_at_a_time(self):
+        # ten distinct (a_s, rho): terms run in (a_s, rho) order, so the
+        # peak is the one-case peak plus at most one batch-sized array
+        plan = SimPlan(samples=100_000, seed=0)
+        cases = [
+            (PowerSplit(a_s), QOS, SnrPoint.from_db(rho_db))
+            for a_s in (0.1, 0.24)
+            for rho_db in (0, 10, 20, 30, 40)
+        ]
+
+        def peak(cases):
+            tracing = tracemalloc.is_tracing()
+            if not tracing:
+                tracemalloc.start()
+            try:
+                tracemalloc.reset_peak()
+                base = tracemalloc.get_traced_memory()[0]
+                estimate_cases(PAIR_SC, cases, plan, ("ec_strong", "ec_weak", "ergodic_weak"))
+                return tracemalloc.get_traced_memory()[1] - base
+            finally:
+                if not tracing:
+                    tracemalloc.stop()
+
+        assert peak(cases) <= peak(cases[:1]) + plan.samples * 8
+
+
+class TestErgodicLimit:
+    """Below the delay-exponent cutoff the EC is its theta -> 0 limit, the
+    average rate (halved for OMA), as on the analytic side."""
+
+    PAIR = UserPairSpec(GscSpec(4, 2, 1.0), GscSpec(4, 2, 0.1))
+    PLAN = SimPlan(samples=20_000, seed=21, batch=8192)
+
+    @pytest.mark.parametrize("theta", [0.0, 1e-12])
+    def test_ec_is_the_average_rate(self, theta):
+        qos = QosProfile(theta)
+        (est,) = estimate_cases(self.PAIR, [(SPLIT, qos, SNR)], self.PLAN)
+        assert est["ec_strong"] == est["ergodic_strong"]
+        assert est["ec_weak"] == est["ergodic_weak"]
+        for user, q in ((self.PAIR.strong, "ec_oma_strong"), (self.PAIR.weak, "ec_oma_weak")):
+            assert est[q].value == pytest.approx(
+                ec_oma(user, qos, SNR), abs=3 * est[q].std_error
+            )
+        assert est["ec_oma_strong"] == estimate_ec_oma(self.PAIR.strong, qos, SNR, self.PLAN)
+
+    def test_cutoff_keeps_the_ec_route(self):
+        # theta = 1e-9 is not in the limit: these are the values of the
+        # -(1/nu) log2(mean) route
+        (est,) = estimate_cases(
+            self.PAIR,
+            [(SPLIT, QosProfile(1e-9), SNR)],
+            SimPlan(samples=5_000, seed=21, batch=2048),
+        )
+        assert {q: e.value for q, e in est.items()} == {
+            "ec_strong": 2.9644685639127437,
+            "ec_weak": 1.1693277464261846,
+            "ec_oma_strong": 2.4276534145763993,
+            "ec_oma_weak": 0.9795348981179898,
+            "ergodic_strong": 2.9644686209781073,
+            "ergodic_weak": 1.169327669002138,
+        }

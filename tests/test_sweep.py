@@ -1,9 +1,14 @@
 import csv
+import dataclasses
 import json
 import math
 
 import pytest
 
+from nomagsc import montecarlo
+from nomagsc.capacity import PowerSplit, QosProfile, SnrPoint
+from nomagsc.distributions import GscSpec, UserPairSpec
+from nomagsc.figures import figure_spec, generate_figure
 from nomagsc.montecarlo import SimPlan
 from nomagsc.sweep import (
     CSV_COLUMNS,
@@ -178,6 +183,131 @@ class TestRunSweep:
         serial = run_sweep(spec)
         monkeypatch.setenv("NOMAGSC_WORKERS", "2")
         assert run_sweep(spec) == serial
+
+
+SEARCH = {"search": {"a_min": 0.08, "a_max": 0.24, "step": 0.08}}
+
+
+def per_point_montecarlo(spec: SweepSpec, row):
+    """(e_strong, e_weak, e_sum, std_error) of a montecarlo row from one
+    single-case pass at that row's point."""
+    pair = UserPairSpec(
+        GscSpec(spec.antennas_strong, row.n_s, spec.omega_strong),
+        GscSpec(spec.antennas_weak, row.n_w, spec.omega_weak),
+    )
+    case = (
+        PowerSplit(row.a_s),
+        QosProfile(row.theta, spec.block_length, spec.bandwidth),
+        SnrPoint.from_db(row.rho_db),
+    )
+    (est,) = montecarlo.estimate_cases(pair, [case], spec.sim, ("ec_strong", "ec_weak"))
+    es, ew = est["ec_strong"], est["ec_weak"]
+    std = (es.std_error**2 + ew.std_error**2) ** 0.5
+    return es.value, ew.value, es.value + ew.value, std
+
+
+class TestMonteCarloPass:
+    """run_sweep estimates montecarlo rows in one pass per n."""
+
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            figure_spec("fig1"),
+            make_spec(
+                pair={"N_s": 6, "N_w": 3, "omega_s": 1.0, "omega_w": 0.1},
+                n=[1, 2, 3, 6], snr_db=[0, 20], theta=[0.5, 1.0],
+                methods=["oma", "montecarlo"], sim={"samples": 10_001, "seed": 3, "batch": 4096},
+            ),
+            make_spec(
+                n=[2, 4], snr_db=[10, 30], power=SEARCH,
+                methods=["exact", "montecarlo"], sim={"samples": 5_000, "seed": 1},
+            ),
+        ],
+        ids=["fig1", "6-3", "search"],
+    )
+    def test_rows_equal_per_point_passes(self, spec):
+        rows = run_sweep(spec)
+        others = dataclasses.replace(spec, methods=tuple(m for m in spec.methods if m != "montecarlo"))
+        assert [r for r in rows if r.method != "montecarlo"] == run_sweep(others)
+        mc = [r for r in rows if r.method == "montecarlo"]
+        assert len(mc) == len(spec.snr_db) * len(spec.theta) * len(spec.n_values)
+        for row in mc:
+            assert row.status == "ok"
+            got = (row.e_strong, row.e_weak, row.e_sum, row.std_error)
+            assert got == per_point_montecarlo(spec, row)
+
+    def test_parallel_matches_serial(self, monkeypatch):
+        spec = make_spec(
+            n=[2, 4], snr_db=[10, 30], power=SEARCH,
+            methods=["exact", "oma", "montecarlo"], sim={"samples": 5_000, "seed": 1},
+        )
+        serial = run_sweep(spec)
+        monkeypatch.setenv("NOMAGSC_WORKERS", "2")
+        assert run_sweep(spec) == serial
+
+    def test_underflow_fails_only_its_point(self):
+        # every EC term underflows at theta = 1e4, 40 dB, but not at theta = 1
+        spec = make_spec(
+            n=[4], snr_db=[40], theta=[1.0, 1e4], methods=["montecarlo"],
+            sim={"samples": 2_000, "seed": 0},
+        )
+        ok, failed = run_sweep(spec)
+        assert ok == run_sweep(dataclasses.replace(spec, theta=(1.0,)))[0]
+        assert ok.status == "ok"
+        assert failed.status.startswith("error: Monte Carlo EC mean out of range: 0.0")
+        assert failed.e_sum is None and failed.std_error is None
+
+    def test_batch_loop_error_fails_every_point_of_its_n(self, monkeypatch):
+        draw_pair = montecarlo._draw_pair
+
+        def failing(rng, size, pair, *args):
+            if pair.strong.combined == 2:
+                raise RuntimeError("draw failed")
+            return draw_pair(rng, size, pair, *args)
+
+        monkeypatch.setattr(montecarlo, "_draw_pair", failing)
+        spec = make_spec(methods=["oma", "montecarlo"], sim={"samples": 1_000})
+        for row in run_sweep(spec):
+            failed = row.method == "montecarlo" and row.n_s == 2
+            assert row.status == ("error: draw failed" if failed else "ok")
+
+    @pytest.mark.usefixtures("fail_at_0db")
+    def test_failed_search_gives_montecarlo_error_row(self):
+        spec = make_spec(
+            n=[4], power=SEARCH, methods=["exact", "montecarlo"], sim={"samples": 1_000},
+        )
+        rows = run_sweep(spec)
+        assert [(r.rho_db, r.method) for r in rows] == [
+            (0, "exact"), (0, "montecarlo"), (10, "exact"), (10, "montecarlo"),
+        ]
+        assert rows[0].status == rows[1].status
+        assert rows[1].status.startswith("error: ") and "diverged" in rows[1].status
+        assert rows[1].a_s is None and rows[1].e_sum is None
+        assert [r.status for r in rows[2:]] == ["ok", "ok"]
+
+    def test_fig1_draws_each_n_once(self, monkeypatch, tmp_path):
+        calls = []
+        draw_pair = montecarlo._draw_pair
+
+        def counting(rng, size, pair, *args):
+            calls.append(pair)
+            return draw_pair(rng, size, pair, *args)
+
+        monkeypatch.setattr(montecarlo, "_draw_pair", counting)
+        generate_figure("fig1", str(tmp_path))
+        # 1e5 samples are one batch: one draw per n, not per grid point
+        assert calls == [figure_spec("fig1").pair_for(n) for n in (1, 2, 3, 4)]
+
+    @pytest.mark.parametrize("theta", [0.0, 1e-12])
+    def test_ergodic_limit_rows(self, theta):
+        # below the cutoff the EC is its theta -> 0 limit, the average rate
+        spec = make_spec(
+            n=[2], snr_db=[10], theta=[theta], methods=["exact", "montecarlo"],
+            sim={"samples": 20_000, "seed": 0},
+        )
+        exact, mc = run_sweep(spec)
+        assert exact.status == mc.status == "ok"
+        assert abs(mc.e_sum - exact.e_sum) <= 3 * mc.std_error
 
 
 class TestEmit:
