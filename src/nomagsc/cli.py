@@ -21,7 +21,6 @@ import argparse
 import sys
 
 from . import figures, sweep, validate
-from .capacity import QosProfile, SnrPoint
 from .montecarlo import SimPlan
 from .numerics import IntegrationError
 from .optimizer import SearchError, optimize_power
@@ -82,17 +81,13 @@ def _cmd_optimize(args) -> int:
             "optimize needs a config with power.search (got a fixed a_s)"
         )
     print("rho_db theta n a_s* e_strong e_weak e_sum")
-    for rho_db in sorted(spec.snr_db):
-        for theta in sorted(spec.theta):
-            for n in sorted(spec.n_values):
-                pair = spec.pair_for(n)
-                qos = QosProfile(theta, spec.block_length, spec.bandwidth)
-                result = optimize_power(pair, qos, SnrPoint.from_db(rho_db), search)
-                rep = result.report
-                print(
-                    f"{rho_db:g} {theta:g} {n} {result.a_star:g} "
-                    f"{rep.e_strong:.6f} {rep.e_weak:.6f} {rep.e_sum:.6f}"
-                )
+    for rho_db, theta, n, pair, qos, snr in spec.points():
+        result = optimize_power(pair, qos, snr, search)
+        rep = result.report
+        print(
+            f"{rho_db:g} {theta:g} {n} {result.a_star:g} "
+            f"{rep.e_strong:.6f} {rep.e_weak:.6f} {rep.e_sum:.6f}"
+        )
     return EXIT_OK
 
 

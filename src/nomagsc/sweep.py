@@ -18,10 +18,14 @@ methods to run.  Example::
 
 ``power`` is either a fixed ``{"a_s": value}`` or
 ``{"search": {"a_min": ..., "a_max": ..., "step": ..., "objective": ...}}``,
-in which case the split is optimized per grid point.  An unknown key at
-any level, a ``power`` with both entries, and a user pair that is invalid
-at some ``n`` (a non-finite branch power, omega_w >= omega_s, an antenna
-count out of range) is a ``ConfigError``.
+in which case the split is optimized per grid point.  Every value is
+checked at load, before any evaluation, and each of these is a
+``ConfigError``: an unknown key at any level; a ``power`` with both
+entries; a user pair that is invalid at some ``n`` (a non-finite branch
+power, omega_w >= omega_s, an antenna count out of range); a negative or
+non-finite theta; an SNR whose linear value overflows or underflows; a
+``block_length`` or ``bandwidth`` <= 0; a fixed ``a_s`` outside (0, 0.5);
+a repeated entry in ``n``, ``snr_db``, ``theta`` or ``methods``.
 Every requested (point, method) combination produces exactly one row;
 evaluator errors are recorded in-row under ``status`` and never abort
 sibling points.  The ``montecarlo`` rows of one n come from one pass over
@@ -141,11 +145,6 @@ class SweepSpec:
         _known(raw, _CONFIG_FIELDS, "config")
         pair = need("pair", kind=dict)
         _known(pair, ("N_s", "N_w", "omega_s", "omega_w"), "pair")
-        n_values = grid("n", _count)
-        snr_db = grid("snr_db", _real)
-        theta = grid("theta", _real)
-        if not n_values or not snr_db or not theta:
-            raise ConfigError("grids 'n', 'snr_db' and 'theta' must be non-empty")
         power = need("power", kind=dict)
         _known(power, ("a_s", "search"), "power")
         if len(power) != 1:
@@ -157,42 +156,60 @@ class SweepSpec:
                 SearchSpec, power["search"], "power.search",
                 {"a_min": _real, "a_max": _real, "step": _real},
             )
-        methods = grid("methods", str)
-        for m in methods:
-            if m not in METHODS:
-                raise ConfigError(f"unknown method {m!r}; expected one of {METHODS}")
         sim = _build(
             SimPlan, raw.get("sim", {}), "sim",
             {"samples": _count, "seed": _count, "batch": _count},
         )
         try:
-            spec = cls(
+            return cls(
                 antennas_strong=_count(need("N_s", pair, "pair")),
                 antennas_weak=_count(need("N_w", pair, "pair")),
                 omega_strong=_real(need("omega_s", pair, "pair")),
                 omega_weak=_real(need("omega_w", pair, "pair")),
-                n_values=n_values,
-                snr_db=snr_db,
-                theta=theta,
+                n_values=grid("n", _count),
+                snr_db=grid("snr_db", _real),
+                theta=grid("theta", _real),
                 block_length=_real(raw.get("block_length", 1e-5)),
                 bandwidth=_real(raw.get("bandwidth", 1e5)),
                 a_s=_real(a_s) if search is None else None,
                 search=search,
-                methods=methods,
+                methods=grid("methods", str),
                 sim=sim,
             )
-            # a bad antenna count or branch power fails here, not per row
-            for n in n_values:
-                spec.pair_for(n)
         except (TypeError, ValueError) as exc:
             raise ConfigError(str(exc)) from exc
-        return spec
+
+    def __post_init__(self):
+        """Check every value: building each grid point fails on a bad one."""
+        if not self.n_values or not self.snr_db or not self.theta:
+            raise ConfigError("grids 'n', 'snr_db' and 'theta' must be non-empty")
+        grids = {"n": self.n_values, "snr_db": self.snr_db, "theta": self.theta,
+                 "methods": self.methods}
+        for key, values in grids.items():
+            if len(set(values)) != len(values):
+                raise ConfigError(f"field {key!r} has duplicate entries: {list(values)}")
+        for m in self.methods:
+            if m not in METHODS:
+                raise ConfigError(f"unknown method {m!r}; expected one of {METHODS}")
+        if self.a_s is not None:
+            PowerSplit(self.a_s)
+        list(self.points())
 
     def pair_for(self, n: int) -> UserPairSpec:
         return UserPairSpec(
             GscSpec(self.antennas_strong, min(n, self.antennas_strong), self.omega_strong),
             GscSpec(self.antennas_weak, min(n, self.antennas_weak), self.omega_weak),
         )
+
+    def points(self):
+        """(rho_db, theta, n, pair, qos, snr) of every grid point, in row
+        order: rho_db, then theta, then n, each ascending."""
+        for rho_db in sorted(self.snr_db):
+            snr = SnrPoint.from_db(rho_db)
+            for theta in sorted(self.theta):
+                qos = QosProfile(theta, self.block_length, self.bandwidth)
+                for n in sorted(self.n_values):
+                    yield rho_db, theta, n, self.pair_for(n), qos, snr
 
 
 @dataclass(frozen=True)
@@ -231,23 +248,16 @@ def _row(coords: dict, method: str, status: str, values=(None, None, None)) -> S
 
 
 def _evaluate_point(args):
-    """(coords, case, rows) of one grid point: its row coordinates, its
-    (split, qos, snr) case and the rows of every method but
-    ``montecarlo``, which ``run_sweep`` estimates per n.  The split is the
-    fixed a_s or the searched optimum; when the search fails, case is None
-    and every method, ``montecarlo`` included, has an error row."""
-    spec, rho_db, theta, n, a_s = args
-    pair = spec.pair_for(n)
-    qos = QosProfile(theta, spec.block_length, spec.bandwidth)
-    snr = SnrPoint.from_db(rho_db)
-    coords = dict(
-        rho_db=rho_db,
-        theta=theta,
-        nu=qos.nu,
-        n_s=pair.strong.combined,
-        n_w=pair.weak.combined,
-    )
+    """(coords, case, rows) of one grid point of ``spec.points()``: its row
+    coordinates, its (split, qos, snr) case and the rows of every method
+    but ``montecarlo``, which ``run_sweep`` estimates per n.  The split is
+    the fixed a_s or the searched optimum; when the search fails, case is
+    None and every method, ``montecarlo`` included, has an error row."""
+    spec, (rho_db, theta, n, pair, qos, snr) = args
+    coords = dict(rho_db=rho_db, theta=theta, nu=qos.nu,
+                  n_s=pair.strong.combined, n_w=pair.weak.combined)
     methods = sorted(spec.methods, key=METHODS.index)
+    a_s = spec.a_s
     if a_s is None:
         try:
             a_s = optimize_power(pair, qos, snr, spec.search).a_star
@@ -261,33 +271,25 @@ def _evaluate_point(args):
         if method == "montecarlo":
             continue
         try:
-            values = _run_method(method, pair, split, qos, snr)
+            rep = _EVALUATORS[method](pair, split, qos, snr)
         except ValidityError as exc:
             rows.append(_row(coords, method, f"invalid: {exc}"))
         except Exception as exc:
             rows.append(_row(coords, method, f"error: {exc}"))
         else:
+            values = (rep.e_strong, rep.e_weak, rep.numeric_error)
             rows.append(_row(coords, method, "ok", values))
     return coords, (split, qos, snr), rows
 
 
-def _run_method(method, pair, split, qos, snr):
-    if method == "exact":
-        rep = capacity.evaluate_noma(pair, split, qos, snr)
-        return rep.e_strong, rep.e_weak, rep.numeric_error
-    if method == "high_snr":
-        rep = capacity.ec_high_snr(pair, split, qos, snr)
-        return rep.e_strong, rep.e_weak, 0.0
-    if method == "low_snr":
-        rep = capacity.ec_low_snr(pair, split, qos, snr)
-        return rep.e_strong, rep.e_weak, 0.0
-    if method == "oma":
-        rep = capacity.evaluate_oma(pair, qos, snr)
-        return rep.e_strong, rep.e_weak, rep.numeric_error
-    if method == "ergodic":
-        rep = capacity.ergodic_rate(pair, split, snr)
-        return rep.e_strong, rep.e_weak, rep.numeric_error
-    raise ValueError(f"unknown method {method!r}")
+# method -> evaluator, read from ``capacity`` at call time so that a wrapper there is used
+_EVALUATORS = {
+    "exact": lambda pair, split, qos, snr: capacity.evaluate_noma(pair, split, qos, snr),
+    "high_snr": lambda pair, split, qos, snr: capacity.ec_high_snr(pair, split, qos, snr),
+    "low_snr": lambda pair, split, qos, snr: capacity.ec_low_snr(pair, split, qos, snr),
+    "oma": lambda pair, split, qos, snr: capacity.evaluate_oma(pair, qos, snr),
+    "ergodic": lambda pair, split, qos, snr: capacity.ergodic_rate(pair, split, snr),
+}
 
 
 def _montecarlo_pass(args):
@@ -328,13 +330,8 @@ def run_sweep(spec: SweepSpec) -> list[SweepRow]:
 
 
 def _run(spec: SweepSpec, mapper) -> list[SweepRow]:
-    points = [
-        (spec, rho_db, theta, n, spec.a_s)
-        for rho_db in sorted(spec.snr_db)
-        for theta in sorted(spec.theta)
-        for n in sorted(spec.n_values)
-    ]
-    evaluated = list(mapper(_evaluate_point, points))
+    points = list(spec.points())
+    evaluated = list(mapper(_evaluate_point, [(spec, point) for point in points]))
     if "montecarlo" in spec.methods:
         # The channel law depends on n only, so one pass over its draws
         # estimates every point of that n.  montecarlo is the last method,
@@ -342,7 +339,7 @@ def _run(spec: SweepSpec, mapper) -> list[SweepRow]:
         by_n: dict[int, list[int]] = {}
         for i, (point, (_, case, _)) in enumerate(zip(points, evaluated)):
             if case is not None:
-                by_n.setdefault(point[3], []).append(i)
+                by_n.setdefault(point[2], []).append(i)
         tasks = [(spec, n, [evaluated[i][1] for i in idx]) for n, idx in by_n.items()]
         for idx, estimates in zip(by_n.values(), mapper(_montecarlo_pass, tasks)):
             for i, est in zip(idx, estimates):
@@ -357,6 +354,15 @@ def _fmt(value) -> str:
     if isinstance(value, float):
         return f"{value:.12g}"
     return str(value)
+
+
+def write_table(path: str, columns, table) -> None:
+    """A CSV file: the header ``columns``, then one line per row of
+    ``table``; floats to 12 significant digits, None as an empty cell."""
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(columns)
+        writer.writerows([_fmt(value) for value in row] for row in table)
 
 
 def row_record(row: SweepRow) -> dict:
@@ -374,11 +380,7 @@ def emit(rows: list[SweepRow], fmt: str, path: str) -> None:
     """Write the sweep table as CSV or JSON."""
     try:
         if fmt == "csv":
-            with open(path, "w", newline="") as fh:
-                writer = csv.writer(fh)
-                writer.writerow(CSV_COLUMNS)
-                for row in rows:
-                    writer.writerow([_fmt(getattr(row, col)) for col in CSV_COLUMNS])
+            write_table(path, CSV_COLUMNS, ([getattr(r, col) for col in CSV_COLUMNS] for r in rows))
         elif fmt == "json":
             with open(path, "w") as fh:
                 json.dump([row_record(r) for r in rows], fh, indent=2)

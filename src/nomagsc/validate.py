@@ -6,7 +6,6 @@ reference grid and checks agreement within three standard errors.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 
@@ -14,6 +13,7 @@ from . import capacity, montecarlo
 from .capacity import PowerSplit, QosProfile, SnrPoint
 from .distributions import GscSpec, UserPairSpec
 from .montecarlo import SimPlan
+from .sweep import write_table
 
 DEFAULT_GRID = {
     "snr_db": (0.0, 10.0, 20.0, 30.0, 40.0),
@@ -137,21 +137,7 @@ def z_summary(rows: list[ValidationRow]) -> str:
 
 
 def write_csv(rows: list[ValidationRow], path: str) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(CSV_COLUMNS)
-        for r in rows:
-            writer.writerow(
-                [
-                    f"{r.rho_db:.12g}",
-                    f"{r.theta:.12g}",
-                    r.n,
-                    f"{r.a_s:.12g}",
-                    r.quantity,
-                    f"{r.analytic:.12g}",
-                    f"{r.estimate:.12g}",
-                    f"{r.std_error:.12g}",
-                    f"{r.z:.12g}",
-                    "pass" if r.passed else "FAIL",
-                ]
-            )
+    write_table(path, CSV_COLUMNS, (
+        [getattr(r, col) for col in CSV_COLUMNS[:-1]] + ["pass" if r.passed else "FAIL"]
+        for r in rows
+    ))

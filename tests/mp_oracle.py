@@ -37,3 +37,11 @@ def ec_strong(pair, split, qos, snr):
         nu, a = mp.mpf(qos.nu), mp.mpf(split.a_s * snr.rho)
         inner = expectation(pair.strong, lambda x: (1 + a * x) ** -nu)
         return float(-mp.log(inner, 2) / nu)
+
+
+def ec_oma(spec, qos, snr):
+    """-(1/nu) log2 E[(1 + rho g)^(-nu/2)], one user's EC under time-division OMA."""
+    with mp.workdps(30):
+        nu, rho = mp.mpf(qos.nu), mp.mpf(snr.rho)
+        inner = expectation(spec, lambda x: (1 + rho * x) ** (-nu / 2))
+        return float(-mp.log(inner, 2) / nu)

@@ -183,6 +183,18 @@ class TestEcOma:
         value = ec_oma(GscSpec(4, 4, 1.0), QOS1, SNR10)
         assert value == pytest.approx(2.517945, abs=3 * 0.000134)
 
+    @pytest.mark.parametrize(
+        "spec",
+        [GscSpec(4, 1, 1.0), GscSpec(4, 2, 1.0), GscSpec(4, 3, 1.0), GscSpec(4, 4, 1.0),
+         GscSpec(4, 2, 0.1)],
+        ids=lambda spec: f"N{spec.antennas}n{spec.combined}w{spec.omega:g}",
+    )
+    def test_matches_oracle(self, spec):
+        # 30-digit mpmath quadrature over the series summed in mpmath
+        assert mp_oracle.ec_oma(spec, QOS1, SNR10) == pytest.approx(
+            ec_oma(spec, QOS1, SNR10), rel=1e-9
+        )
+
 
 class TestHighSnr:
     def test_weak_value(self):

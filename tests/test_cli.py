@@ -4,7 +4,7 @@ import math
 
 import pytest
 
-from nomagsc import figures
+from nomagsc import cli, figures, sweep
 from nomagsc.cli import (
     EXIT_CONFIG,
     EXIT_NUMERICAL,
@@ -22,6 +22,8 @@ CONFIG = {
     "power": {"a_s": 0.24},
     "methods": ["exact", "oma"],
 }
+
+SEARCH = {"search": {"a_min": 0.08, "a_max": 0.24, "step": 0.08}}
 
 
 @pytest.fixture
@@ -160,6 +162,26 @@ class TestOptimizeCommand:
     def test_fixed_split_rejected(self, config_path, capsys):
         assert main(["optimize", config_path]) == EXIT_CONFIG
         assert "search" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", [["sweep", "--out", "o.csv"], ["optimize"]])
+def test_bad_grid_value_fails_before_any_point(command, tmp_path, monkeypatch, capsys):
+    # theta = -1 is the last theta of the grid: it must fail at load, not
+    # after the points at theta = 1 were evaluated
+    calls = []
+    evaluate_point, optimize = sweep._evaluate_point, cli.optimize_power
+
+    def counting(real):
+        return lambda *args: calls.append(args) or real(*args)
+
+    monkeypatch.setattr(sweep, "_evaluate_point", counting(evaluate_point))
+    monkeypatch.setattr(cli, "optimize_power", counting(optimize))
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps({**CONFIG, "theta": [1.0, -1.0], "power": SEARCH}))
+    monkeypatch.chdir(tmp_path)
+    assert main([command[0], str(path), *command[1:]]) == EXIT_CONFIG
+    assert capsys.readouterr().err.startswith("config error: ")
+    assert calls == []
 
 
 class TestValidateCommand:

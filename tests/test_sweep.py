@@ -5,7 +5,7 @@ import math
 
 import pytest
 
-from nomagsc import montecarlo
+from nomagsc import montecarlo, sweep
 from nomagsc.capacity import PowerSplit, QosProfile, SnrPoint
 from nomagsc.distributions import GscSpec, UserPairSpec
 from nomagsc.figures import figure_spec, generate_figure
@@ -19,6 +19,7 @@ from nomagsc.sweep import (
     load_spec,
     run_sweep,
     worker_count,
+    write_table,
 )
 
 BASE_CONFIG = {
@@ -80,6 +81,51 @@ class TestConfigParsing:
     def test_bad_sim_or_search_is_config_error(self, overrides):
         with pytest.raises(ConfigError, match="sim|power.search"):
             make_spec(**overrides)
+
+    @pytest.mark.parametrize(
+        "overrides, match",
+        [
+            ({"theta": [1.0, -1.0]}, "theta"),
+            ({"snr_db": [10, 4000]}, "rho"),
+            ({"snr_db": [-4000]}, "rho"),
+            ({"block_length": 0}, "block length"),
+            ({"bandwidth": -1}, "bandwidth"),
+            ({"power": {"a_s": 0.7}}, "a_s"),
+            ({"n": [2, 2]}, "'n' has duplicate"),
+            ({"snr_db": [0, 10, 0.0]}, "'snr_db' has duplicate"),
+            ({"theta": [1.0, 1]}, "'theta' has duplicate"),
+            (
+                {"methods": ["exact", "exact", "montecarlo", "montecarlo"]},
+                "'methods' has duplicate",
+            ),
+        ],
+        ids=[
+            "negative-theta", "rho-overflow", "rho-underflow", "zero-block-length",
+            "negative-bandwidth", "a_s-0.7", "duplicate-n", "duplicate-snr", "duplicate-theta",
+            "duplicate-methods",
+        ],
+    )
+    def test_bad_grid_value_is_config_error(self, overrides, match):
+        with pytest.raises(ConfigError, match=match):
+            make_spec(**overrides)
+
+    @pytest.mark.parametrize(
+        "changes",
+        [{"theta": (-1.0,)}, {"snr_db": (4000.0,)}, {"a_s": 0.7}, {"n_values": (2, 2)}],
+    )
+    def test_replace_checks_values(self, changes):
+        with pytest.raises(ValueError):
+            dataclasses.replace(make_spec(), **changes)
+
+    def test_points_in_row_order(self):
+        spec = make_spec(n=[2, 1], snr_db=[10, 0], theta=[2.0, 0.5])
+        points = list(spec.points())
+        keys = [(rho_db, theta, n) for rho_db, theta, n, *_ in points]
+        assert keys == sorted(keys) and len(keys) == 8
+        for rho_db, theta, n, pair, qos, snr in points:
+            assert pair == spec.pair_for(n)
+            assert qos == QosProfile(theta, spec.block_length, spec.bandwidth)
+            assert snr == SnrPoint.from_db(rho_db)
 
     def test_load_reports_json_line(self, tmp_path):
         path = tmp_path / "bad.json"
@@ -183,6 +229,23 @@ class TestRunSweep:
         serial = run_sweep(spec)
         monkeypatch.setenv("NOMAGSC_WORKERS", "2")
         assert run_sweep(spec) == serial
+
+    def test_figure_calls_point_evaluator_once_per_point(self, monkeypatch, tmp_path):
+        # the serial run reads sweep._evaluate_point at call time, once per
+        # grid point, so that a wrapper installed there sees every point
+        calls = []
+        evaluate_point = sweep._evaluate_point
+
+        def counting(args):
+            calls.append(args)
+            return evaluate_point(args)
+
+        monkeypatch.delenv("NOMAGSC_WORKERS", raising=False)
+        monkeypatch.setattr(sweep, "_evaluate_point", counting)
+        generate_figure("fig3", str(tmp_path))
+        spec = figure_spec("fig3")
+        assert len(calls) == 28
+        assert [point for _, point in calls] == list(spec.points())
 
 
 SEARCH = {"search": {"a_min": 0.08, "a_max": 0.24, "step": 0.08}}
@@ -347,6 +410,11 @@ class TestEmit:
         records = json.loads(jpath.read_text())
         for crow, rec in zip(csv_rows, records):
             assert float(crow["e_sum"]) == rec["e_sum"]
+
+    def test_write_table_cells(self, tmp_path):
+        path = tmp_path / "t.csv"
+        write_table(str(path), ("a", "b", "c"), [(1 / 3, None, 2), (0.0, "x,y", True)])
+        assert path.read_bytes() == b'a,b,c\r\n0.333333333333,,2\r\n0,"x,y",True\r\n'
 
     def test_unknown_format(self, tmp_path):
         with pytest.raises(ValueError, match="format"):
