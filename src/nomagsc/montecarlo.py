@@ -15,6 +15,11 @@ draws into estimates: it draws each batch once and evaluates every
 requested quantity of every (split, qos, snr) case on it.
 ``estimate_ec_strong``, ``estimate_ec_weak`` and ``estimate_ergodic``
 are that pass with one case.
+
+Each quantity is one (signal, share) row of ``_QUANTITIES``, which gives
+its term's exponent and how its estimate finishes.  Per batch the pass
+forms 1 + signal once per (a_s, rho, signal) and adds the terms of every
+accumulator that reads it.
 """
 
 from __future__ import annotations
@@ -49,20 +54,11 @@ class Estimate:
     samples_used: int
 
 
-def _batch_sizes(plan: SimPlan) -> Iterator[tuple[int, int]]:
-    done = 0
-    index = 0
-    while done < plan.samples:
-        size = min(plan.batch, plan.samples - done)
-        yield index, size
-        done += size
-        index += 1
-
-
 def _batches(plan: SimPlan) -> Iterator[tuple[int, np.random.Generator]]:
     """(size, stream) per batch, in batch order; batch ``index`` draws from
     its own ``Philox(seed, index)`` stream."""
-    for index, size in _batch_sizes(plan):
+    for index, done in enumerate(range(0, plan.samples, plan.batch)):
+        size = min(plan.batch, plan.samples - done)
         yield size, np.random.Generator(np.random.Philox(key=[plan.seed, index]))
 
 
@@ -147,14 +143,14 @@ def _draw_pair(
     weak_block: bool,
     weak_first: bool,
 ) -> tuple[np.ndarray, np.ndarray | None, np.ndarray | None]:
-    """(g_s, g_w, g_w_first) of one batch.
+    """(g_s, g_min, g_w_first) of one batch.
 
-    g_s and g_w are the strong then the weak user's combined powers, drawn
-    in that order.  Without ``weak_block``, g_w is None: the weak block is
-    not combined, and not drawn unless g_w_first reads it.  With
-    ``weak_first``, g_w_first is the weak spec read from the start of the
-    stream instead, which is what an estimator of the weak user alone
-    draws; it reuses the values already drawn.
+    g_s is the strong user's combined power and g_min its minimum with
+    the weak user's (drawn next).  Without ``weak_block``, g_min is None:
+    the weak block is not combined, and not drawn unless g_w_first reads
+    it.  With ``weak_first``, g_w_first is the weak spec read from the
+    start of the stream instead, as an estimator of the weak user alone
+    draws it; it reuses the values already drawn.
     """
     strong, weak = pair.strong, pair.weak
     head = size * weak.antennas
@@ -175,7 +171,8 @@ def _draw_pair(
         return gs, None, gw_first
     if second is None:
         second = rng.standard_exponential(head)
-    return gs, _combined(weak, second, size), gw_first
+    gw = _combined(weak, second, size)
+    return gs, np.minimum(gs, gw, out=gw), gw_first
 
 
 def sample_gsc_power(spec: GscSpec, plan: SimPlan) -> Iterator[np.ndarray]:
@@ -210,42 +207,30 @@ class _MeanAccumulator:
         return math.sqrt(var / self.count)
 
 
-def _ec_estimate(acc: _MeanAccumulator, nu: float) -> Estimate:
-    """-(1/nu)log2(mean), with the delta-method standard error.
-
-    Raises FloatingPointError (a numerical failure, not bad input) when
-    every term underflowed, so that the mean is 0.
-    """
-    if acc.mean == 0.0:
-        raise FloatingPointError("Monte Carlo EC mean out of range: 0.0 (every term underflowed)")
-    value = -math.log2(acc.mean) / nu
-    std_error = acc.se_mean / (nu * math.log(2) * acc.mean)
-    return Estimate(value, std_error, acc.count)
-
-
 def _term(base: np.ndarray, exponent: float | None) -> np.ndarray:
     """Per-sample term of a quantity: base^-exponent, or log2(base) for a
     rate (exponent None)."""
     return np.log2(base) if exponent is None else base**-exponent
 
 
-def _exponent(quantity: str, qos: QosProfile) -> float | None:
-    """EC terms are (1 + SINR)^-nu, OMA's (1 + rho g)^(-nu/2): full power
-    over half the resources.  Rates, and an EC in its ergodic limit
-    (theta -> 0, where nu vanishes), average log2(1 + SINR) instead."""
-    if quantity.startswith("ergodic") or qos.is_ergodic_limit:
-        return None
-    return qos.nu / 2.0 if quantity.startswith("ec_oma") else qos.nu
-
-
 def _finish(quantity: str, qos: QosProfile, acc: _MeanAccumulator) -> Estimate:
-    if quantity.startswith("ergodic"):
+    """The mean for a rate; for an EC, -(1/nu)log2(mean) with the
+    delta-method standard error, or in the ergodic limit the share times
+    the mean (the average rate over the user's share of the resources).
+
+    Raises FloatingPointError (a numerical failure, not bad input) when
+    every EC term underflowed, so that the mean is 0.
+    """
+    share = _QUANTITIES[quantity][1]
+    if share is None:
         return Estimate(acc.mean, acc.se_mean, acc.count)
     if qos.is_ergodic_limit:
-        # the EC tends to the average rate, halved for OMA's half resources
-        half = 0.5 if quantity.startswith("ec_oma") else 1.0
-        return Estimate(half * acc.mean, half * acc.se_mean, acc.count)
-    return _ec_estimate(acc, qos.nu)
+        return Estimate(share * acc.mean, share * acc.se_mean, acc.count)
+    if acc.mean == 0.0:
+        raise FloatingPointError("Monte Carlo EC mean out of range: 0.0 (every term underflowed)")
+    value = -math.log2(acc.mean) / qos.nu
+    std_error = acc.se_mean / (qos.nu * math.log(2) * acc.mean)
+    return Estimate(value, std_error, acc.count)
 
 
 def _one_case(pair: UserPairSpec, case: Case, plan: SimPlan, quantities) -> dict[str, Estimate]:
@@ -291,35 +276,41 @@ def estimate_ec_oma(
 ) -> Estimate:
     """Monte Carlo EC of one OMA user (full power, half rate)."""
     acc = _MeanAccumulator()
-    exponent = _exponent("ec_oma_strong", qos)
+    _, exponent = _term_key("ec_oma_strong", None, qos, snr)
     for g in sample_gsc_power(spec, plan):
         acc.add(_term(1.0 + snr.rho * g, exponent))
     return _finish("ec_oma_strong", qos, acc)
 
 
-# Quantities of the fused pass, in the order ``validate`` reports them,
-# each with the signal its per-sample term reads: the strong user's SINR
-# a_s rho g_s, the weak user's SINR through g_min, or the full-power SNR
-# rho g of one OMA user.
-_SIGNALS = {
-    "ec_strong": "strong",
-    "ec_weak": "weak",
-    "ec_oma_strong": "oma_strong",
-    "ec_oma_weak": "oma_weak",
-    "ergodic_strong": "strong",
-    "ergodic_weak": "weak",
+# Quantities of the fused pass, in the order ``validate`` reports them:
+# quantity -> (signal, share).  The signal is what the per-sample term
+# reads: the strong user's SINR a_s rho g_s, the weak user's SINR through
+# g_min, or the full-power SNR rho g of one OMA user.  The share of the
+# resources is 1 for a NOMA EC, 1/2 for an OMA EC (full power over half
+# the resources) and None for an average rate.
+_QUANTITIES = {
+    "ec_strong": ("strong", 1.0),
+    "ec_weak": ("weak", 1.0),
+    "ec_oma_strong": ("oma_strong", 0.5),
+    "ec_oma_weak": ("oma_weak", 0.5),
+    "ergodic_strong": ("strong", None),
+    "ergodic_weak": ("weak", None),
 }
-QUANTITIES = tuple(_SIGNALS)
+QUANTITIES = tuple(_QUANTITIES)
 
 Case = tuple[PowerSplit, QosProfile, SnrPoint]
 
 
-def _term_key(quantity: str, split: PowerSplit, qos: QosProfile, snr: SnrPoint) -> tuple:
-    """(a_s, rho, signal, exponent): everything the per-sample term of
-    ``quantity`` reads at a case.  OMA does not read the split (a_s = 0)."""
-    signal = _SIGNALS[quantity]
-    a_s = 0.0 if signal.startswith("oma") else split.a_s
-    return (a_s, snr.rho, signal, _exponent(quantity, qos))
+def _term_key(quantity: str, split: PowerSplit | None, qos: QosProfile, snr: SnrPoint):
+    """((a_s, rho, signal), exponent): everything the per-sample term of
+    ``quantity`` reads at a case.  An EC's term is (1 + signal)^-exponent
+    with exponent share * nu; a rate's, and an EC's in the ergodic limit
+    (theta -> 0, where nu vanishes), is log2(1 + signal), exponent None.
+    OMA does not read the split (a_s = 0)."""
+    signal, share = _QUANTITIES[quantity]
+    a_s = split.a_s if signal in ("strong", "weak") else 0.0
+    exponent = None if share is None or qos.is_ergodic_limit else share * qos.nu
+    return (a_s, snr.rho, signal), exponent
 
 
 def estimate_cases(
@@ -347,31 +338,31 @@ def estimate_cases(
     wanted = [q for q in QUANTITIES if q in quantities]
     # only the weak user's NOMA quantities read the weak block and g_min
     weak = "ec_weak" in wanted or "ergodic_weak" in wanted
-    accs: dict[tuple, _MeanAccumulator] = {}
-    case_accs = [
-        {q: accs.setdefault(_term_key(q, *case), _MeanAccumulator()) for q in wanted}
-        for case in cases
-    ]
+    # (a_s, rho, signal) -> {exponent: accumulator}
+    groups: dict[tuple, dict] = {}
+    case_accs = []
+    for case in cases:
+        accs = {}
+        for q in wanted:
+            group, exponent = _term_key(q, *case)
+            accs[q] = groups.setdefault(group, {}).setdefault(exponent, _MeanAccumulator())
+        case_accs.append(accs)
     # in (a_s, rho) order, so that one weak SINR array is alive at a time
-    terms = sorted(accs.items(), key=lambda item: item[0][:3])
+    ordered = sorted(groups.items())
     for size, rng in _batches(plan):
-        gs, gw, gw_first = _draw_pair(rng, size, pair, weak, "ec_oma_weak" in wanted)
-        gmin = np.minimum(gs, gw) if weak else None
-        sinr_at = sinr = None
-        for (a_s, rho, signal, exponent), acc in terms:
+        gs, gmin, gw_first = _draw_pair(rng, size, pair, weak, "ec_oma_weak" in wanted)
+        for (a_s, rho, signal), accs in ordered:
+            base = None  # free the last one first
             if signal == "strong":
-                acc.add(_term(1.0 + a_s * rho * gs, exponent))
+                base = 1.0 + a_s * rho * gs
             elif signal == "weak":
-                if sinr_at != (a_s, rho):
-                    # the strong user decodes after interference removal;
-                    # the weak user's SINR is limited by g_min
-                    sinr = None  # free the last one first
-                    sinr = (1.0 - a_s) * rho * gmin / (a_s * rho * gmin + 1.0)
-                    sinr_at = (a_s, rho)
-                acc.add(_term(1.0 + sinr, exponent))
+                # the strong user decodes after interference removal; the
+                # weak user's SINR is limited by g_min
+                base = 1.0 + (1.0 - a_s) * rho * gmin / (a_s * rho * gmin + 1.0)
             else:
-                g = gs if signal == "oma_strong" else gw_first
-                acc.add(_term(1.0 + rho * g, exponent))
+                base = 1.0 + rho * (gs if signal == "oma_strong" else gw_first)
+            for exponent, acc in accs.items():
+                acc.add(_term(base, exponent))
     results = []
     for (_, qos, _), acc in zip(cases, case_accs):
         try:

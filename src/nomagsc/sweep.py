@@ -20,12 +20,13 @@ methods to run.  Example::
 ``{"search": {"a_min": ..., "a_max": ..., "step": ..., "objective": ...}}``,
 in which case the split is optimized per grid point.  Every value is
 checked at load, before any evaluation, and each of these is a
-``ConfigError``: an unknown key at any level; a ``power`` with both
-entries; a user pair that is invalid at some ``n`` (a non-finite branch
-power, omega_w >= omega_s, an antenna count out of range); a negative or
-non-finite theta; an SNR whose linear value overflows or underflows; a
-``block_length`` or ``bandwidth`` <= 0; a fixed ``a_s`` outside (0, 0.5);
-a repeated entry in ``n``, ``snr_db``, ``theta`` or ``methods``.
+``ConfigError``: an unknown key at any level; a ``power`` without
+exactly one entry; a user pair that is invalid at some ``n`` (a
+non-finite branch power, omega_w >= omega_s, an antenna count out of
+range); a negative or non-finite theta; an SNR whose linear value
+overflows or underflows; a ``block_length`` or ``bandwidth`` <= 0; a
+fixed ``a_s`` outside (0, 0.5); a repeated entry in ``n``, ``snr_db``,
+``theta`` or ``methods``.
 Every requested (point, method) combination produces exactly one row;
 evaluator errors are recorded in-row under ``status`` and never abort
 sibling points.  The ``montecarlo`` rows of one n come from one pass over
@@ -147,9 +148,6 @@ class SweepSpec:
         _known(pair, ("N_s", "N_w", "omega_s", "omega_w"), "pair")
         power = need("power", kind=dict)
         _known(power, ("a_s", "search"), "power")
-        if len(power) != 1:
-            raise ConfigError("field 'power' needs exactly one of 'a_s' and 'search'")
-        a_s = power.get("a_s")
         search = None
         if "search" in power:
             search = _build(
@@ -171,7 +169,7 @@ class SweepSpec:
                 theta=grid("theta", _real),
                 block_length=_real(raw.get("block_length", 1e-5)),
                 bandwidth=_real(raw.get("bandwidth", 1e5)),
-                a_s=_real(a_s) if search is None else None,
+                a_s=_real(power["a_s"]) if "a_s" in power else None,
                 search=search,
                 methods=grid("methods", str),
                 sim=sim,
@@ -191,6 +189,8 @@ class SweepSpec:
         for m in self.methods:
             if m not in METHODS:
                 raise ConfigError(f"unknown method {m!r}; expected one of {METHODS}")
+        if (self.a_s is None) == (self.search is None):
+            raise ConfigError("field 'power' needs exactly one of 'a_s' and 'search'")
         if self.a_s is not None:
             PowerSplit(self.a_s)
         list(self.points())
@@ -251,19 +251,22 @@ def _evaluate_point(args):
     """(coords, case, rows) of one grid point of ``spec.points()``: its row
     coordinates, its (split, qos, snr) case and the rows of every method
     but ``montecarlo``, which ``run_sweep`` estimates per n.  The split is
-    the fixed a_s or the searched optimum; when the search fails, case is
-    None and every method, ``montecarlo`` included, has an error row."""
+    the fixed a_s or the searched optimum, whose report is the row of the
+    method the search evaluated; when the search fails, case is None and
+    every method, ``montecarlo`` included, has an error row."""
     spec, (rho_db, theta, n, pair, qos, snr) = args
     coords = dict(rho_db=rho_db, theta=theta, nu=qos.nu,
                   n_s=pair.strong.combined, n_w=pair.weak.combined)
     methods = sorted(spec.methods, key=METHODS.index)
-    a_s = spec.a_s
+    a_s, searched = spec.a_s, {}
     if a_s is None:
         try:
-            a_s = optimize_power(pair, qos, snr, spec.search).a_star
+            result = optimize_power(pair, qos, snr, spec.search)
         except Exception as exc:
             coords["a_s"] = None
             return coords, None, [_row(coords, method, f"error: {exc}") for method in methods]
+        a_s = result.a_star
+        searched[_SEARCH_METHODS[spec.search.objective]] = result.report
     coords["a_s"] = a_s
     split = PowerSplit(a_s)
     rows = []
@@ -271,7 +274,7 @@ def _evaluate_point(args):
         if method == "montecarlo":
             continue
         try:
-            rep = _EVALUATORS[method](pair, split, qos, snr)
+            rep = searched[method] if method in searched else _EVALUATORS[method](pair, split, qos, snr)
         except ValidityError as exc:
             rows.append(_row(coords, method, f"invalid: {exc}"))
         except Exception as exc:
@@ -290,6 +293,8 @@ _EVALUATORS = {
     "oma": lambda pair, split, qos, snr: capacity.evaluate_oma(pair, qos, snr),
     "ergodic": lambda pair, split, qos, snr: capacity.ergodic_rate(pair, split, snr),
 }
+# search objective -> the method whose report the search evaluates
+_SEARCH_METHODS = {"sum_ec": "exact", "sum_rate": "ergodic"}
 
 
 def _montecarlo_pass(args):
@@ -321,7 +326,10 @@ def worker_count() -> int:
 
 def run_sweep(spec: SweepSpec) -> list[SweepRow]:
     """Evaluate the full grid; rows come back in lexicographic grid order
-    (rho_db, theta, n) then canonical method order."""
+    (rho_db, theta, n) then canonical method order.  Without methods there
+    are no rows, and no point is evaluated."""
+    if not spec.methods:
+        return []
     workers = worker_count()
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:

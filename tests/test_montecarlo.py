@@ -1,3 +1,4 @@
+import itertools
 import math
 import tracemalloc
 
@@ -410,6 +411,47 @@ class TestSharedDraw:
         rows = validate.run_validation(SimPlan(samples=1_000, seed=0), grid)
         assert len(calls) == len(set(calls)) == 2
         assert len(rows) == 4 * len(montecarlo.QUANTITIES)
+
+    def test_validation_evaluates_ergodic_once_per_point(self, monkeypatch):
+        # the rates do not depend on theta: one evaluation per (rho, n, a_s)
+        calls = []
+        ergodic_rate = capacity.ergodic_rate
+
+        def counting(pair, split, snr):
+            calls.append((pair, split, snr))
+            return ergodic_rate(pair, split, snr)
+
+        monkeypatch.setattr(capacity, "ergodic_rate", counting)
+        grid = {"snr_db": (0.0, 30.0), "theta": (0.5, 1.0), "n": (2,), "a_s": (0.1, 0.24)}
+        rows = validate.run_validation(SimPlan(samples=1_000, seed=0), grid)
+        assert len(calls) == len(set(calls)) == 4
+        assert len(rows) == 8 * len(montecarlo.QUANTITIES)
+
+    @pytest.mark.parametrize(
+        "pair",
+        [
+            UserPairSpec(GscSpec(4, 2, 1.0), GscSpec(4, 3, 0.1)),
+            UserPairSpec(GscSpec(4, 2, 1.0), GscSpec(12, 7, 0.1)),  # weak row-wise
+            UserPairSpec(GscSpec(12, 5, 1.0), GscSpec(12, 12, 0.1)),  # both row-wise
+        ],
+        ids=["4-4", "4-12", "12-12"],
+    )
+    def test_every_subset_equals_the_full_pass(self, pair):
+        # the subset decides whether the weak block and the weak user's OMA
+        # block are read; neither may change any estimate
+        cases = [
+            (PowerSplit(a_s), QosProfile(theta), SnrPoint.from_db(rho_db))
+            for a_s in (0.1, 0.24)
+            for rho_db in (0, 30)
+            for theta in (0.0, 0.5, 1.0)
+        ]
+        plan = SimPlan(samples=3_000, seed=6, batch=2048)
+        full = estimate_cases(pair, cases, plan)
+        for k in range(1, len(QUANTITIES) + 1):
+            for subset in itertools.combinations(QUANTITIES, k):
+                got = estimate_cases(pair, cases, plan, subset[::-1])
+                for est, ref in zip(got, full):
+                    assert est == {q: ref[q] for q in subset}, subset
 
 
 class TestWeakOmaBlock:

@@ -5,11 +5,12 @@ import math
 
 import pytest
 
-from nomagsc import montecarlo, sweep
+from nomagsc import capacity, montecarlo, sweep
 from nomagsc.capacity import PowerSplit, QosProfile, SnrPoint
 from nomagsc.distributions import GscSpec, UserPairSpec
 from nomagsc.figures import figure_spec, generate_figure
 from nomagsc.montecarlo import SimPlan
+from nomagsc.optimizer import SearchSpec
 from nomagsc.sweep import (
     CSV_COLUMNS,
     METHODS,
@@ -111,7 +112,10 @@ class TestConfigParsing:
 
     @pytest.mark.parametrize(
         "changes",
-        [{"theta": (-1.0,)}, {"snr_db": (4000.0,)}, {"a_s": 0.7}, {"n_values": (2, 2)}],
+        [
+            {"theta": (-1.0,)}, {"snr_db": (4000.0,)}, {"a_s": 0.7}, {"n_values": (2, 2)},
+            {"a_s": None}, {"search": SearchSpec()},
+        ],
     )
     def test_replace_checks_values(self, changes):
         with pytest.raises(ValueError):
@@ -183,6 +187,44 @@ class TestRunSweep:
         )
         (row,) = run_sweep(spec)
         assert row.a_s == pytest.approx(0.24)
+
+    @pytest.mark.parametrize(
+        "objective, method, evaluator",
+        [("sum_ec", "exact", "evaluate_noma"), ("sum_rate", "ergodic", "ergodic_rate")],
+    )
+    def test_search_report_is_the_objective_row(self, monkeypatch, objective, method, evaluator):
+        # the search evaluated its objective at a*: that report is the row
+        calls = []
+        evaluate = getattr(capacity, evaluator)
+
+        def counting(pair, split, *args):
+            calls.append(split.a_s)
+            return evaluate(pair, split, *args)
+
+        monkeypatch.delenv("NOMAGSC_WORKERS", raising=False)
+        monkeypatch.setattr(capacity, evaluator, counting)
+        spec = make_spec(
+            n=[4], snr_db=[20], power={"search": {**SEARCH["search"], "objective": objective}},
+            methods=[method],
+        )
+        (row,) = run_sweep(spec)
+        assert calls == pytest.approx([0.08, 0.16, 0.24])
+        ((_, _, _, pair, qos, snr),) = spec.points()
+        args = (qos, snr) if method == "exact" else (snr,)
+        rep = evaluate(pair, PowerSplit(row.a_s), *args)
+        assert (row.e_strong, row.e_weak, row.std_error) == (
+            rep.e_strong, rep.e_weak, rep.numeric_error,
+        )
+
+    def test_no_methods_runs_no_search(self, monkeypatch):
+        # optimize reads a search config and ignores its methods, so an empty
+        # list is accepted; a sweep of it has no rows to search for
+        calls = []
+        monkeypatch.delenv("NOMAGSC_WORKERS", raising=False)
+        monkeypatch.setattr(sweep, "optimize_power", lambda *args: calls.append(args))
+        spec = make_spec(n=[2, 4], snr_db=[10, 20], power=SEARCH, methods=[])
+        assert run_sweep(spec) == []
+        assert calls == []
 
     @pytest.mark.usefixtures("fail_at_0db")
     def test_failed_search_gives_error_rows_and_sweep_goes_on(self):
