@@ -4,16 +4,17 @@ The effective capacity of a symbol with post-combining SNR/SINR gamma is
 
     E = -(1/nu) * log2( E[ (1 + gamma)^(-nu) ] ),    nu = theta*T*B / ln 2.
 
-Each quantity has one route.  The exact values are expectations over
-the channel-power densities from :mod:`nomagsc.distributions`, each one
-``numerics.expectation`` call under the fixed tolerance contract of
-:mod:`nomagsc.numerics`: the strong user's over the GSC density, the
-weak user's over the density of min(g_s, g_w) that
-``distributions.min_density`` picks.  Densities are read from
-``distributions`` at call time, so that a wrapper installed there is the
-one integrated.  The high-SNR approximation uses the Mellin transform
-``gsc_mellin``, the low-SNR one the first two moments.  All rates are
-spectral efficiencies in bits/s/Hz.
+Each per-symbol quantity is one (signal, share) row of ``QUANTITIES``,
+the model the Monte Carlo side reads too: ``sinr`` gives its signal and
+``term_key`` what its term reads at a (split, qos, snr) case.
+``exact_cases`` integrates each distinct term once, as
+``montecarlo.estimate_cases`` averages it, and the exact evaluators are
+its views.  Each term is one ``numerics.expectation`` over a density read
+from ``distributions`` at call time: the GSC density, or for the weak
+user the law of min(g_s, g_w) that ``min_density`` picks (the general
+composition for a rate).  The high-SNR approximation uses the Mellin
+transform ``gsc_mellin``, the low-SNR one the first two moments.  All
+rates are spectral efficiencies in bits/s/Hz.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from dataclasses import dataclass
 
 from . import distributions as dist
 from .distributions import GscSpec, UserPairSpec
-from .numerics import IntegrationError, expectation
+from .numerics import IntegrationError, QuadratureResult, expectation
 
 LOG2E = math.log2(math.e)
 
@@ -49,8 +50,10 @@ class QosProfile:
     def __post_init__(self):
         if not 0 <= self.theta < math.inf:
             raise ValueError(f"theta must be finite and >= 0, got {self.theta}")
-        if not self.block_length > 0 or not self.bandwidth > 0:
-            raise ValueError("block length and bandwidth must be > 0")
+        if not 0 < self.block_length < math.inf or not 0 < self.bandwidth < math.inf:
+            raise ValueError("block length and bandwidth must be finite and > 0")
+        if not math.isfinite(self.nu):
+            raise ValueError(f"nu = theta*T*B/ln 2 must be finite, got {self.nu}")
 
     @property
     def nu(self) -> float:
@@ -109,23 +112,106 @@ class EcReport:
         return self.e_strong + self.e_weak
 
 
-def _ec_from_expectation(value: float, error: float, nu: float) -> tuple[float, float]:
-    """Map the inner expectation to the EC and propagate the quadrature error."""
+# quantity -> (signal, share), in the order ``validate`` reports them: the
+# strong user's SINR a_s rho g_s, the weak user's through g_min or one OMA
+# user's SNR rho g; the share of the resources is 1 for a NOMA EC, 1/2 for
+# an OMA EC (full power over half the resources) and None for a rate.
+QUANTITIES = {
+    "ec_strong": ("strong", 1.0),
+    "ec_weak": ("weak", 1.0),
+    "ec_oma_strong": ("oma_strong", 0.5),
+    "ec_oma_weak": ("oma_weak", 0.5),
+    "ergodic_strong": ("strong", None),
+    "ergodic_weak": ("weak", None),
+}
+
+Case = tuple[PowerSplit, QosProfile, SnrPoint]
+
+
+def requested(quantities) -> list[str]:
+    """``quantities`` in QUANTITIES order; ValueError on an unknown name."""
+    unknown = set(quantities) - set(QUANTITIES)
+    if unknown:
+        raise ValueError(f"unknown quantities {sorted(unknown)}; expected {tuple(QUANTITIES)}")
+    return [q for q in QUANTITIES if q in quantities]
+
+
+def sinr(signal: str, a_s: float, rho: float, g):
+    """The SINR of ``signal`` at channel power ``g`` (a float or an array)."""
+    if signal == "strong":
+        return a_s * rho * g
+    if signal == "weak":  # decoded with the strong user's symbol as interference
+        return (1.0 - a_s) * rho * g / (a_s * rho * g + 1.0)
+    return rho * g
+
+
+def term_key(quantity: str, split: PowerSplit | None, qos: QosProfile, snr: SnrPoint):
+    """((a_s, rho, signal), exponent): everything the term of ``quantity``
+    reads at a case.  An EC's term is (1 + signal)^-exponent with exponent
+    share * nu; a rate's, and an EC's in the ergodic limit (theta -> 0,
+    where nu vanishes), is log2(1 + signal), exponent None.  OMA does not
+    read the split (a_s = 0)."""
+    signal, share = QUANTITIES[quantity]
+    a_s = split.a_s if signal in ("strong", "weak") else 0.0
+    exponent = None if share is None or qos.is_ergodic_limit else share * qos.nu
+    return (a_s, snr.rho, signal), exponent
+
+
+def _law(pair: UserPairSpec, key) -> tuple:
+    """(density, law) of the channel power the term of ``key`` reads."""
+    (_, _, signal), exponent = key
+    if signal != "weak":
+        return dist.gsc_pdf, pair.weak if signal == "oma_weak" else pair.strong
+    # a rate integrates the general form for every pair: the SC/MRC closed
+    # forms round differently and would move the rates in their last digits
+    return dist.min_pdf_general if exponent is None else dist.min_density(pair), pair
+
+
+def _expect(key, density, law) -> QuadratureResult:
+    """E[term] of a ``term_key`` over ``density(law, x)``."""
+    (a_s, rho, signal), exponent = key
+    if exponent is None:
+        return expectation(lambda x: math.log2(1.0 + sinr(signal, a_s, rho, x)), density, law)
+    return expectation(lambda x: (1.0 + sinr(signal, a_s, rho, x)) ** -exponent, density, law)
+
+
+def _finish(quantity: str, qos: QosProfile, result: QuadratureResult) -> float:
+    """A quantity from its term's expectation, as ``montecarlo._finish`` from
+    the mean; IntegrationError when an EC's expectation is not in (0, 1]."""
+    share, value = QUANTITIES[quantity][1], result.value
+    if share is None:
+        return value
+    if qos.is_ergodic_limit:
+        return share * value
     if not 0 < value <= 1 + 1e-12:
         raise IntegrationError(f"inner EC expectation out of range: {value}")
-    ec = -math.log2(value) / nu
-    return max(ec, 0.0), error / (nu * math.log(2) * value)
+    return max(-math.log2(value) / qos.nu, 0.0)
+
+
+def exact_cases(pair: UserPairSpec, cases: list[Case], quantities=tuple(QUANTITIES)):
+    """Exact ``quantities`` of ``pair``: one {quantity: value} dict per
+    (split, qos, snr) case, in QUANTITIES order.  Cases share the
+    expectation of each distinct (a_s, rho, signal, exponent), integrated
+    once; terms finish in case, then QUANTITIES order, and the first
+    failure raises."""
+    wanted = requested(quantities)
+    results: dict[tuple, QuadratureResult] = {}
+    values = []
+    for split, qos, snr in cases:
+        values.append({})
+        for q in wanted:
+            key = term_key(q, split, qos, snr)
+            if key not in results:
+                results[key] = _expect(key, *_law(pair, key))
+            values[-1][q] = _finish(q, qos, results[key])
+    return values
 
 
 def ec_strong(
     pair: UserPairSpec, split: PowerSplit, qos: QosProfile, snr: SnrPoint
 ) -> float:
     """EC of the strong user's symbol (decoded after interference removal)."""
-    if qos.is_ergodic_limit:
-        return ergodic_rate(pair, split, snr).e_strong
-    nu, a = qos.nu, split.a_s * snr.rho
-    r = expectation(lambda x: (1.0 + a * x) ** -nu, dist.gsc_pdf, pair.strong)
-    return _ec_from_expectation(r.value, r.error_estimate, nu)[0]
+    return exact_cases(pair, [(split, qos, snr)], ("ec_strong",))[0]["ec_strong"]
 
 
 def ec_weak(
@@ -133,26 +219,13 @@ def ec_weak(
 ) -> float:
     """EC of the weak user's symbol, decoded with the strong user's symbol
     as interference; its SINR is a function of min(g_s, g_w)."""
-    if qos.is_ergodic_limit:
-        return ergodic_rate(pair, split, snr).e_weak
-    nu, rho = qos.nu, snr.rho
-    a_s, a_w = split.a_s, split.a_w
-
-    def h(x):
-        sinr = a_w * rho * x / (a_s * rho * x + 1.0)
-        return (1.0 + sinr) ** -nu
-
-    r = expectation(h, dist.min_density(pair), pair)
-    return _ec_from_expectation(r.value, r.error_estimate, nu)[0]
+    return exact_cases(pair, [(split, qos, snr)], ("ec_weak",))[0]["ec_weak"]
 
 
 def ec_oma(spec: GscSpec, qos: QosProfile, snr: SnrPoint) -> float:
     """EC of one user under time-division OMA (full power, half rate)."""
-    if qos.is_ergodic_limit:
-        return 0.5 * ergodic_rate_oma(spec, snr)
-    nu, rho = qos.nu, snr.rho
-    r = expectation(lambda x: (1.0 + rho * x) ** (-nu / 2.0), dist.gsc_pdf, spec)
-    return _ec_from_expectation(r.value, r.error_estimate, nu)[0]
+    key = term_key("ec_oma_strong", None, qos, snr)
+    return _finish("ec_oma_strong", qos, _expect(key, dist.gsc_pdf, spec))
 
 
 def ec_high_snr(
@@ -195,33 +268,22 @@ def ec_low_snr(
     )
     e_strong = rho * e1s + 0.5 * rho**2 * e2s
     e_weak = rho * e1w + 0.5 * rho**2 * e2w
+    if not math.isfinite(e_strong) or not math.isfinite(e_weak):
+        raise ValidityError(f"low-SNR expansion is not finite at nu = {nu:.4g}, rho = {rho:.4g}")
     return EcReport(max(e_strong, 0.0), max(e_weak, 0.0), method="low_snr")
 
 
 def ergodic_rate(pair: UserPairSpec, split: PowerSplit, snr: SnrPoint) -> EcReport:
     """Average achievable rates E[log2(1 + gamma)]; the Jensen upper bound
     on the EC at the same operating point, independent of theta."""
-    rho = snr.rho
-    a_s, a_w = split.a_s, split.a_w
-    rs = expectation(lambda x: math.log2(1.0 + a_s * rho * x), dist.gsc_pdf, pair.strong)
-    # the general form for every pair: the SC/MRC closed forms round
-    # differently and would move the ergodic values in their last digits
-    rw = expectation(
-        lambda x: math.log2(1.0 + a_w * rho * x / (a_s * rho * x + 1.0)),
-        dist.min_pdf_general,
-        pair,
-    )
-    return EcReport(
-        rs.value,
-        rw.value,
-        method="ergodic_bound",
-        numeric_error=rs.error_estimate + rw.error_estimate,
-    )
+    keys = [term_key(q, split, QosProfile(0.0), snr) for q in ("ergodic_strong", "ergodic_weak")]
+    rs, rw = (_expect(key, *_law(pair, key)) for key in keys)
+    return EcReport(rs.value, rw.value, "ergodic_bound", rs.error_estimate + rw.error_estimate)
 
 
 def ergodic_rate_oma(spec: GscSpec, snr: SnrPoint) -> float:
     """Full-rate ergodic capacity E[log2(1 + rho*g)] of one OMA user."""
-    return expectation(lambda x: math.log2(1.0 + snr.rho * x), dist.gsc_pdf, spec).value
+    return _expect(((0.0, snr.rho, "oma_strong"), None), dist.gsc_pdf, spec).value
 
 
 # EcReport.method of an exact NOMA report, per distributions.min_law
@@ -236,13 +298,11 @@ def evaluate_noma(
     ergodic bound's report, method "ergodic_bound"."""
     if qos.is_ergodic_limit:
         return ergodic_rate(pair, split, snr)
-    es = ec_strong(pair, split, qos, snr)
-    ew = ec_weak(pair, split, qos, snr)
-    return EcReport(es, ew, method=_NOMA_METHODS[dist.min_law(pair)])
+    (ec,) = exact_cases(pair, [(split, qos, snr)], ("ec_strong", "ec_weak"))
+    return EcReport(ec["ec_strong"], ec["ec_weak"], method=_NOMA_METHODS[dist.min_law(pair)])
 
 
 def evaluate_oma(pair: UserPairSpec, qos: QosProfile, snr: SnrPoint) -> EcReport:
     """OMA baseline: each user gets full power in its own time slot."""
-    es = ec_oma(pair.strong, qos, snr)
-    ew = ec_oma(pair.weak, qos, snr)
-    return EcReport(es, ew, method="oma")
+    (oma,) = exact_cases(pair, [(None, qos, snr)], ("ec_oma_strong", "ec_oma_weak"))
+    return EcReport(oma["ec_oma_strong"], oma["ec_oma_weak"], method="oma")

@@ -9,7 +9,8 @@ kernels a * x**m * exp(-lam * x), held once per law as a table of
 min(g_s, g_w) when both receivers select one branch (SC) or combine all
 (MRC).  Three evaluators read any table: the density, the distribution
 (incomplete gamma functions) and the Mellin transform E[g^s] (gamma
-functions), which gives the moments and the high-SNR expectation.  A
+functions), which gives the high-SNR expectation and the SC/MRC
+minimum's moments; one receiver's moments are Renyi's exact sums.  A
 table also holds its terms grouped by the kernel the density and the
 distribution compute, so that one call evaluates each distinct
 exp(-lam * x) and incomplete gamma once; the values are those of the
@@ -25,6 +26,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 
 from scipy import special
 
@@ -285,8 +287,17 @@ def gsc_mellin(spec: GscSpec, s: float) -> float:
 
 
 def gsc_moments(spec: GscSpec) -> tuple[float, float]:
-    """(mean, second raw moment) of the combined channel power."""
-    return gsc_mellin(spec, 1), gsc_mellin(spec, 2)
+    """(mean, second raw moment) of the combined channel power.
+
+    By Renyi's representation g is a sum of independent exponentials of
+    means omega * c_i, i = 1..N, with c_i = 1 for i <= n and n/i above, so
+    the mean is omega * sum c and E[g^2] = omega^2 * sum c^2 + mean^2.  The
+    sums are exact fractions, free of the alternating table's cancellation.
+    """
+    n = spec.combined
+    c = [Fraction(1)] * n + [Fraction(n, i) for i in range(n + 1, spec.antennas + 1)]
+    mean = spec.omega * float(sum(c))
+    return mean, spec.omega**2 * float(sum(x * x for x in c)) + mean**2
 
 
 def min_moments(pair: UserPairSpec) -> tuple[float, float]:

@@ -16,10 +16,10 @@ requested quantity of every (split, qos, snr) case on it.
 ``estimate_ec_strong``, ``estimate_ec_weak`` and ``estimate_ergodic``
 are that pass with one case.
 
-Each quantity is one (signal, share) row of ``_QUANTITIES``, which gives
-its term's exponent and how its estimate finishes.  Per batch the pass
-forms 1 + signal once per (a_s, rho, signal) and adds the terms of every
-accumulator that reads it.
+The quantities, their SINRs and term keys are ``capacity``'s model
+(``QUANTITIES``, ``sinr``, ``term_key``), the one ``capacity.exact_cases``
+integrates.  Per batch the pass forms 1 + signal once per
+(a_s, rho, signal) and adds the terms of every accumulator that reads it.
 """
 
 from __future__ import annotations
@@ -30,7 +30,7 @@ from typing import Iterator
 
 import numpy as np
 
-from .capacity import PowerSplit, QosProfile, SnrPoint
+from .capacity import QUANTITIES, Case, PowerSplit, QosProfile, SnrPoint, requested, sinr, term_key
 from .distributions import GscSpec, UserPairSpec
 
 
@@ -221,7 +221,7 @@ def _finish(quantity: str, qos: QosProfile, acc: _MeanAccumulator) -> Estimate:
     Raises FloatingPointError (a numerical failure, not bad input) when
     every EC term underflowed, so that the mean is 0.
     """
-    share = _QUANTITIES[quantity][1]
+    share = QUANTITIES[quantity][1]
     if share is None:
         return Estimate(acc.mean, acc.se_mean, acc.count)
     if qos.is_ergodic_limit:
@@ -276,48 +276,17 @@ def estimate_ec_oma(
 ) -> Estimate:
     """Monte Carlo EC of one OMA user (full power, half rate)."""
     acc = _MeanAccumulator()
-    _, exponent = _term_key("ec_oma_strong", None, qos, snr)
+    (a_s, rho, signal), exponent = term_key("ec_oma_strong", None, qos, snr)
     for g in sample_gsc_power(spec, plan):
-        acc.add(_term(1.0 + snr.rho * g, exponent))
+        acc.add(_term(1.0 + sinr(signal, a_s, rho, g), exponent))
     return _finish("ec_oma_strong", qos, acc)
-
-
-# Quantities of the fused pass, in the order ``validate`` reports them:
-# quantity -> (signal, share).  The signal is what the per-sample term
-# reads: the strong user's SINR a_s rho g_s, the weak user's SINR through
-# g_min, or the full-power SNR rho g of one OMA user.  The share of the
-# resources is 1 for a NOMA EC, 1/2 for an OMA EC (full power over half
-# the resources) and None for an average rate.
-_QUANTITIES = {
-    "ec_strong": ("strong", 1.0),
-    "ec_weak": ("weak", 1.0),
-    "ec_oma_strong": ("oma_strong", 0.5),
-    "ec_oma_weak": ("oma_weak", 0.5),
-    "ergodic_strong": ("strong", None),
-    "ergodic_weak": ("weak", None),
-}
-QUANTITIES = tuple(_QUANTITIES)
-
-Case = tuple[PowerSplit, QosProfile, SnrPoint]
-
-
-def _term_key(quantity: str, split: PowerSplit | None, qos: QosProfile, snr: SnrPoint):
-    """((a_s, rho, signal), exponent): everything the per-sample term of
-    ``quantity`` reads at a case.  An EC's term is (1 + signal)^-exponent
-    with exponent share * nu; a rate's, and an EC's in the ergodic limit
-    (theta -> 0, where nu vanishes), is log2(1 + signal), exponent None.
-    OMA does not read the split (a_s = 0)."""
-    signal, share = _QUANTITIES[quantity]
-    a_s = split.a_s if signal in ("strong", "weak") else 0.0
-    exponent = None if share is None or qos.is_ergodic_limit else share * qos.nu
-    return (a_s, snr.rho, signal), exponent
 
 
 def estimate_cases(
     pair: UserPairSpec,
     cases: list[Case],
     plan: SimPlan,
-    quantities: tuple[str, ...] = QUANTITIES,
+    quantities=tuple(QUANTITIES),
 ) -> list[dict[str, Estimate] | ArithmeticError]:
     """Monte Carlo ``quantities`` of ``pair`` for each (split, qos, snr)
     case, from one pass over the batches.
@@ -332,10 +301,7 @@ def estimate_cases(
     underflowed) gets the ArithmeticError instead, and the other cases
     keep their estimates.
     """
-    unknown = set(quantities) - set(QUANTITIES)
-    if unknown:
-        raise ValueError(f"unknown quantities {sorted(unknown)}; expected {QUANTITIES}")
-    wanted = [q for q in QUANTITIES if q in quantities]
+    wanted = requested(quantities)
     # only the weak user's NOMA quantities read the weak block and g_min
     weak = "ec_weak" in wanted or "ergodic_weak" in wanted
     # (a_s, rho, signal) -> {exponent: accumulator}
@@ -344,23 +310,17 @@ def estimate_cases(
     for case in cases:
         accs = {}
         for q in wanted:
-            group, exponent = _term_key(q, *case)
+            group, exponent = term_key(q, *case)
             accs[q] = groups.setdefault(group, {}).setdefault(exponent, _MeanAccumulator())
         case_accs.append(accs)
     # in (a_s, rho) order, so that one weak SINR array is alive at a time
     ordered = sorted(groups.items())
     for size, rng in _batches(plan):
         gs, gmin, gw_first = _draw_pair(rng, size, pair, weak, "ec_oma_weak" in wanted)
+        powers = {"strong": gs, "weak": gmin, "oma_strong": gs, "oma_weak": gw_first}
         for (a_s, rho, signal), accs in ordered:
             base = None  # free the last one first
-            if signal == "strong":
-                base = 1.0 + a_s * rho * gs
-            elif signal == "weak":
-                # the strong user decodes after interference removal; the
-                # weak user's SINR is limited by g_min
-                base = 1.0 + (1.0 - a_s) * rho * gmin / (a_s * rho * gmin + 1.0)
-            else:
-                base = 1.0 + rho * (gs if signal == "oma_strong" else gw_first)
+            base = 1.0 + sinr(signal, a_s, rho, powers[signal])
             for exponent, acc in accs.items():
                 acc.add(_term(base, exponent))
     results = []

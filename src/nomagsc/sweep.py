@@ -24,8 +24,9 @@ checked at load, before any evaluation, and each of these is a
 exactly one entry; a user pair that is invalid at some ``n`` (a
 non-finite branch power, omega_w >= omega_s, an antenna count out of
 range); a negative or non-finite theta; an SNR whose linear value
-overflows or underflows; a ``block_length`` or ``bandwidth`` <= 0; a
-fixed ``a_s`` outside (0, 0.5); a repeated entry in ``n``, ``snr_db``,
+overflows or underflows; a ``block_length`` or ``bandwidth`` <= 0 or not
+finite; a nu = theta*T*B/ln 2 that overflows; a fixed ``a_s`` outside
+(0, 0.5); a repeated entry in ``n``, ``snr_db``,
 ``theta`` or ``methods``.
 Every requested (point, method) combination produces exactly one row;
 evaluator errors are recorded in-row under ``status`` and never abort

@@ -1,7 +1,8 @@
 """Analytic-vs-Monte-Carlo oracle grid.
 
-Runs every analytic evaluator against its simulation estimate over a
-reference grid and checks agreement within three standard errors.
+Checks every quantity of ``capacity.QUANTITIES`` over a reference grid:
+its exact value (``capacity.exact_cases``) against its Monte Carlo
+estimate (``montecarlo.estimate_cases``), within three standard errors.
 """
 
 from __future__ import annotations
@@ -70,8 +71,9 @@ def run_validation(plan: SimPlan, grid: dict | None = None) -> list[ValidationRo
     """Analytic value against Monte Carlo estimate for every grid point.
 
     Rows come in (rho_db, theta, n, a_s) order with the QUANTITIES of each
-    point.  Monte Carlo runs one fused pass per n: the channel law depends
-    on n only, so every (rho_db, theta, a_s) of that n shares its draws.
+    point.  The channel law depends on n only: per n, one Monte Carlo pass
+    and one ``exact_cases`` call evaluate every (rho_db, theta, a_s), so the
+    points share their draws and each distinct exact term is integrated once.
     """
     if grid is None:
         grid = DEFAULT_GRID
@@ -80,41 +82,22 @@ def run_validation(plan: SimPlan, grid: dict | None = None) -> list[ValidationRo
         (PowerSplit(a_s), QosProfile(theta), SnrPoint.from_db(rho_db))
         for rho_db, theta, a_s in points
     ]
-    estimates = {}
+    values = {}
     for n in grid["n"]:
-        results = montecarlo.estimate_cases(_pair(n), cases, plan)
-        for est in results:
+        estimates = montecarlo.estimate_cases(_pair(n), cases, plan)
+        for est in estimates:
             if isinstance(est, Exception):
                 raise est  # a numerical failure: the run has no table
-        estimates[n] = dict(zip(points, results))
+        exact = capacity.exact_cases(_pair(n), cases)
+        for (rho_db, theta, a_s), analytic, est in zip(points, exact, estimates):
+            values[rho_db, theta, n, a_s] = analytic, est
     rows = []
-    for rho_db in grid["snr_db"]:
-        snr = SnrPoint.from_db(rho_db)
-        # the rates do not depend on theta
-        ergodic = {
-            (n, a_s): capacity.ergodic_rate(_pair(n), PowerSplit(a_s), snr)
-            for n in grid["n"] for a_s in grid["a_s"]
-        }
-        for theta in grid["theta"]:
-            qos = QosProfile(theta)
-            for n in grid["n"]:
-                pair = _pair(n)
-                oma = capacity.evaluate_oma(pair, qos, snr)  # the same for every a_s
-                for a_s in grid["a_s"]:
-                    rep = capacity.evaluate_noma(pair, PowerSplit(a_s), qos, snr)
-                    erg = ergodic[n, a_s]
-                    analytic = (
-                        rep.e_strong, rep.e_weak, oma.e_strong, oma.e_weak,
-                        erg.e_strong, erg.e_weak,
-                    )
-                    est = estimates[n][rho_db, theta, a_s]
-                    for quantity, value in zip(montecarlo.QUANTITIES, analytic):
-                        rows.append(
-                            ValidationRow(
-                                rho_db, theta, n, a_s, quantity, value,
-                                est[quantity].value, est[quantity].std_error,
-                            )
-                        )
+    for point in itertools.product(grid["snr_db"], grid["theta"], grid["n"], grid["a_s"]):
+        analytic, est = values[point]
+        rows += [
+            ValidationRow(*point, q, analytic[q], est[q].value, est[q].std_error)
+            for q in capacity.QUANTITIES
+        ]
     return rows
 
 

@@ -1,6 +1,6 @@
 import pytest
 
-from nomagsc import capacity
+from nomagsc import capacity, numerics
 from nomagsc.numerics import IntegrationError
 
 
@@ -15,3 +15,18 @@ def fail_at_0db(monkeypatch):
         return real(pair, split, qos, snr, *args, **kwargs)
 
     monkeypatch.setattr(capacity, "evaluate_noma", evaluate_noma)
+
+
+@pytest.fixture
+def quadratures(monkeypatch):
+    """The integrand of every ``numerics.integrate_semi_infinite`` call the
+    test makes, in call order."""
+    calls = []
+    integrate = numerics.integrate_semi_infinite
+
+    def counting(f):
+        calls.append(f)
+        return integrate(f)
+
+    monkeypatch.setattr(numerics, "integrate_semi_infinite", counting)
+    return calls

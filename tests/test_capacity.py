@@ -1,9 +1,11 @@
+import itertools
 import math
 
 import pytest
 
 from nomagsc import capacity, distributions
 from nomagsc.capacity import (
+    QUANTITIES,
     EcReport,
     PowerSplit,
     QosProfile,
@@ -18,6 +20,7 @@ from nomagsc.capacity import (
     ergodic_rate_oma,
     evaluate_noma,
     evaluate_oma,
+    exact_cases,
 )
 from nomagsc.distributions import GscSpec, UserPairSpec
 from nomagsc.numerics import IntegrationError
@@ -46,6 +49,12 @@ class TestDomainTypes:
                 QosProfile(bad)
         with pytest.raises(ValueError):
             QosProfile(1.0, block_length=0.0)
+        for kwargs in ({"block_length": math.inf}, {"bandwidth": math.inf}, {"bandwidth": math.nan}):
+            with pytest.raises(ValueError, match="finite"):
+                QosProfile(1.0, **kwargs)
+        # a finite theta, T and B whose product overflows
+        with pytest.raises(ValueError, match="nu"):
+            QosProfile(1e308, block_length=1.0)
 
     def test_power_split(self):
         assert PowerSplit(0.24).a_w == pytest.approx(0.76)
@@ -196,6 +205,12 @@ class TestLowSnr:
         expected = math.log2(math.e) * SPLIT.a_s * gsc_moments(pair.strong)[0]
         assert slope == pytest.approx(expected, rel=0.01)
 
+    def test_overflow_is_validity_error(self):
+        # nu = 1.44e308 is finite, but nu * E[g]^2 overflows and the
+        # second-order term would be inf - inf
+        with pytest.raises(ValidityError, match="not finite"):
+            ec_low_snr(pair44(2), SPLIT, QosProfile(1e308), SnrPoint.from_db(-10))
+
     def test_five_percent_below_minus_ten_db(self):
         for n in (1, 4):
             prev = None
@@ -283,3 +298,88 @@ class TestCombinedEvaluators:
             ec_oma(GscSpec(4, 2, 1.0), QOS1, SNR10)
             + ec_oma(GscSpec(4, 2, 0.1), QOS1, SNR10)
         )
+
+
+def report_values(report: EcReport) -> tuple:
+    return report.e_strong, report.e_weak
+
+
+def outcome(fn, *args):
+    """fn(*args), or the type and message of the IntegrationError it raised."""
+    try:
+        return fn(*args)
+    except IntegrationError as exc:
+        return f"{type(exc).__name__}: {exc}"
+
+
+class TestExactCases:
+    """exact_cases is the one exact model: every public evaluator is a view
+    of it, and a case's values do not depend on what else is asked."""
+
+    PAIRS = {
+        "sc": pair44(1),
+        "mrc": pair44(4),
+        "general": pair44(2),
+        "12-6": UserPairSpec(GscSpec(12, 6, 1.0), GscSpec(12, 6, 0.1)),
+    }
+    # theta 0 and 1e-12 are in the ergodic limit
+    CASES = [
+        (PowerSplit(a_s), QosProfile(theta), SnrPoint.from_db(rho_db))
+        for theta in (0.0, 1e-12, 0.5, 2.0)
+        for a_s in (0.1, 0.24)
+        for rho_db in (0.0, 20.0, 40.0)
+    ]
+    # the quantities of each public evaluator and its values, as a tuple
+    VIEWS = {
+        ("ec_strong",): lambda pair, split, qos, snr: (ec_strong(pair, split, qos, snr),),
+        ("ec_weak",): lambda pair, split, qos, snr: (ec_weak(pair, split, qos, snr),),
+        ("ec_oma_strong",): lambda pair, split, qos, snr: (ec_oma(pair.strong, qos, snr),),
+        ("ec_oma_weak",): lambda pair, split, qos, snr: (ec_oma(pair.weak, qos, snr),),
+        ("ec_strong", "ec_weak"): lambda pair, split, qos, snr: report_values(
+            evaluate_noma(pair, split, qos, snr)
+        ),
+        ("ec_oma_strong", "ec_oma_weak"): lambda pair, split, qos, snr: report_values(
+            evaluate_oma(pair, qos, snr)
+        ),
+        ("ergodic_strong", "ergodic_weak"): lambda pair, split, qos, snr: report_values(
+            ergodic_rate(pair, split, snr)
+        ),
+    }
+
+    @pytest.mark.parametrize("pair", PAIRS.values(), ids=PAIRS.keys())
+    def test_views_equal_the_model(self, pair):
+        # (12, 6) misses the quadrature contract at some cases: exact_cases
+        # raises the error of the first failing case, as its view does
+        for quantities, view in self.VIEWS.items():
+            want = []
+            for case in self.CASES:
+                want.append(outcome(view, pair, *case))
+                if isinstance(want[-1], str):
+                    want = want[-1]
+                    break
+            got = outcome(
+                lambda: [tuple(v.values()) for v in exact_cases(pair, self.CASES, quantities)]
+            )
+            assert got == want, quantities
+
+    @pytest.mark.parametrize("pair", [pair44(1), pair44(4), pair44(2)], ids=["sc", "mrc", "general"])
+    def test_every_subset_equals_the_full_call(self, pair):
+        # the ergodic-limit ECs share the rates' terms
+        cases = [c for c in self.CASES if c[0].a_s == 0.24 and c[2].rho > 1.0]
+        full = exact_cases(pair, cases)
+        assert [list(v) for v in full] == [list(QUANTITIES)] * len(cases)
+        for k in range(1, len(QUANTITIES) + 1):
+            for subset in itertools.combinations(QUANTITIES, k):
+                got = exact_cases(pair, cases, subset[::-1])
+                assert [list(v.items()) for v in got] == [
+                    [(q, v[q]) for q in subset] for v in full
+                ], subset
+
+    def test_unknown_quantity(self):
+        with pytest.raises(ValueError, match="unknown quantities"):
+            exact_cases(pair44(2), self.CASES[:1], ("ec_sum",))
+
+    def test_ergodic_limit_integrates_its_own_half(self, quadratures):
+        value = ec_strong(pair44(2), SPLIT, QosProfile(1e-12), SNR10)
+        assert len(quadratures) == 1
+        assert value == ergodic_rate(pair44(2), SPLIT, SNR10).e_strong

@@ -1,5 +1,6 @@
 import math
 import types
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ from scipy import special
 
 from nomagsc import distributions
 from nomagsc.distributions import (
+    MAX_ANTENNAS,
     GscSpec,
     UserPairSpec,
     gsc_cdf,
@@ -288,6 +290,20 @@ class TestMoments:
     def test_scaled_selection_mean(self):
         mean, _ = gsc_moments(GscSpec(2, 1, 2.0))
         assert mean == pytest.approx(3.0, rel=1e-12)
+
+    def test_moments_are_renyis_exact_sums(self):
+        # g is a sum of exponentials of means omega * c_i, c_i = 1 for i <= n
+        # and n/i above; the alternating table's moments were 200% off at
+        # (16, 15)
+        for N in range(1, MAX_ANTENNAS + 1):
+            for n in range(1, N + 1):
+                omega = 0.1
+                c = [Fraction(1)] * n + [Fraction(n, i) for i in range(n + 1, N + 1)]
+                mean = Fraction(omega) * sum(c)
+                second = Fraction(omega) ** 2 * sum(x * x for x in c) + mean**2
+                m1, m2 = gsc_moments(GscSpec(N, n, omega))
+                assert m1 == pytest.approx(float(mean), rel=1e-13, abs=0), (N, n)
+                assert m2 == pytest.approx(float(second), rel=1e-13, abs=0), (N, n)
 
     def test_moments_match_quadrature(self):
         for N, n, omega in [(4, 2, 1.0), (6, 3, 0.1), (5, 1, 2.0), (4, 4, 1.0)]:

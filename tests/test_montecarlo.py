@@ -15,7 +15,7 @@ from nomagsc.capacity import (
     ergodic_rate,
     ergodic_rate_oma,
 )
-from nomagsc import capacity, montecarlo, validate
+from nomagsc import montecarlo, validate
 from nomagsc.distributions import GscSpec, UserPairSpec
 from nomagsc.montecarlo import (
     QUANTITIES,
@@ -415,34 +415,27 @@ class TestSharedDraw:
         validate.run_validation(SimPlan(samples=3_000, seed=0, batch=1_000))
         assert len(calls) == 80 * len(validate.DEFAULT_GRID["n"]) * 3
 
-    def test_validation_evaluates_oma_once_per_point(self, monkeypatch):
-        # OMA does not depend on a_s: one evaluation per (rho, theta, n)
-        calls = []
-        evaluate_oma = capacity.evaluate_oma
+    def test_validation_integrates_each_exact_term_once(self, quadratures):
+        # per n: 20 ec_strong and 20 ec_weak (a_s, theta, rho), 10 + 10 OMA
+        # (theta, rho) and 10 + 10 ergodic (a_s, rho) terms
+        rows = validate.run_validation(SimPlan(samples=1_000, seed=0))
+        assert len(quadratures) == 80 * len(validate.DEFAULT_GRID["n"]) == 320
+        assert len(rows) == 5 * 2 * 4 * 2 * len(montecarlo.QUANTITIES)
 
-        def counting(pair, qos, snr):
-            calls.append((pair, qos, snr))
-            return evaluate_oma(pair, qos, snr)
-
-        monkeypatch.setattr(capacity, "evaluate_oma", counting)
+    def test_validation_evaluates_oma_once_per_point(self, quadratures):
+        # OMA does not depend on a_s: one term per (rho, theta, n) and user,
+        # 4 + 4 NOMA ECs, 2 + 2 OMA ECs and 4 + 4 rates
         grid = {"snr_db": (0.0, 30.0), "theta": (1.0,), "n": (2,), "a_s": (0.1, 0.24)}
         rows = validate.run_validation(SimPlan(samples=1_000, seed=0), grid)
-        assert len(calls) == len(set(calls)) == 2
+        assert len(quadratures) == 20
         assert len(rows) == 4 * len(montecarlo.QUANTITIES)
 
-    def test_validation_evaluates_ergodic_once_per_point(self, monkeypatch):
-        # the rates do not depend on theta: one evaluation per (rho, n, a_s)
-        calls = []
-        ergodic_rate = capacity.ergodic_rate
-
-        def counting(pair, split, snr):
-            calls.append((pair, split, snr))
-            return ergodic_rate(pair, split, snr)
-
-        monkeypatch.setattr(capacity, "ergodic_rate", counting)
+    def test_validation_evaluates_ergodic_once_per_point(self, quadratures):
+        # the rates do not depend on theta: one term per (rho, n, a_s) and
+        # user, 8 + 8 NOMA ECs, 4 + 4 OMA ECs and 4 + 4 rates
         grid = {"snr_db": (0.0, 30.0), "theta": (0.5, 1.0), "n": (2,), "a_s": (0.1, 0.24)}
         rows = validate.run_validation(SimPlan(samples=1_000, seed=0), grid)
-        assert len(calls) == len(set(calls)) == 4
+        assert len(quadratures) == 32
         assert len(rows) == 8 * len(montecarlo.QUANTITIES)
 
     @pytest.mark.parametrize(

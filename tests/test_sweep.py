@@ -91,6 +91,8 @@ class TestConfigParsing:
             ({"snr_db": [-4000]}, "rho"),
             ({"block_length": 0}, "block length"),
             ({"bandwidth": -1}, "bandwidth"),
+            ({"block_length": json.loads("1e400")}, "finite"),  # JSON reads it as inf
+            ({"theta": [1e308], "block_length": 1.0}, "nu"),
             ({"power": {"a_s": 0.7}}, "a_s"),
             ({"n": [2, 2]}, "'n' has duplicate"),
             ({"snr_db": [0, 10, 0.0]}, "'snr_db' has duplicate"),
@@ -102,7 +104,7 @@ class TestConfigParsing:
         ],
         ids=[
             "negative-theta", "rho-overflow", "rho-underflow", "zero-block-length",
-            "negative-bandwidth", "a_s-0.7", "duplicate-n", "duplicate-snr", "duplicate-theta",
+            "negative-bandwidth", "infinite-block-length", "nu-overflow", "a_s-0.7", "duplicate-n", "duplicate-snr", "duplicate-theta",
             "duplicate-methods",
         ],
     )
