@@ -11,8 +11,8 @@ the model the Monte Carlo side reads too: ``sinr`` gives its signal and
 ``montecarlo.estimate_cases`` averages it, and the exact evaluators are
 its views.  Each term is one ``numerics.expectation`` over a density read
 from ``distributions`` at call time: the GSC density, or for the weak
-user the law of min(g_s, g_w) that ``min_density`` picks (the general
-composition for a rate).  The high-SNR approximation uses the Mellin
+user the law of min(g_s, g_w) that ``min_density`` picks, for an EC and
+a rate alike.  The high-SNR approximation uses the Mellin
 transform ``gsc_mellin``, the low-SNR one the first two moments.  All
 rates are spectral efficiencies in bits/s/Hz.
 """
@@ -158,13 +158,13 @@ def term_key(quantity: str, split: PowerSplit | None, qos: QosProfile, snr: SnrP
 
 
 def _law(pair: UserPairSpec, key) -> tuple:
-    """(density, law) of the channel power the term of ``key`` reads."""
-    (_, _, signal), exponent = key
+    """(density, law) of the channel power the term of ``key`` reads: a
+    receiver's GSC law, or the weak user's law of min(g_s, g_w) that
+    ``min_density`` picks, whether the term is an EC's or a rate's."""
+    (_, _, signal), _ = key
     if signal != "weak":
         return dist.gsc_pdf, pair.weak if signal == "oma_weak" else pair.strong
-    # a rate integrates the general form for every pair: the SC/MRC closed
-    # forms round differently and would move the rates in their last digits
-    return dist.min_pdf_general if exponent is None else dist.min_density(pair), pair
+    return dist.min_density(pair), pair
 
 
 def _expect(key, density, law) -> QuadratureResult:
@@ -266,8 +266,8 @@ def ec_low_snr(
     e2w = LOG2E * a_w * (
         nu * a_w * mm**2 - ((nu + 1.0) * a_w + 2.0 * a_s) * mm2
     )
-    e_strong = rho * e1s + 0.5 * rho**2 * e2s
-    e_weak = rho * e1w + 0.5 * rho**2 * e2w
+    e_strong = rho * e1s + 0.5 * (rho * rho) * e2s
+    e_weak = rho * e1w + 0.5 * (rho * rho) * e2w
     if not math.isfinite(e_strong) or not math.isfinite(e_weak):
         raise ValidityError(f"low-SNR expansion is not finite at nu = {nu:.4g}, rho = {rho:.4g}")
     return EcReport(max(e_strong, 0.0), max(e_weak, 0.0), method="low_snr")

@@ -6,20 +6,20 @@ order-statistics density, an alternating series over the discarded
 branches.  Every closed-form law here is a finite signed sum of gamma
 kernels a * x**m * exp(-lam * x), held once per law as a table of
 (a, m, lam) terms: ``_gsc_terms`` for one receiver, ``_min_terms`` for
-min(g_s, g_w) when both receivers select one branch (SC) or combine all
-(MRC).  Three evaluators read any table: the density, the distribution
-(incomplete gamma functions) and the Mellin transform E[g^s] (gamma
-functions), which gives the high-SNR expectation and the SC/MRC
-minimum's moments; one receiver's moments are Renyi's exact sums.  A
-table also holds its terms grouped by the kernel the density and the
-distribution compute, so that one call evaluates each distinct
-exp(-lam * x) and incomplete gamma once; the values are those of the
-term-by-term sums.  ``min_law`` is the one rule that picks the
-minimum's law from the pair: SC, MRC, otherwise the general composition
-of the two GSC laws, whose moments are integrated numerically through
-``numerics.expectation``.  The density functions are pure: callers that
-integrate many times over the same laws share their values through
-``numerics.reuse_densities``.
+min(g_s, g_w) when both receivers combine all branches (MRC).  Three
+evaluators read any table: the density, the distribution (incomplete
+gamma functions) and the Mellin transform E[g^s] (gamma functions),
+which gives the high-SNR expectation and the MRC minimum's moments; one
+receiver's moments are Renyi's exact sums.  A table also holds its terms
+grouped by the kernel each evaluator computes, so that one call
+evaluates each distinct exp(-lam * x) and incomplete gamma once, with
+the values of the term-by-term sums.  ``min_law`` picks the minimum's
+law from the pair: SC (one branch on both sides: f_s * S_w + f_w * S_s
+over each receiver's best-of-N law, two positive terms), MRC, otherwise
+the general composition of the two GSC laws.  The SC and general laws'
+moments are integrated through ``numerics.expectation``.  The density
+functions are pure: callers that integrate many times over the same
+laws share their values through ``numerics.reuse_densities``.
 """
 from __future__ import annotations
 
@@ -151,20 +151,11 @@ def _gsc_terms(spec: GscSpec) -> _Table:
 
 
 @functools.lru_cache(maxsize=_TABLE_CACHE)
-def _min_terms(pair: UserPairSpec, law: str) -> _Table:
-    """The density of min(g_s, g_w) as gamma kernels, for the "sc" or
-    "mrc" law of ``min_law``."""
+def _min_terms(pair: UserPairSpec) -> _Table:
+    """The density of min(g_s, g_w) as gamma kernels when both receivers
+    combine all branches: one side's gamma density times the other
+    side's gamma survival."""
     s, w = pair.strong, pair.weak
-    if law == "sc":
-        # inclusion-exclusion over the k strong and j weak branches below x
-        terms = []
-        for k in range(1, s.antennas + 1):
-            for j in range(1, w.antennas + 1):
-                chi = k / s.omega + j / w.omega
-                a = (-1.0) ** (k + j) * math.comb(s.antennas, k) * math.comb(w.antennas, j) * chi
-                terms.append((a, 0, chi))
-        return _Table(terms)
-    # one side's gamma density times the other side's gamma survival
     chi = 1.0 / s.omega + 1.0 / w.omega
     return _Table(
         (
@@ -229,13 +220,23 @@ def gsc_cdf(spec: GscSpec, x: float) -> float:
     return min(max(value, 0.0), 1.0)
 
 
+def _best_branch(spec: GscSpec, x: float) -> tuple[float, float]:
+    """(density, survival) at x of the best of N branches, e = exp(-x/omega):
+    (N/omega) * e * (1 - e)**(N-1) and 1 - (1 - e)**N, without cancellation."""
+    N, omega = spec.antennas, spec.omega
+    e = math.exp(-x / omega)
+    f = N / omega * e * (-math.expm1(-x / omega)) ** (N - 1)
+    return f, -math.expm1(N * math.log1p(-e)) if e < 1.0 else 1.0
+
+
 def min_pdf_sc(pair: UserPairSpec, x: float) -> float:
-    """Density of min(g_s, g_w) when both receivers select one branch."""
+    """Density f_s * S_w + f_w * S_s of min(g_s, g_w) when both receivers select one branch."""
     if not pair.is_sc:
         raise ValueError("min_pdf_sc requires single-branch selection on both sides")
     if x < 0:
         raise DomainError(f"min_pdf_sc requires x >= 0, got {x}")
-    return _density(_min_terms(pair, "sc"), x)
+    (f_s, s_s), (f_w, s_w) = _best_branch(pair.strong, x), _best_branch(pair.weak, x)
+    return f_s * s_w + f_w * s_s
 
 
 def min_pdf_mrc(pair: UserPairSpec, x: float) -> float:
@@ -244,7 +245,7 @@ def min_pdf_mrc(pair: UserPairSpec, x: float) -> float:
         raise ValueError("min_pdf_mrc requires full combining on both sides")
     if x < 0:
         raise DomainError(f"min_pdf_mrc requires x >= 0, got {x}")
-    return _density(_min_terms(pair, "mrc"), x)
+    return _density(_min_terms(pair), x)
 
 
 def min_pdf_general(pair: UserPairSpec, x: float) -> float:
@@ -301,12 +302,10 @@ def gsc_moments(spec: GscSpec) -> tuple[float, float]:
 
 
 def min_moments(pair: UserPairSpec) -> tuple[float, float]:
-    """(mean, second raw moment) of min(g_s, g_w): closed forms for the
-    SC and MRC laws, quadrature over the general density otherwise."""
-    law = min_law(pair)
-    if law != "general":
-        terms = _min_terms(pair, law)
+    """(mean, second raw moment) of min(g_s, g_w): closed Mellin moments
+    for the MRC law, quadrature over ``min_density`` otherwise."""
+    if min_law(pair) == "mrc":
+        terms = _min_terms(pair)
         return _mellin(terms, 1), _mellin(terms, 2)
-    m1 = expectation(lambda x: x, min_pdf_general, pair).value
-    m2 = expectation(lambda x: x * x, min_pdf_general, pair).value
-    return m1, m2
+    density = min_density(pair)
+    return tuple(expectation(h, density, pair).value for h in (lambda x: x, lambda x: x * x))

@@ -198,6 +198,7 @@ def definitions() -> list:
             rows.append(_row("ec_weak", _ec(4, n, theta, db), _weak_routes(4, n)))
     for n in (1, 6, 9):
         rows.append(_row("ec_weak", _ec(12, n, 1.0, 10), _weak_routes(12, n)))
+    rows.append(_row("ec_weak", _pair(12, 1, a_s=0.1, theta=2.0, snr_db=20), _weak_routes(12, 1)))
     # OMA
     for n, omega in ((1, 1.0), (2, 1.0), (3, 1.0), (4, 1.0), (2, 0.1)):
         rows.append(_row("ec_oma", _oma(4, n, omega, 1.0, 10), both))

@@ -211,6 +211,11 @@ class TestLowSnr:
         with pytest.raises(ValidityError, match="not finite"):
             ec_low_snr(pair44(2), SPLIT, QosProfile(1e308), SnrPoint.from_db(-10))
 
+    def test_huge_snr_is_validity_error(self):
+        # rho = 1e160 is finite, but rho^2 overflows to inf
+        with pytest.raises(ValidityError, match="not finite"):
+            ec_low_snr(pair44(2), SPLIT, QOS05, SnrPoint.from_db(1600))
+
     def test_five_percent_below_minus_ten_db(self):
         for n in (1, 4):
             prev = None

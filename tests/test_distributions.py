@@ -2,10 +2,12 @@ import math
 import types
 from fractions import Fraction
 
+import mpmath as mp
 import numpy as np
 import pytest
 from scipy import special
 
+import mp_oracle
 from nomagsc import distributions
 from nomagsc.distributions import (
     MAX_ANTENNAS,
@@ -176,17 +178,14 @@ class TestKernelGroups:
         for ns in range(1, 7):
             for nw in range(1, 7):
                 for omega_s, omega_w in ((1.0, 0.1), (3.7, 1.0)):
-                    strong, weak = GscSpec(ns, 1, omega_s), GscSpec(nw, 1, omega_w)
-                    sc = UserPairSpec(strong, weak)
-                    mrc = UserPairSpec(GscSpec(ns, ns, omega_s), GscSpec(nw, nw, omega_w))
-                    for form, pair, law in ((min_pdf_sc, sc, "sc"), (min_pdf_mrc, mrc, "mrc")):
-                        table = distributions._min_terms(pair, law)
-                        terms = list(table)
-                        for x in KERNEL_XS:
-                            assert form(pair, x) == _per_term_density(terms, x), (pair, x)
-                            assert distributions._distribution(table, x) == (
-                                _per_term_distribution(terms, x)
-                            ), (pair, x)
+                    pair = UserPairSpec(GscSpec(ns, ns, omega_s), GscSpec(nw, nw, omega_w))
+                    table = distributions._min_terms(pair)
+                    terms = list(table)
+                    for x in KERNEL_XS:
+                        assert min_pdf_mrc(pair, x) == _per_term_density(terms, x), (pair, x)
+                        assert distributions._distribution(table, x) == (
+                            _per_term_distribution(terms, x)
+                        ), (pair, x)
 
     def test_one_evaluation_per_distinct_kernel(self, monkeypatch):
         # at (12, 6) the table has 37 terms over 7 rates: 12 with m = 0
@@ -224,6 +223,26 @@ class TestMinPdfs:
     def test_sc_exponential_min_density(self):
         pair = UserPairSpec(GscSpec(1, 1, 1.0), GscSpec(1, 1, 0.1))
         assert min_pdf_sc(pair, 0.1) == pytest.approx(11 * math.exp(-1.1), rel=1e-12)
+
+    def test_sc_law_matches_40_digits(self):
+        # f_s * S_w + f_w * S_s against the oracle's closed best-of-N law,
+        # whose survival is -expm1(N * log1p(-e)) (1 - (1 - e)**N loses it
+        # in the tail).  The bound is a few ulps times the law's condition:
+        # an argument rounded by half an ulp moves exp(-x/omega) by x/omega
+        # half-ulps, and (1 - e)**(N-1) multiplies the error of 1 - e by N - 1.
+        xs = [1e-3, 1e-2] + [k * 0.5 for k in range(121)]
+        for ns in (1, 2, 4, 12, 16):
+            for nw in (1, 2, 4, 12, 16):
+                for omega_s, omega_w in ((1.0, 0.1), (3.7, 1.0)):
+                    pair = UserPairSpec(GscSpec(ns, 1, omega_s), GscSpec(nw, 1, omega_w))
+                    for x in (u * omega_s for u in xs):
+                        with mp.workdps(40):
+                            (f_s, s_s), (f_w, s_w) = (
+                                mp_oracle.closed_law(spec, mp.mpf(x)) for spec in (pair.strong, pair.weak)
+                            )
+                            ref = f_s * s_w + f_w * s_s
+                        tol = 3 * 2.0**-52 * (max(ns, nw) + x / omega_w)
+                        assert abs(min_pdf_sc(pair, x) - ref) <= tol * ref, (pair, x)
 
     def test_sc_frozen_monte_carlo_value(self):
         # empirical density of min of two 4-branch maxima, 1e7 samples

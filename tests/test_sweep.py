@@ -180,6 +180,11 @@ class TestRunSweep:
             else:
                 assert row.status == "ok"
 
+    def test_low_snr_overflow_recorded_in_row(self):
+        spec = make_spec(n=[2], snr_db=[1600], theta=[0.5], methods=["low_snr"])
+        (row,) = run_sweep(spec)
+        assert row.status.startswith("invalid:") and row.e_sum is None
+
     def test_search_column_reports_optimum(self):
         spec = make_spec(
             n=[4],

@@ -52,7 +52,7 @@ def test_wrappers_install_and_restore(tracing):
 
 
 @pytest.mark.parametrize(
-    "n, low_snr_quads", [(1, 0), (4, 0), (2, 2)], ids=["sc", "mrc", "general"]
+    "n, low_snr_quads", [(1, 2), (4, 0), (2, 2)], ids=["sc", "mrc", "general"]
 )
 def test_one_quadrature_span_per_expectation(tracing, n, low_snr_quads):
     # every analytic expectation reaches numerics.integrate_semi_infinite
