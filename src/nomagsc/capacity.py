@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 from . import distributions as dist
 from .distributions import GscSpec, UserPairSpec
-from .numerics import IntegrationError, QuadratureResult, expectation
+from .numerics import IntegrationError, QuadratureResult, expectation, reuse_densities
 
 LOG2E = math.log2(math.e)
 
@@ -192,18 +192,20 @@ def exact_cases(pair: UserPairSpec, cases: list[Case], quantities=tuple(QUANTITI
     """Exact ``quantities`` of ``pair``: one {quantity: value} dict per
     (split, qos, snr) case, in QUANTITIES order.  Cases share the
     expectation of each distinct (a_s, rho, signal, exponent), integrated
-    once; terms finish in case, then QUANTITIES order, and the first
-    failure raises."""
+    once, and the call runs in one ``numerics.reuse_densities`` block, so
+    its terms share their density values; terms finish in case, then
+    QUANTITIES order, and the first failure raises."""
     wanted = requested(quantities)
     results: dict[tuple, QuadratureResult] = {}
     values = []
-    for split, qos, snr in cases:
-        values.append({})
-        for q in wanted:
-            key = term_key(q, split, qos, snr)
-            if key not in results:
-                results[key] = _expect(key, *_law(pair, key))
-            values[-1][q] = _finish(q, qos, results[key])
+    with reuse_densities():
+        for split, qos, snr in cases:
+            values.append({})
+            for q in wanted:
+                key = term_key(q, split, qos, snr)
+                if key not in results:
+                    results[key] = _expect(key, *_law(pair, key))
+                values[-1][q] = _finish(q, qos, results[key])
     return values
 
 

@@ -19,7 +19,8 @@ over each receiver's best-of-N law, two positive terms), MRC, otherwise
 the general composition of the two GSC laws.  The SC and general laws'
 moments are integrated through ``numerics.expectation``.  The density
 functions are pure: callers that integrate many times over the same
-laws share their values through ``numerics.reuse_densities``.
+laws share their values through ``numerics.reuse_densities``, and the
+general minimum reads its two GSC densities through the same store.
 """
 from __future__ import annotations
 
@@ -30,7 +31,7 @@ from fractions import Fraction
 
 from scipy import special
 
-from .numerics import DomainError, expectation
+from .numerics import DomainError, density_value, expectation
 
 # The signs in ``_gsc_terms`` alternate, and the table's sums lose roughly
 # one digit per discarded branch; past this many antennas its values are
@@ -249,13 +250,14 @@ def min_pdf_mrc(pair: UserPairSpec, x: float) -> float:
 
 
 def min_pdf_general(pair: UserPairSpec, x: float) -> float:
-    """Density of min(g_s, g_w) for arbitrary combining on either side."""
+    """Density f_w * (1 - F_s) + f_s * (1 - F_w) of min(g_s, g_w) for
+    arbitrary combining on either side; f_s and f_w are read through
+    ``numerics.density_value``, so a block computes each once."""
     if x < 0:
         raise DomainError(f"min_pdf_general requires x >= 0, got {x}")
     s, w = pair.strong, pair.weak
-    return gsc_pdf(w, x) * (1.0 - gsc_cdf(s, x)) + gsc_pdf(s, x) * (
-        1.0 - gsc_cdf(w, x)
-    )
+    f_s, f_w = density_value(gsc_pdf, s, x), density_value(gsc_pdf, w, x)
+    return f_w * (1.0 - gsc_cdf(s, x)) + f_s * (1.0 - gsc_cdf(w, x))
 
 
 def min_law(pair: UserPairSpec) -> str:

@@ -8,7 +8,9 @@ max(ABS_TOL, REL_TOL * |value|) within MAX_SUBDIVISIONS subintervals.
 Every analytic expectation E[h(g)] over a channel-power law is one
 ``expectation`` call, the one place that integrates a density.  Inside a
 ``reuse_densities`` block it computes each density value once, for
-callers that integrate many times over the same laws.
+callers that integrate many times over the same laws: a serial sweep,
+one ``capacity.exact_cases`` call and a power search each run in one
+block.
 """
 
 from __future__ import annotations
@@ -78,8 +80,8 @@ def integrate_semi_infinite(f) -> QuadratureResult:
     return QuadratureResult(value, abserr, info["last"])
 
 
-# The density values of the innermost ``reuse_densities`` block, keyed by
-# (density, law, x); None outside every block.
+# The density values of the outermost ``reuse_densities`` block: one
+# {x: value} dict per (density, law); None outside every block.
 _DENSITIES: contextvars.ContextVar[dict | None] = contextvars.ContextVar(
     "_DENSITIES", default=None
 )
@@ -90,31 +92,52 @@ def reuse_densities():
     """Inside the block, ``expectation`` computes each density at one
     (law, x) once and uses the stored value on every later call.
 
-    QUADPACK's rule for [0, inf) evaluates every integral over one law at
+    QUADPACK's rule for [0, inf) evaluates every integral over one law on
     the same nodes, so expectations that share a law share nearly all
-    their density values.  The values are exactly the computed ones; the
-    store is dropped when the block ends.
+    their density values.  The values are exactly the computed ones.  A
+    block opened inside another joins the outer block's store, and the
+    store is dropped when the outermost block ends.
     """
-    token = _DENSITIES.set({})
+    token = _DENSITIES.set({}) if _DENSITIES.get() is None else None
     try:
         yield
     finally:
-        _DENSITIES.reset(token)
+        if token is not None:
+            _DENSITIES.reset(token)
+
+
+def _values(density, law) -> dict:
+    """The {x: value} dict of (density, law): the store's inside a
+    ``reuse_densities`` block, a fresh one otherwise."""
+    store = _DENSITIES.get()
+    return {} if store is None else store.setdefault((density, law), {})
+
+
+def density_value(density, law, x: float) -> float:
+    """``density(law, x)``, read and stored where ``expectation`` reads,
+    so that a law composed from other densities computes each of them
+    once per ``reuse_densities`` block."""
+    values = _values(density, law)
+    try:
+        return values[x]
+    except KeyError:
+        value = values[x] = density(law, x)
+        return value
 
 
 def expectation(h, density, law) -> QuadratureResult:
     """E[h(g)] for g with density ``density(law, x)`` on [0, inf), under
-    the tolerance contract of ``integrate_semi_infinite``."""
-    store = _DENSITIES.get()
-    if store is None:
-        return integrate_semi_infinite(lambda x: h(x) * density(law, x))
+    the tolerance contract of ``integrate_semi_infinite``.  The density
+    values are read through the {x: value} dict of (density, law), looked
+    up once per call: the store's inside a ``reuse_densities`` block, a
+    fresh one otherwise."""
+    values = _values(density, law)
 
     def integrand(x):
-        key = (density, law, x)
         try:
-            value = store[key]
+            value = values[x]
         except KeyError:
-            value = store[key] = density(law, x)
+            value = values[x] = density(law, x)
         return h(x) * value
 
     return integrate_semi_infinite(integrand)

@@ -69,8 +69,9 @@ def optimize_power(
     ``ergodic_rate`` for sum rate.  The splits integrate over the same
     channel laws at the same quadrature nodes, so the whole scan runs in
     one ``numerics.reuse_densities`` block: each density value is
-    computed once per search and dropped when the search returns or
-    fails.  Every value is the one a separate evaluation per split gives.
+    computed once per search, or once per enclosing block (a serial
+    sweep), and dropped when the outermost block ends.  Every value is
+    the one a separate evaluation per split gives.
     Raises SearchError, naming the split, when the objective fails.
     """
     best = None

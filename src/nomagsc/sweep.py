@@ -47,6 +47,7 @@ from . import capacity, montecarlo
 from .capacity import PowerSplit, QosProfile, SnrPoint, ValidityError
 from .distributions import GscSpec, UserPairSpec
 from .montecarlo import SimPlan
+from .numerics import reuse_densities
 from .optimizer import SearchSpec, optimize_power
 
 METHODS = ("exact", "high_snr", "low_snr", "oma", "ergodic", "montecarlo")
@@ -328,14 +329,18 @@ def worker_count() -> int:
 def run_sweep(spec: SweepSpec) -> list[SweepRow]:
     """Evaluate the full grid; rows come back in lexicographic grid order
     (rho_db, theta, n) then canonical method order.  Without methods there
-    are no rows, and no point is evaluated."""
+    are no rows, and no point is evaluated.  Run serially, the whole sweep
+    is one ``numerics.reuse_densities`` block: its points, methods and
+    power searches integrate over few channel laws, and share their
+    density values.  Worker processes do not share them across points."""
     if not spec.methods:
         return []
     workers = worker_count()
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             return _run(spec, pool.map)
-    return _run(spec, map)
+    with reuse_densities():
+        return _run(spec, map)
 
 
 def _run(spec: SweepSpec, mapper) -> list[SweepRow]:

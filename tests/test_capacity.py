@@ -3,7 +3,7 @@ import math
 
 import pytest
 
-from nomagsc import capacity, distributions
+from nomagsc import capacity, distributions, validate
 from nomagsc.capacity import (
     QUANTITIES,
     EcReport,
@@ -366,6 +366,19 @@ class TestExactCases:
                 lambda: [tuple(v.values()) for v in exact_cases(pair, self.CASES, quantities)]
             )
             assert got == want, quantities
+
+    @pytest.mark.parametrize("n", [1, 2, 4])
+    def test_validate_grid_equals_per_case_calls(self, n):
+        # one call shares density values across its cases; each value is
+        # the one a call of its own case gives
+        grid = validate.DEFAULT_GRID
+        points = itertools.product(grid["snr_db"], grid["theta"], grid["a_s"])
+        cases = [
+            (PowerSplit(a_s), QosProfile(theta), SnrPoint.from_db(rho_db))
+            for rho_db, theta, a_s in points
+        ]
+        pair = validate._pair(n)
+        assert exact_cases(pair, cases) == [exact_cases(pair, [case])[0] for case in cases]
 
     @pytest.mark.parametrize("pair", [pair44(1), pair44(4), pair44(2)], ids=["sc", "mrc", "general"])
     def test_every_subset_equals_the_full_call(self, pair):

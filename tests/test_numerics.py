@@ -228,10 +228,27 @@ class TestReuseDensities:
             for _ in range(2):
                 with pytest.raises(DomainError):
                     expectation(lambda x: 1.0, density, "law")
-            stored = numerics._DENSITIES.get()
-            assert stored and all(x <= 5.0 for _, _, x in stored)
+            stored = numerics._DENSITIES.get()[density, "law"]
+            assert stored and all(x <= 5.0 for x in stored)
         # the second pass computed the failing node again
         assert len(raised) == 2 and raised[0] == raised[1]
+
+    def test_nested_blocks_share_one_store(self):
+        density = _Counted(lambda law, x: math.exp(-x))
+        with pytest.raises(IntegrationError):
+            with reuse_densities():
+                outer = numerics._DENSITIES.get()
+                with reuse_densities():
+                    assert numerics._DENSITIES.get() is outer
+                    first = expectation(lambda x: x, density, "law")
+                # the inner block's values outlive it
+                assert numerics._DENSITIES.get() is outer and outer[density, "law"]
+                density.seen.clear()
+                with reuse_densities():
+                    assert expectation(lambda x: x, density, "law") == first
+                    assert density.seen == []
+                    raise IntegrationError("an inner block fails")
+        assert numerics._DENSITIES.get() is None
 
     def test_store_ends_with_the_block(self):
         density = _Counted(lambda law, x: math.exp(-x))

@@ -1,3 +1,4 @@
+import collections
 import csv
 import dataclasses
 import json
@@ -5,7 +6,7 @@ import math
 
 import pytest
 
-from nomagsc import capacity, montecarlo, sweep
+from nomagsc import capacity, distributions, montecarlo, sweep
 from nomagsc.capacity import PowerSplit, QosProfile, SnrPoint
 from nomagsc.distributions import GscSpec, UserPairSpec
 from nomagsc.figures import figure_spec, generate_figure
@@ -31,6 +32,7 @@ BASE_CONFIG = {
     "power": {"a_s": 0.24},
     "methods": ["exact", "oma"],
 }
+SEARCH = {"search": {"a_min": 0.08, "a_max": 0.24, "step": 0.08}}
 
 
 def make_spec(**overrides) -> SweepSpec:
@@ -279,6 +281,36 @@ class TestRunSweep:
         monkeypatch.setenv("NOMAGSC_WORKERS", "2")
         assert run_sweep(spec) == serial
 
+    @pytest.mark.parametrize("power", [{"a_s": 0.24}, SEARCH], ids=["fixed", "search"])
+    def test_one_sweep_equals_a_sweep_per_point(self, monkeypatch, power):
+        # a serial sweep shares density values across its points and methods
+        monkeypatch.delenv("NOMAGSC_WORKERS", raising=False)
+        spec = make_spec(
+            n=[1, 2, 4], snr_db=[0, 20, 40], theta=[0.5, 1.0], power=power,
+            methods=["exact", "high_snr", "low_snr", "oma", "ergodic"],
+        )
+        per_point = [
+            row
+            for rho_db, theta, n, *_ in spec.points()
+            for row in run_sweep(
+                dataclasses.replace(spec, n_values=(n,), snr_db=(rho_db,), theta=(theta,))
+            )
+        ]
+        assert run_sweep(spec) == per_point
+
+    def test_figure_computes_each_density_value_once(self, monkeypatch):
+        computed = collections.Counter()
+        density = distributions._density
+
+        def counted(table, x):
+            computed[table, x] += 1
+            return density(table, x)
+
+        monkeypatch.delenv("NOMAGSC_WORKERS", raising=False)
+        monkeypatch.setattr(distributions, "_density", counted)
+        run_sweep(figure_spec("fig3"))
+        assert computed and max(computed.values()) == 1
+
     def test_figure_calls_point_evaluator_once_per_point(self, monkeypatch, tmp_path):
         # the serial run reads sweep._evaluate_point at call time, once per
         # grid point, so that a wrapper installed there sees every point
@@ -295,9 +327,6 @@ class TestRunSweep:
         spec = figure_spec("fig3")
         assert len(calls) == 28
         assert [point for _, point in calls] == list(spec.points())
-
-
-SEARCH = {"search": {"a_min": 0.08, "a_max": 0.24, "step": 0.08}}
 
 
 def per_point_montecarlo(spec: SweepSpec, row):
