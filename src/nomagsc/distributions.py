@@ -3,24 +3,25 @@
 The combined power of the n strongest of N i.i.d. Rayleigh branches
 (each branch power exponential with mean Omega) has the classical
 order-statistics density, an alternating series over the discarded
-branches.  Every closed-form law here is a finite signed sum of gamma
+branches.  Two closed-form laws here are finite signed sums of gamma
 kernels a * x**m * exp(-lam * x), held once per law as a table of
-(a, m, lam) terms: ``_gsc_terms`` for one receiver, ``_min_terms`` for
-min(g_s, g_w) when both receivers combine all branches (MRC).  Three
-evaluators read any table: the density, the distribution (incomplete
-gamma functions) and the Mellin transform E[g^s] (gamma functions),
-which gives the high-SNR expectation and the MRC minimum's moments; one
-receiver's moments are Renyi's exact sums.  A table also holds its terms
-grouped by the kernel each evaluator computes, so that one call
-evaluates each distinct exp(-lam * x) and incomplete gamma once, with
-the values of the term-by-term sums.  ``min_law`` picks the minimum's
-law from the pair: SC (one branch on both sides: f_s * S_w + f_w * S_s
-over each receiver's best-of-N law, two positive terms), MRC, otherwise
-the general composition of the two GSC laws.  The SC and general laws'
-moments are integrated through ``numerics.expectation``.  The density
-functions are pure: callers that integrate many times over the same
-laws share their values through ``numerics.reuse_densities``, and the
-general minimum reads its two GSC densities through the same store.
+(a, m, lam) terms: ``_gsc_terms`` for one receiver's density, and
+``_min_terms`` for min(g_s, g_w) when both receivers combine all
+branches (MRC).  Two evaluators read a table: the density, which
+computes each distinct exp(-lam * x) once, and the Mellin transform
+E[g^s] (gamma functions), which gives the high-SNR expectation and the
+MRC minimum's moments; one receiver's moments are Renyi's exact sums.
+
+By Renyi's representation, g = omega * sum_i c_i E_i is also a positive
+mixture of gamma laws of one scale (Moschopoulos 1985), ``_mixture``:
+no term of it cancels, at any N.  ``gsc_cdf`` and the general law of the
+minimum read it.  ``min_law`` picks the minimum's law from the pair: SC
+(one branch on both sides), MRC, otherwise the general law; the SC and
+general laws are f_s * S_w + f_w * S_s over each receiver's (density,
+survival) pair, from the best-of-N law or the mixture.  The SC and
+general laws' moments are integrated through ``numerics.expectation``.
+The density functions are pure: callers that integrate many times over
+the same laws share their values through ``numerics.reuse_densities``.
 """
 from __future__ import annotations
 
@@ -28,10 +29,12 @@ import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
+import numpy as np
 from scipy import special
 
-from .numerics import DomainError, density_value, expectation
+from .numerics import DomainError, expectation
 
 # The signs in ``_gsc_terms`` alternate, and the table's sums lose roughly
 # one digit per discarded branch; past this many antennas its values are
@@ -104,14 +107,9 @@ def _grouped(items) -> tuple:
 class _Table:
     """One law as gamma kernels: density = scale * sum a * x**m * exp(-lam * x).
 
-    It iterates as its (a, m, lam) terms, and holds them grouped by the
-    kernel each evaluator computes, so that one call computes each
-    distinct kernel once.  ``by_rate`` serves the density:
-    (lam, ((a, m), ...)), one exp(-lam * x) per rate.  ``by_kernel`` serves
-    the distribution: ((m+1, lam), (a * m!/lam**(m+1), ...)), one
-    1 - exp(-lam * x) (m = 0) or incomplete gamma P(m+1, lam * x) per key.
-    It is built on first use, because its coefficients can raise (lam = 0)
-    where the density does not.
+    It iterates as its (a, m, lam) terms, and holds them grouped by rate
+    for the density, (lam, ((a, m), ...)), so that one call computes each
+    distinct exp(-lam * x) once.
     """
 
     def __init__(self, terms, scale: float = 1.0):
@@ -121,13 +119,6 @@ class _Table:
 
     def __iter__(self):
         return iter(self.terms)
-
-    @functools.cached_property
-    def by_kernel(self) -> tuple:
-        return _grouped(
-            ((m + 1, lam), a / lam if m == 0 else a * math.factorial(m) / lam ** (m + 1))
-            for a, m, lam in self.terms
-        )
 
 
 @functools.lru_cache(maxsize=_TABLE_CACHE)
@@ -187,20 +178,6 @@ def _density(t: _Table, x: float) -> float:
     )
 
 
-def _distribution(t: _Table, x: float) -> float:
-    """Integral of the density over [0, x]: a * m!/lam**(m+1) * P(m+1, lam*x)
-    per term, with P the regularized lower incomplete gamma, which is
-    1 - exp(-lam*x) when m = 0."""
-    return t.scale * math.fsum(
-        [
-            c * p
-            for (k, lam), cs in t.by_kernel
-            for p in (1.0 - math.exp(-lam * x) if k == 1 else special.gammainc(k, lam * x),)
-            for c in cs
-        ]
-    )
-
-
 def _mellin(t: _Table, s: float) -> float:
     """Integral of x**s times the density: a * Gamma(m+s+1)/lam**(m+s+1) per term."""
     return t.scale * math.fsum(a * math.gamma(m + s + 1) / lam ** (m + s + 1) for a, m, lam in t)
@@ -213,14 +190,6 @@ def gsc_pdf(spec: GscSpec, x: float) -> float:
     return _density(_gsc_terms(spec), x)
 
 
-def gsc_cdf(spec: GscSpec, x: float) -> float:
-    """Distribution function, by term-by-term integration of the density."""
-    if x < 0:
-        raise DomainError(f"gsc_cdf requires x >= 0, got {x}")
-    value = _distribution(_gsc_terms(spec), x)
-    return min(max(value, 0.0), 1.0)
-
-
 def _best_branch(spec: GscSpec, x: float) -> tuple[float, float]:
     """(density, survival) at x of the best of N branches, e = exp(-x/omega):
     (N/omega) * e * (1 - e)**(N-1) and 1 - (1 - e)**N, without cancellation."""
@@ -228,6 +197,97 @@ def _best_branch(spec: GscSpec, x: float) -> tuple[float, float]:
     e = math.exp(-x / omega)
     f = N / omega * e * (-math.expm1(-x / omega)) ** (N - 1)
     return f, -math.expm1(N * math.log1p(-e)) if e < 1.0 else 1.0
+
+
+class _Mixture(NamedTuple):
+    """One receiver's law as a positive gamma mixture: g has the law of
+    sum_k weights[k] * Gamma(N + k, scale), scale = omega * n/N."""
+
+    weights: np.ndarray
+    # survival[j] = sum of weights[k] over k > j - N, for j < N + K - 1
+    survival: np.ndarray
+    # 1, 1, 2, ..., N + K - 2: t_j = t_(j-1) * y/j builds the Poisson terms
+    divisors: np.ndarray
+
+
+# weight the mixture may leave out
+_MIXTURE_TAIL = 1e-17
+
+
+@functools.lru_cache(maxsize=_TABLE_CACHE)
+def _mixture(antennas: int, combined: int) -> _Mixture:
+    """Moschopoulos' (1985) gamma mixture of the law of the n strongest of N.
+
+    By Renyi, g = omega * sum_i c_i E_i with c_i = 1 for i <= n and n/i
+    above.  Against the smallest scale omega * n/N each term is a
+    geometric mixture of gamma laws, so g is a mixture of
+    Gamma(N + k, omega * n/N) whose weights are the law of a sum of
+    independent geometric counts of ratios r_i = 1 - n/N (n of them) and
+    1 - i/N (i = n+1..N-1; r_N = 0):
+    w_0 = prod(1 - r_i), w_k = (1/k) sum_(i=1..k) (sum r^i) w_(k-i).
+    Every term is positive.  The weights are log-concave, so once they
+    fall the ratio w_k/w_(k-1) only decreases, and w_k * ratio/(1 - ratio)
+    bounds the weight left out; the table stops when that is at most
+    _MIXTURE_TAIL.  The weights depend on (N, n) only, not on omega.
+    """
+    N, n = antennas, combined
+    # N * r_i: w_0 and the power sums are ratios of integers, each rounded
+    # once (a rounded r_i would carry its error k-fold into r_i**k)
+    numerators = [N - n] * n + [N - i for i in range(n + 1, N)]
+    weights, power_sums = [n**n * math.prod(range(n + 1, N)) / N ** len(numerators)], []
+    while n < N:
+        k = len(weights)
+        power_sums.append(sum(m**k for m in numerators) / N**k)
+        weights.append(float(np.dot(power_sums, weights[::-1])) / k)
+        ratio = weights[-1] / weights[-2]
+        if ratio < 1 and weights[-1] * ratio / (1 - ratio) <= _MIXTURE_TAIL:
+            break
+    w = np.array(weights)
+    tails = np.cumsum(w[::-1])[::-1]
+    divisors = np.arange(N + len(w) - 1, dtype=float)
+    divisors[0] = 1.0
+    survival = np.concatenate([np.full(N - 1, tails[0]), tails])
+    return _Mixture(w, survival, divisors)
+
+
+def _receiver(spec: GscSpec, x: float) -> tuple[float, float]:
+    """(density, survival) of one receiver's combined power at x, as sums
+    of positive terms: the best-of-N law for n = 1, the mixture otherwise.
+
+    With y = x/scale and the Poisson terms t_j = exp(-y) * y**j/j!, the
+    mixture's density is sum_k w_k * t_(N-1+k)/scale and its survival
+    sum_k w_k * sum_(j<N+k) t_j = sum_j survival[j] * t_j.
+    """
+    N, n = spec.antennas, spec.combined
+    if n == 1:
+        return _best_branch(spec, x)
+    m = _mixture(N, n)
+    scale = spec.omega * n / N
+    y = x / scale
+    e = math.exp(-y)
+    # past y = 745 exp(-y) underflows; there every t_j with j < N + K
+    # (K <= 343 terms for N <= 16) is below 1e-55, far under the weight
+    # the mixture leaves out, and the far tail costs no array work
+    if e == 0.0:
+        return 0.0, 0.0
+    t = y / m.divisors
+    t[0] = e
+    t.cumprod(out=t)
+    return float(m.weights.dot(t[N - 1 :])) / scale, float(m.survival.dot(t))
+
+
+def gsc_cdf(spec: GscSpec, x: float) -> float:
+    """Distribution function: (1 - exp(-x/omega))**N for n = 1, otherwise
+    the mixture's sum_k w_k * P(N + k, x/scale) with P the regularized
+    lower incomplete gamma; a sum of positive terms either way."""
+    if x < 0:
+        raise DomainError(f"gsc_cdf requires x >= 0, got {x}")
+    N, n = spec.antennas, spec.combined
+    if n == 1:
+        return (-math.expm1(-x / spec.omega)) ** N
+    m = _mixture(N, n)
+    shapes = N + np.arange(len(m.weights))
+    return float(m.weights.dot(special.gammainc(shapes, x / (spec.omega * n / N))))
 
 
 def min_pdf_sc(pair: UserPairSpec, x: float) -> float:
@@ -250,14 +310,13 @@ def min_pdf_mrc(pair: UserPairSpec, x: float) -> float:
 
 
 def min_pdf_general(pair: UserPairSpec, x: float) -> float:
-    """Density f_w * (1 - F_s) + f_s * (1 - F_w) of min(g_s, g_w) for
-    arbitrary combining on either side; f_s and f_w are read through
-    ``numerics.density_value``, so a block computes each once."""
+    """Density f_s * S_w + f_w * S_s of min(g_s, g_w) for arbitrary
+    combining on either side, over each receiver's (density, survival)
+    from ``_receiver``: positive terms, free of cancellation at any N."""
     if x < 0:
         raise DomainError(f"min_pdf_general requires x >= 0, got {x}")
-    s, w = pair.strong, pair.weak
-    f_s, f_w = density_value(gsc_pdf, s, x), density_value(gsc_pdf, w, x)
-    return f_w * (1.0 - gsc_cdf(s, x)) + f_s * (1.0 - gsc_cdf(w, x))
+    (f_s, s_s), (f_w, s_w) = _receiver(pair.strong, x), _receiver(pair.weak, x)
+    return f_s * s_w + f_w * s_s
 
 
 def min_law(pair: UserPairSpec) -> str:

@@ -106,32 +106,14 @@ def reuse_densities():
             _DENSITIES.reset(token)
 
 
-def _values(density, law) -> dict:
-    """The {x: value} dict of (density, law): the store's inside a
-    ``reuse_densities`` block, a fresh one otherwise."""
-    store = _DENSITIES.get()
-    return {} if store is None else store.setdefault((density, law), {})
-
-
-def density_value(density, law, x: float) -> float:
-    """``density(law, x)``, read and stored where ``expectation`` reads,
-    so that a law composed from other densities computes each of them
-    once per ``reuse_densities`` block."""
-    values = _values(density, law)
-    try:
-        return values[x]
-    except KeyError:
-        value = values[x] = density(law, x)
-        return value
-
-
 def expectation(h, density, law) -> QuadratureResult:
     """E[h(g)] for g with density ``density(law, x)`` on [0, inf), under
     the tolerance contract of ``integrate_semi_infinite``.  The density
     values are read through the {x: value} dict of (density, law), looked
     up once per call: the store's inside a ``reuse_densities`` block, a
     fresh one otherwise."""
-    values = _values(density, law)
+    store = _DENSITIES.get()
+    values = {} if store is None else store.setdefault((density, law), {})
 
     def integrand(x):
         try:

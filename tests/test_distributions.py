@@ -146,21 +146,14 @@ def _per_term_density(terms, x):
     return math.fsum(a * x**m * math.exp(-lam * x) for a, m, lam in terms)
 
 
-def _per_term_distribution(terms, x):
-    return math.fsum(
-        a / lam * (1.0 - math.exp(-lam * x))
-        if m == 0
-        else a * math.factorial(m) / lam ** (m + 1) * special.gammainc(m + 1, lam * x)
-        for a, m, lam in terms
-    )
-
-
 KERNEL_XS = (0.0, 1e-300, 1e-3, 0.7, 30.0, 700.0, 1e4)
 
 
 class TestKernelGroups:
-    """The evaluators compute each distinct kernel once per call; the
-    values are those of the term-by-term formulas, bit for bit."""
+    """The table densities compute each distinct kernel once per call; the
+    values are those of the term-by-term formulas, bit for bit.  The
+    distribution function is the gamma mixture's, checked against the
+    40-digit series."""
 
     def test_gsc_laws_equal_per_term_formulas(self):
         for N in range(1, 17):
@@ -170,26 +163,31 @@ class TestKernelGroups:
                     terms = list(distributions._gsc_terms(spec))
                     for x in KERNEL_XS:
                         pdf = math.comb(N, n) * _per_term_density(terms, x)
-                        cdf = math.comb(N, n) * _per_term_distribution(terms, x)
                         assert gsc_pdf(spec, x) == pdf, (spec, x)
-                        assert gsc_cdf(spec, x) == min(max(cdf, 0.0), 1.0), (spec, x)
+
+    def test_gsc_cdf_matches_40_digits(self):
+        # a sum of positive terms, each a few ulps off, and the mixture
+        # leaves out at most 1e-17 of weight
+        for N in (2, 3, 4, 8, 12, 16):
+            for n in range(1, N + 1):
+                spec = GscSpec(N, n, (0.1, 1.0, 3.7)[n % 3])
+                assert gsc_cdf(spec, 0.0) == 0.0
+                for x in (u * spec.omega for u in (1e-3, 0.7, 30.0, 700.0)):
+                    ref = mp_oracle.distribution(spec, x)
+                    assert abs(gsc_cdf(spec, x) - ref) <= 1e-14 * ref + 1e-17, (spec, x)
 
     def test_min_laws_equal_per_term_formulas(self):
         for ns in range(1, 7):
             for nw in range(1, 7):
                 for omega_s, omega_w in ((1.0, 0.1), (3.7, 1.0)):
                     pair = UserPairSpec(GscSpec(ns, ns, omega_s), GscSpec(nw, nw, omega_w))
-                    table = distributions._min_terms(pair)
-                    terms = list(table)
+                    terms = list(distributions._min_terms(pair))
                     for x in KERNEL_XS:
                         assert min_pdf_mrc(pair, x) == _per_term_density(terms, x), (pair, x)
-                        assert distributions._distribution(table, x) == (
-                            _per_term_distribution(terms, x)
-                        ), (pair, x)
 
     def test_one_evaluation_per_distinct_kernel(self, monkeypatch):
-        # at (12, 6) the table has 37 terms over 7 rates: 12 with m = 0
-        # (7 rates) and 25 with m > 0 (5 distinct (m + 1, lam))
+        # at (12, 6) the density's table has 37 terms over 7 rates; the
+        # distribution is one vectorized incomplete gamma over the mixture
         calls = {"exp": 0, "gammainc": 0}
 
         def counted(name, fn):
@@ -212,7 +210,32 @@ class TestKernelGroups:
             assert calls == {"exp": 7, "gammainc": 0}
             calls.update(exp=0, gammainc=0)
             gsc_cdf(spec, x)
-            assert calls == {"exp": 7, "gammainc": 5}
+            assert calls == {"exp": 0, "gammainc": 1}
+
+
+class TestMixture:
+    """One receiver's law as Moschopoulos' positive gamma mixture."""
+
+    def test_weights_are_a_law_with_renyis_mean(self):
+        # g = sum_k w_k Gamma(N + k, omega * n/N) has mean omega * sum c
+        for N in range(2, MAX_ANTENNAS + 1):
+            for n in range(2, N + 1):
+                w = distributions._mixture(N, n).weights
+                k = np.arange(len(w))
+                c = [Fraction(1)] * n + [Fraction(n, i) for i in range(n + 1, N + 1)]
+                assert (w > 0).all()
+                assert abs(math.fsum(w) - 1) <= 1e-15, (N, n)
+                mean = n / N * math.fsum(w * (N + k))
+                assert mean == pytest.approx(float(sum(c)), rel=1e-14, abs=0), (N, n)
+
+    def test_terms_past_the_underflow_are_negligible(self):
+        # _receiver returns (0, 0) once exp(-y) underflows (y > 745); there
+        # the largest Poisson term it would sum, j = N + K - 2, is tiny
+        for N in range(2, MAX_ANTENNAS + 1):
+            for n in range(2, N + 1):
+                j = len(distributions._mixture(N, n).divisors) - 1
+                assert -745 + j * math.log(745) - math.lgamma(j + 1) < math.log(1e-50), (N, n)
+        assert distributions._receiver(GscSpec(16, 2, 1.0), 750 / 8) == (0.0, 0.0)
 
 
 class TestMinPdfs:
@@ -292,9 +315,36 @@ class TestMinPdfs:
         assert min_density(PAIR_MRC) is replacement
 
     def test_general_normalization(self):
-        for pair in (PAIR_SC, PAIR_MRC, PAIR_GSC, pair44(3)):
+        # the selection and full-combining pairs, and every pair of equal
+        # receivers that only the general law covers
+        general = [
+            UserPairSpec(GscSpec(N, n, 1.0), GscSpec(N, n, 0.1))
+            for N in range(3, MAX_ANTENNAS + 1)
+            for n in range(2, N)
+        ]
+        for pair in [PAIR_SC, PAIR_MRC] + general:
             r = integrate_semi_infinite(lambda x: min_pdf_general(pair, x))
-            assert r.value == pytest.approx(1.0, abs=1e-8)
+            assert r.value == pytest.approx(1.0, abs=1e-9), pair
+
+    def test_general_law_matches_40_digits(self):
+        # f_s * S_w + f_w * S_s against the oracle's series (closed
+        # best-of-N law for n = 1), summed at the precision its
+        # cancellation needs.  Every factor is a sum of positive terms a
+        # few ulps off, and the mixture leaves out at most 1e-17 of weight.
+        def law(spec, x):
+            return (mp_oracle.closed_law if spec.combined == 1 else mp_oracle.series_law)(spec, x)
+
+        sizes = ((4, 2), (4, 3), (12, 6), (12, 9), (16, 8))
+        pairs = [UserPairSpec(GscSpec(N, n, 1.0), GscSpec(N, n, 0.1)) for N, n in sizes]
+        pairs.append(UserPairSpec(GscSpec(4, 1, 1.0), GscSpec(12, 6, 0.1)))
+        for pair in pairs:
+            for x in (1e-3, 0.01, 0.05, 0.1, 0.3, 1.0, 2.0, 5.0, 10.0):
+                with mp.workdps(40):
+                    (f_s, s_s), (f_w, s_w) = (law(spec, mp.mpf(x)) for spec in (pair.strong, pair.weak))
+                    ref = f_s * s_w + f_w * s_s
+                value = min_pdf_general(pair, x)
+                assert value >= 0.0
+                assert abs(value - ref) <= 1e-14 * ref + 1e-17, (pair, x)
 
 
 class TestMoments:

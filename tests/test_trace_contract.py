@@ -36,8 +36,12 @@ def test_wrappers_install_and_restore(tracing):
             grew = {name for name, calls in tracer.calls.items() if calls > before[name]}
             assert f"distributions.min_pdf_{law}" in grew
             if law == "general":
-                # the general law reads the GSC laws through the module globals
-                assert {"distributions.gsc_pdf", "distributions.gsc_cdf"} <= grew
+                # the general law reads each receiver's gamma mixture, not
+                # the GSC density and distribution functions
+                before = dict(tracer.calls)
+                distributions.min_pdf_general(pair, 0.3)
+                grew = {name for name, calls in tracer.calls.items() if calls > before[name]}
+                assert grew == {"distributions.min_pdf_general"}
             capacity.ec_low_snr(pair, PowerSplit(0.24), QosProfile(0.5), SnrPoint(0.1))
     finally:
         restore()
