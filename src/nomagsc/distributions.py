@@ -3,25 +3,23 @@
 The combined power of the n strongest of N i.i.d. Rayleigh branches
 (each branch power exponential with mean Omega) has the classical
 order-statistics density, an alternating series over the discarded
-branches.  Two closed-form laws here are finite signed sums of gamma
-kernels a * x**m * exp(-lam * x), held once per law as a table of
-(a, m, lam) terms: ``_gsc_terms`` for one receiver's density, and
-``_min_terms`` for min(g_s, g_w) when both receivers combine all
-branches (MRC).  Two evaluators read a table: the density, which
-computes each distinct exp(-lam * x) once, and the Mellin transform
-E[g^s] (gamma functions), which gives the high-SNR expectation and the
-MRC minimum's moments; one receiver's moments are Renyi's exact sums.
+branches.  ``gsc_pdf`` reads it as a finite signed sum of gamma kernels
+a * x**m * exp(-lam * x), held once per spec in ``_gsc_terms`` and
+grouped by rate, so that one call computes each distinct exp(-lam * x)
+once.  One receiver's moments are Renyi's exact sums.
 
 By Renyi's representation, g = omega * sum_i c_i E_i is also a positive
 mixture of gamma laws of one scale (Moschopoulos 1985), ``_mixture``:
-no term of it cancels, at any N.  ``gsc_cdf`` and the general law of the
-minimum read it.  ``min_law`` picks the minimum's law from the pair: SC
-(one branch on both sides), MRC, otherwise the general law; the SC and
-general laws are f_s * S_w + f_w * S_s over each receiver's (density,
-survival) pair, from the best-of-N law or the mixture.  The SC and
-general laws' moments are integrated through ``numerics.expectation``.
-The density functions are pure: callers that integrate many times over
-the same laws share their values through ``numerics.reuse_densities``.
+no term of it cancels, at any N.  ``gsc_cdf``, the Mellin transform
+E[g^s] (``gsc_mellin``, the high-SNR expectation) and the law of the
+minimum read it.  The density of min(g_s, g_w) is f_s * S_w + f_w * S_s
+over each receiver's (density, survival) pair, from the best-of-N law
+for one branch and the mixture otherwise; ``min_law`` names the pair's
+case (SC: one branch on both sides, MRC: all branches on both sides,
+otherwise general), and its moments are integrated through
+``numerics.expectation``.  The density functions are pure: callers that
+integrate many times over the same laws share their values through
+``numerics.reuse_densities``.
 """
 from __future__ import annotations
 
@@ -36,9 +34,9 @@ from scipy import special
 
 from .numerics import DomainError, expectation
 
-# The signs in ``_gsc_terms`` alternate, and the table's sums lose roughly
-# one digit per discarded branch; past this many antennas its values are
-# no longer trustworthy.
+# The signs in ``_gsc_terms``, the table ``gsc_pdf`` reads, alternate, and
+# its sums lose roughly one digit per discarded branch; past this many
+# antennas its values are no longer trustworthy.  Only that table limits N.
 MAX_ANTENNAS = 16
 
 
@@ -96,29 +94,17 @@ class UserPairSpec:
 _TABLE_CACHE = 256
 
 
-def _grouped(items) -> tuple:
-    """(key, (value, ...)) per distinct key, in order of first appearance."""
-    groups = {}
-    for key, value in items:
-        groups.setdefault(key, []).append(value)
-    return tuple((key, tuple(values)) for key, values in groups.items())
-
-
 class _Table:
-    """One law as gamma kernels: density = scale * sum a * x**m * exp(-lam * x).
+    """One law as gamma kernels: density = scale * sum a * x**m * exp(-lam * x),
+    held grouped by rate, (lam, ((a, m), ...)), so that one call computes
+    each distinct exp(-lam * x) once."""
 
-    It iterates as its (a, m, lam) terms, and holds them grouped by rate
-    for the density, (lam, ((a, m), ...)), so that one call computes each
-    distinct exp(-lam * x) once.
-    """
-
-    def __init__(self, terms, scale: float = 1.0):
-        self.terms = tuple(terms)
+    def __init__(self, terms, scale: float):
+        groups = {}
+        for a, m, lam in terms:
+            groups.setdefault(lam, []).append((a, m))
+        self.by_rate = tuple((lam, tuple(group)) for lam, group in groups.items())
         self.scale = scale
-        self.by_rate = _grouped((lam, (a, m)) for a, m, lam in self.terms)
-
-    def __iter__(self):
-        return iter(self.terms)
 
 
 @functools.lru_cache(maxsize=_TABLE_CACHE)
@@ -142,24 +128,6 @@ def _gsc_terms(spec: GscSpec) -> _Table:
     return _Table(terms, float(math.comb(N, n)))
 
 
-@functools.lru_cache(maxsize=_TABLE_CACHE)
-def _min_terms(pair: UserPairSpec) -> _Table:
-    """The density of min(g_s, g_w) as gamma kernels when both receivers
-    combine all branches: one side's gamma density times the other
-    side's gamma survival."""
-    s, w = pair.strong, pair.weak
-    chi = 1.0 / s.omega + 1.0 / w.omega
-    return _Table(
-        (
-            1.0 / (math.gamma(u.antennas) * u.omega**u.antennas * math.factorial(j) * v.omega**j),
-            u.antennas - 1 + j,
-            chi,
-        )
-        for u, v in ((s, w), (w, s))
-        for j in range(v.antennas)
-    )
-
-
 # Each term's product below is formed with the same float operations as
 # a * x**m * exp(-lam * x) term by term (x**0 is exactly 1.0, and a * 1.0
 # is a, so m = 0 skips both), and math.fsum rounds correctly whatever the
@@ -176,11 +144,6 @@ def _density(t: _Table, x: float) -> float:
             for a, m in group
         ]
     )
-
-
-def _mellin(t: _Table, s: float) -> float:
-    """Integral of x**s times the density: a * Gamma(m+s+1)/lam**(m+s+1) per term."""
-    return t.scale * math.fsum(a * math.gamma(m + s + 1) / lam ** (m + s + 1) for a, m, lam in t)
 
 
 def gsc_pdf(spec: GscSpec, x: float) -> float:
@@ -290,14 +253,21 @@ def gsc_cdf(spec: GscSpec, x: float) -> float:
     return float(m.weights.dot(special.gammainc(shapes, x / (spec.omega * n / N))))
 
 
+def _min_pdf(pair: UserPairSpec, x: float) -> float:
+    """Density f_s * S_w + f_w * S_s of min(g_s, g_w) over each receiver's
+    (density, survival) from ``_receiver``: positive terms, free of
+    cancellation at any N."""
+    (f_s, s_s), (f_w, s_w) = _receiver(pair.strong, x), _receiver(pair.weak, x)
+    return f_s * s_w + f_w * s_s
+
+
 def min_pdf_sc(pair: UserPairSpec, x: float) -> float:
-    """Density f_s * S_w + f_w * S_s of min(g_s, g_w) when both receivers select one branch."""
+    """Density of min(g_s, g_w) when both receivers select one branch."""
     if not pair.is_sc:
         raise ValueError("min_pdf_sc requires single-branch selection on both sides")
     if x < 0:
         raise DomainError(f"min_pdf_sc requires x >= 0, got {x}")
-    (f_s, s_s), (f_w, s_w) = _best_branch(pair.strong, x), _best_branch(pair.weak, x)
-    return f_s * s_w + f_w * s_s
+    return _min_pdf(pair, x)
 
 
 def min_pdf_mrc(pair: UserPairSpec, x: float) -> float:
@@ -306,23 +276,20 @@ def min_pdf_mrc(pair: UserPairSpec, x: float) -> float:
         raise ValueError("min_pdf_mrc requires full combining on both sides")
     if x < 0:
         raise DomainError(f"min_pdf_mrc requires x >= 0, got {x}")
-    return _density(_min_terms(pair), x)
+    return _min_pdf(pair, x)
 
 
 def min_pdf_general(pair: UserPairSpec, x: float) -> float:
-    """Density f_s * S_w + f_w * S_s of min(g_s, g_w) for arbitrary
-    combining on either side, over each receiver's (density, survival)
-    from ``_receiver``: positive terms, free of cancellation at any N."""
+    """Density of min(g_s, g_w) for arbitrary combining on either side."""
     if x < 0:
         raise DomainError(f"min_pdf_general requires x >= 0, got {x}")
-    (f_s, s_s), (f_w, s_w) = _receiver(pair.strong, x), _receiver(pair.weak, x)
-    return f_s * s_w + f_w * s_s
+    return _min_pdf(pair, x)
 
 
 def min_law(pair: UserPairSpec) -> str:
-    """The closed form of the law of min(g_s, g_w) that fits the pair:
-    "sc" when both receivers select one branch, "mrc" when both combine
-    all branches, otherwise "general" (composed from the two GSC laws)."""
+    """The pair's case of min(g_s, g_w): "sc" when both receivers select
+    one branch, "mrc" when both combine all branches, otherwise "general".
+    Each case has its own density name; all three compute ``_min_pdf``."""
     if pair.is_sc:
         return "sc"
     if pair.is_mrc:
@@ -331,21 +298,26 @@ def min_law(pair: UserPairSpec) -> str:
 
 
 def min_density(pair: UserPairSpec):
-    """The density function of min(g_s, g_w) in the form ``min_law`` picks:
-    ``min_pdf_sc``, ``min_pdf_mrc`` or ``min_pdf_general``, read from this
-    module when called."""
+    """The density function of min(g_s, g_w) for the case ``min_law``
+    names: ``min_pdf_sc``, ``min_pdf_mrc`` or ``min_pdf_general``, read
+    from this module when called."""
     return {"sc": min_pdf_sc, "mrc": min_pdf_mrc, "general": min_pdf_general}[min_law(pair)]
 
 
 def gsc_mellin(spec: GscSpec, s: float) -> float:
-    """Mellin transform E[g^s] of the combined power, for real s > -1.
+    """Mellin transform E[g^s] of the combined power, for real s > -N.
 
     s = 1 and s = 2 give the raw moments; s = -nu gives the high-SNR
-    expectation E[g^-nu].
+    expectation E[g^-nu].  Over the mixture it is
+    scale**s * sum_k w_k * Gamma(N + k + s)/Gamma(N + k), a sum of
+    positive terms, finite wherever E[g^s] is: the density is of order
+    x**(N-1) at 0.
     """
-    if not s > -1:
-        raise DomainError(f"gsc_mellin requires s > -1, got {s}")
-    return _mellin(_gsc_terms(spec), s)
+    N, n = spec.antennas, spec.combined
+    if not s > -N:
+        raise DomainError(f"gsc_mellin requires s > -N = {-N}, got {s}")
+    w = _mixture(N, n).weights
+    return (spec.omega * n / N) ** s * float(w.dot(special.poch(N + np.arange(len(w)), s)))
 
 
 def gsc_moments(spec: GscSpec) -> tuple[float, float]:
@@ -363,10 +335,7 @@ def gsc_moments(spec: GscSpec) -> tuple[float, float]:
 
 
 def min_moments(pair: UserPairSpec) -> tuple[float, float]:
-    """(mean, second raw moment) of min(g_s, g_w): closed Mellin moments
-    for the MRC law, quadrature over ``min_density`` otherwise."""
-    if min_law(pair) == "mrc":
-        terms = _min_terms(pair)
-        return _mellin(terms, 1), _mellin(terms, 2)
+    """(mean, second raw moment) of min(g_s, g_w), by quadrature over
+    ``min_density``."""
     density = min_density(pair)
     return tuple(expectation(h, density, pair).value for h in (lambda x: x, lambda x: x * x))

@@ -183,8 +183,6 @@ DEFECTS = {
     "ergodic_strong-N12n6w1+N12n6w0.1-a0.24-10dB": f"{WIDE}: 4.5739954845 against 4.5739954896, 1.1e-9",
     "ergodic_strong-N12n9w1+N12n9w0.1-a0.24-10dB": f"{NO_CONVERGENCE}: error 9.1e-6 on 4.78",
     "ergodic_weak-N12n9w1+N12n9w0.1-a0.24-10dB": f"{NO_CONVERGENCE} in the strong half: error 9.1e-6 on 4.78",
-    "gsc_mellin-N12n6w1-s-0.72": f"{WIDE}: 0.2027213353 against 0.2027213361, 3.8e-9",
-    "gsc_mellin-N12n9w1-s-0.72": f"{WIDE}: 0.1821796215 against 0.1821899037, 5.6e-5",
     "gsc_pdf-N16n15w1-x0.5": "the series breaks down at N = 16: -19.796 against 1.5067e-17",
 }
 

@@ -1,8 +1,10 @@
 import itertools
 import math
 
+import mpmath as mp
 import pytest
 
+import mp_oracle
 from nomagsc import capacity, distributions, validate
 from nomagsc.capacity import (
     QUANTITIES,
@@ -188,6 +190,17 @@ class TestHighSnr:
             hi = ec_high_snr(pair44(n), SPLIT, QOS05, SNR40)
             ex = evaluate_noma(pair44(n), SPLIT, QOS05, SNR40)
             assert abs(hi.e_sum - ex.e_sum) / ex.e_sum <= 0.02
+
+    def test_strong_value_at_sixteen_antennas(self):
+        # log2(a_s rho) - log2(E[g^-nu])/nu, E[g^-nu] from the 40-digit
+        # Laplace route; the alternating series made E[g^-nu] negative here
+        pair = UserPairSpec(GscSpec(16, 15, 1.0), GscSpec(16, 15, 0.1))
+        snr = SnrPoint.from_db(30)
+        with mp.workdps(40):
+            inner = mp_oracle.negative_moment(pair.strong, QOS05.nu)
+            ref = mp.log(SPLIT.a_s * snr.rho, 2) - mp.log(inner, 2) / QOS05.nu
+        rep = ec_high_snr(pair, SPLIT, QOS05, snr)
+        assert rep.e_strong == pytest.approx(float(ref), rel=1e-12)
 
 
 class TestLowSnr:

@@ -150,7 +150,7 @@ KERNEL_XS = (0.0, 1e-300, 1e-3, 0.7, 30.0, 700.0, 1e4)
 
 
 class TestKernelGroups:
-    """The table densities compute each distinct kernel once per call; the
+    """The table density computes each distinct kernel once per call; the
     values are those of the term-by-term formulas, bit for bit.  The
     distribution function is the gamma mixture's, checked against the
     40-digit series."""
@@ -160,7 +160,8 @@ class TestKernelGroups:
             for n in range(1, N + 1):
                 for omega in (0.1, 1.0, 3.7):
                     spec = GscSpec(N, n, omega)
-                    terms = list(distributions._gsc_terms(spec))
+                    table = distributions._gsc_terms(spec)
+                    terms = [(a, m, lam) for lam, group in table.by_rate for a, m in group]
                     for x in KERNEL_XS:
                         pdf = math.comb(N, n) * _per_term_density(terms, x)
                         assert gsc_pdf(spec, x) == pdf, (spec, x)
@@ -175,15 +176,6 @@ class TestKernelGroups:
                 for x in (u * spec.omega for u in (1e-3, 0.7, 30.0, 700.0)):
                     ref = mp_oracle.distribution(spec, x)
                     assert abs(gsc_cdf(spec, x) - ref) <= 1e-14 * ref + 1e-17, (spec, x)
-
-    def test_min_laws_equal_per_term_formulas(self):
-        for ns in range(1, 7):
-            for nw in range(1, 7):
-                for omega_s, omega_w in ((1.0, 0.1), (3.7, 1.0)):
-                    pair = UserPairSpec(GscSpec(ns, ns, omega_s), GscSpec(nw, nw, omega_w))
-                    terms = list(distributions._min_terms(pair))
-                    for x in KERNEL_XS:
-                        assert min_pdf_mrc(pair, x) == _per_term_density(terms, x), (pair, x)
 
     def test_one_evaluation_per_distinct_kernel(self, monkeypatch):
         # at (12, 6) the density's table has 37 terms over 7 rates; the
@@ -267,6 +259,25 @@ class TestMinPdfs:
                         tol = 3 * 2.0**-52 * (max(ns, nw) + x / omega_w)
                         assert abs(min_pdf_sc(pair, x) - ref) <= tol * ref, (pair, x)
 
+    def test_mrc_law_matches_40_digits(self):
+        # f_s * S_w + f_w * S_s against the oracle's closed gamma law.  The
+        # Poisson terms are positive; exp(-x/omega) carries x/omega
+        # half-ulps of its argument's rounding (up to 300 here).  Below
+        # 1e-300 the float value underflows, so it is compared absolutely.
+        sizes = tuple(range(1, 7)) + (12, 16)
+        xs = (0.0, 1e-300, 1e-3, 0.01, 0.1, 0.7, 2.0, 5.0, 10.0, 30.0, 700.0, 1e4)
+        for ns in sizes:
+            for nw in sizes:
+                for omega_s, omega_w in ((1.0, 0.1), (3.7, 1.0)):
+                    pair = UserPairSpec(GscSpec(ns, ns, omega_s), GscSpec(nw, nw, omega_w))
+                    for x in xs:
+                        with mp.workdps(40):
+                            (f_s, s_s), (f_w, s_w) = (
+                                mp_oracle.closed_law(spec, mp.mpf(x)) for spec in (pair.strong, pair.weak)
+                            )
+                            ref = f_s * s_w + f_w * s_s
+                        assert abs(min_pdf_mrc(pair, x) - ref) <= 1e-13 * ref + 1e-300, (pair, x)
+
     def test_sc_frozen_monte_carlo_value(self):
         # empirical density of min of two 4-branch maxima, 1e7 samples
         assert min_pdf_sc(PAIR_SC, 0.05) == pytest.approx(1.488, abs=0.02)
@@ -289,13 +300,11 @@ class TestMinPdfs:
 
     def test_general_reduces_to_sc(self):
         for x in (0.0, 0.05, 0.3, 1.0):
-            a, b = min_pdf_sc(PAIR_SC, x), min_pdf_general(PAIR_SC, x)
-            assert b == pytest.approx(a, rel=1e-9, abs=1e-12)
+            assert min_pdf_general(PAIR_SC, x) == min_pdf_sc(PAIR_SC, x)
 
     def test_general_reduces_to_mrc(self):
         for x in (0.0, 0.05, 0.3, 1.0):
-            a, b = min_pdf_mrc(PAIR_MRC, x), min_pdf_general(PAIR_MRC, x)
-            assert b == pytest.approx(a, rel=1e-9, abs=1e-12)
+            assert min_pdf_general(PAIR_MRC, x) == min_pdf_mrc(PAIR_MRC, x)
 
     def test_precondition_enforcement(self):
         with pytest.raises(ValueError):
@@ -389,7 +398,7 @@ class TestMoments:
         m1, m2 = min_moments(pair)
         assert m1 == pytest.approx(1 / 11, rel=1e-12)
         assert m2 == pytest.approx(2 / 121, rel=1e-12)
-        # one antenna per side: the MRC closed form applies too
+        # one antenna per side: the MRC form applies too
         monkeypatch.setattr(distributions, "min_law", lambda pair: "mrc")
         assert min_moments(pair) == pytest.approx((m1, m2), rel=1e-12)
 
@@ -417,18 +426,25 @@ class TestMoments:
 class TestMellin:
     def test_moments_match_renyi_closed_forms(self):
         # Renyi: g = omega*(Gamma(n, 1) + sum_{i>n} (n/i) E_i), so
-        # mean = omega*(n + sum n/i) and var = omega^2*(n + sum (n/i)^2)
-        for N in range(1, 7):
+        # mean = omega*(n + sum n/i) and var = omega^2*(n + sum (n/i)^2);
+        # the alternating table gave E[g^0] = -32 at (16, 15)
+        for N in range(1, MAX_ANTENNAS + 1):
             for n in range(1, N + 1):
                 for omega in (0.1, 1.0, 10.0):
                     spec = GscSpec(N, n, omega)
-                    tail = [n / i for i in range(n + 1, N + 1)]
-                    mean = omega * (n + math.fsum(tail))
-                    var = omega**2 * (n + math.fsum(t * t for t in tail))
-                    assert gsc_mellin(spec, 0) == pytest.approx(1.0, rel=1e-12)
-                    assert gsc_mellin(spec, 1) == pytest.approx(mean, rel=1e-12)
-                    assert gsc_mellin(spec, 2) == pytest.approx(var + mean**2, rel=1e-12)
+                    tail = [Fraction(n, i) for i in range(n + 1, N + 1)]
+                    mean = Fraction(omega) * (n + sum(tail))
+                    var = Fraction(omega) ** 2 * (n + sum(t * t for t in tail))
+                    for s, ref in ((0, 1), (1, mean), (2, var + mean**2)):
+                        assert gsc_mellin(spec, s) == pytest.approx(float(ref), rel=1e-13, abs=0), (spec, s)
 
     def test_domain_error(self):
-        with pytest.raises(DomainError):
-            gsc_mellin(GscSpec(4, 2, 1.0), -1.0)
+        # E[g^s] is finite for s > -N: the density is of order x**(N-1) at
+        # 0.  Under full combining, E[g^s] = Gamma(N + s)/Gamma(N) * omega**s.
+        for N in range(2, MAX_ANTENNAS + 1):
+            for omega in (0.1, 1.0, 3.7):
+                ref = math.gamma(N - 1.5) / math.gamma(N) * omega**-1.5
+                assert gsc_mellin(GscSpec(N, N, omega), -1.5) == pytest.approx(ref, rel=1e-14), (N, omega)
+        for N, n in ((1, 1), (4, 2), (16, 15)):
+            with pytest.raises(DomainError):
+                gsc_mellin(GscSpec(N, n, 1.0), -N)
