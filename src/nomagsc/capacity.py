@@ -12,7 +12,10 @@ the model the Monte Carlo side reads too: ``sinr`` gives its signal and
 its views.  Each term is one ``numerics.expectation`` over a density read
 from ``distributions`` at call time: the GSC density, or for the weak
 user the law of min(g_s, g_w) that ``min_density`` picks, for an EC and
-a rate alike.  The high-SNR approximation uses the Mellin
+a rate alike.  Its integrand is one function of four shapes, a power or
+log2 of 1 + c*x or of 1 + c*x/(d*x + 1), over the (c, d) coefficients
+``sinr`` reads too, so the exact and the simulated terms compute the
+same floats.  The high-SNR approximation uses the Mellin
 transform ``gsc_mellin``, the low-SNR one the first two moments.  All
 rates are spectral efficiencies in bits/s/Hz.
 """
@@ -136,13 +139,21 @@ def requested(quantities) -> list[str]:
     return [q for q in QUANTITIES if q in quantities]
 
 
+def _coefficients(signal: str, a_s: float, rho: float) -> tuple[float, float | None]:
+    """(c, d) of the SINR of ``signal``: c*g, or c*g / (d*g + 1) when d is
+    not None, the weak user's, decoded with the strong user's symbol as
+    interference."""
+    if signal == "strong":
+        return a_s * rho, None
+    if signal == "weak":
+        return (1.0 - a_s) * rho, a_s * rho
+    return rho, None
+
+
 def sinr(signal: str, a_s: float, rho: float, g):
     """The SINR of ``signal`` at channel power ``g`` (a float or an array)."""
-    if signal == "strong":
-        return a_s * rho * g
-    if signal == "weak":  # decoded with the strong user's symbol as interference
-        return (1.0 - a_s) * rho * g / (a_s * rho * g + 1.0)
-    return rho * g
+    c, d = _coefficients(signal, a_s, rho)
+    return c * g if d is None else c * g / (d * g + 1.0)
 
 
 def term_key(quantity: str, split: PowerSplit | None, qos: QosProfile, snr: SnrPoint):
@@ -168,11 +179,25 @@ def _law(pair: UserPairSpec, key) -> tuple:
 
 
 def _expect(key, density, law) -> QuadratureResult:
-    """E[term] of a ``term_key`` over ``density(law, x)``."""
+    """E[term] of a ``term_key`` over ``density(law, x)``.  The integrand
+    is one function per term, x -> term(sinr(x)) * values[x], with the
+    SINR's ``_coefficients`` and the exponent bound in: the same float
+    operations as ``sinr`` and the term, in one Python frame per node."""
     (a_s, rho, signal), exponent = key
+    c, d = _coefficients(signal, a_s, rho)
+    log2 = math.log2
     if exponent is None:
-        return expectation(lambda x: math.log2(1.0 + sinr(signal, a_s, rho, x)), density, law)
-    return expectation(lambda x: (1.0 + sinr(signal, a_s, rho, x)) ** -exponent, density, law)
+        if d is None:
+            term = lambda v: lambda x: log2(1.0 + c * x) * v[x]
+        else:
+            term = lambda v: lambda x: log2(1.0 + c * x / (d * x + 1.0)) * v[x]
+    else:
+        e = -exponent
+        if d is None:
+            term = lambda v: lambda x: (1.0 + c * x) ** e * v[x]
+        else:
+            term = lambda v: lambda x: (1.0 + c * x / (d * x + 1.0)) ** e * v[x]
+    return expectation(term, density, law)
 
 
 def _finish(quantity: str, qos: QosProfile, result: QuadratureResult) -> float:
@@ -288,20 +313,15 @@ def ergodic_rate_oma(spec: GscSpec, snr: SnrPoint) -> float:
     return _expect(((0.0, snr.rho, "oma_strong"), None), dist.gsc_pdf, spec).value
 
 
-# EcReport.method of an exact NOMA report, per distributions.min_law
-_NOMA_METHODS = {"sc": "sc_closed", "mrc": "mrc_closed", "general": "general_quadrature"}
-
-
 def evaluate_noma(
     pair: UserPairSpec, split: PowerSplit, qos: QosProfile, snr: SnrPoint
 ) -> EcReport:
-    """Exact NOMA EC report; ``method`` names the law of the minimum the
-    weak user's EC was integrated over.  In the ergodic limit it is the
-    ergodic bound's report, method "ergodic_bound"."""
+    """Exact NOMA EC report, method "exact".  In the ergodic limit it is
+    the ergodic bound's report, method "ergodic_bound"."""
     if qos.is_ergodic_limit:
         return ergodic_rate(pair, split, snr)
     (ec,) = exact_cases(pair, [(split, qos, snr)], ("ec_strong", "ec_weak"))
-    return EcReport(ec["ec_strong"], ec["ec_weak"], method=_NOMA_METHODS[dist.min_law(pair)])
+    return EcReport(ec["ec_strong"], ec["ec_weak"], method="exact")
 
 
 def evaluate_oma(pair: UserPairSpec, qos: QosProfile, snr: SnrPoint) -> EcReport:

@@ -338,4 +338,5 @@ def min_moments(pair: UserPairSpec) -> tuple[float, float]:
     """(mean, second raw moment) of min(g_s, g_w), by quadrature over
     ``min_density``."""
     density = min_density(pair)
-    return tuple(expectation(h, density, pair).value for h in (lambda x: x, lambda x: x * x))
+    terms = (lambda v: lambda x: x * v[x], lambda v: lambda x: x * x * v[x])
+    return tuple(expectation(term, density, pair).value for term in terms)

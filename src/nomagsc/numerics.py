@@ -6,11 +6,14 @@ quadrature and raises ``IntegrationError`` when the result misses the
 fixed tolerance contract: an error estimate at most
 max(ABS_TOL, REL_TOL * |value|) within MAX_SUBDIVISIONS subintervals.
 Every analytic expectation E[h(g)] over a channel-power law is one
-``expectation`` call, the one place that integrates a density.  Inside a
-``reuse_densities`` block it computes each density value once, for
-callers that integrate many times over the same laws: a serial sweep,
-one ``capacity.exact_cases`` call and a power search each run in one
-block.
+``expectation`` call, the one place that integrates a density.  The
+caller passes a term builder that turns the law's {x: density value}
+dict into one integrand function, so each quadrature node runs two
+Python frames: the finite check of ``integrate_semi_infinite`` and that
+function.  Inside a ``reuse_densities`` block each density value is
+computed once, for callers that integrate many times over the same laws:
+a serial sweep, one ``capacity.exact_cases`` call and a power search
+each run in one block.
 """
 
 from __future__ import annotations
@@ -18,7 +21,6 @@ from __future__ import annotations
 import contextlib
 import contextvars
 import math
-import warnings
 from dataclasses import dataclass
 
 from scipy import integrate
@@ -59,17 +61,16 @@ def integrate_semi_infinite(f) -> QuadratureResult:
             return 0.0
         return y
 
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", integrate.IntegrationWarning)
-        value, abserr, info = integrate.quad(
-            checked,
-            0.0,
-            math.inf,
-            epsabs=ABS_TOL,
-            epsrel=REL_TOL,
-            limit=MAX_SUBDIVISIONS,
-            full_output=True,
-        )[:3]
+    # with full_output, quad returns its message instead of warning
+    value, abserr, info = integrate.quad(
+        checked,
+        0.0,
+        math.inf,
+        epsabs=ABS_TOL,
+        epsrel=REL_TOL,
+        limit=MAX_SUBDIVISIONS,
+        full_output=True,
+    )[:3]
     if bad_x:
         raise IntegrationError(f"integrand returned a non-finite value at x={bad_x[0]}")
     if abserr > max(ABS_TOL, REL_TOL * abs(value)):
@@ -80,8 +81,23 @@ def integrate_semi_infinite(f) -> QuadratureResult:
     return QuadratureResult(value, abserr, info["last"])
 
 
+class _Values(dict):
+    """{x: density(law, x)} of one law; a value missing on first read is
+    computed and kept.  A failing density call keeps nothing."""
+
+    def __init__(self, density, law):
+        super().__init__()
+        self.density = density
+        self.law = law
+
+    def __missing__(self, x):
+        value = self[x] = self.density(self.law, x)
+        return value
+
+
 # The density values of the outermost ``reuse_densities`` block: one
-# {x: value} dict per (density, law); None outside every block.
+# ``_Values`` dict per (density, law) in a plain dict; None outside every
+# block.
 _DENSITIES: contextvars.ContextVar[dict | None] = contextvars.ContextVar(
     "_DENSITIES", default=None
 )
@@ -106,20 +122,17 @@ def reuse_densities():
             _DENSITIES.reset(token)
 
 
-def expectation(h, density, law) -> QuadratureResult:
+def expectation(term, density, law) -> QuadratureResult:
     """E[h(g)] for g with density ``density(law, x)`` on [0, inf), under
-    the tolerance contract of ``integrate_semi_infinite``.  The density
-    values are read through the {x: value} dict of (density, law), looked
-    up once per call: the store's inside a ``reuse_densities`` block, a
-    fresh one otherwise."""
+    the tolerance contract of ``integrate_semi_infinite``.
+
+    ``term`` builds the integrand from the law's {x: density value} dict:
+    ``term(values)`` is x -> h(x) * values[x], one Python function per
+    quadrature node.  Reading ``values[x]`` computes a missing value and
+    keeps it: in the store's dict of (density, law) inside a
+    ``reuse_densities`` block, in a fresh one otherwise."""
     store = _DENSITIES.get()
-    values = {} if store is None else store.setdefault((density, law), {})
-
-    def integrand(x):
-        try:
-            value = values[x]
-        except KeyError:
-            value = values[x] = density(law, x)
-        return h(x) * value
-
-    return integrate_semi_infinite(integrand)
+    values = _Values(density, law)
+    if store is not None:
+        values = store.setdefault((density, law), values)
+    return integrate_semi_infinite(term(values))

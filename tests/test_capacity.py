@@ -1,11 +1,12 @@
 import itertools
 import math
+import sys
 
 import mpmath as mp
 import pytest
 
 import mp_oracle
-from nomagsc import capacity, distributions, validate
+from nomagsc import capacity, distributions, numerics, validate
 from nomagsc.capacity import (
     QUANTITIES,
     EcReport,
@@ -25,7 +26,7 @@ from nomagsc.capacity import (
     exact_cases,
 )
 from nomagsc.distributions import GscSpec, UserPairSpec
-from nomagsc.numerics import IntegrationError
+from nomagsc.numerics import IntegrationError, integrate_semi_infinite, reuse_densities
 
 
 def pair44(n):
@@ -277,12 +278,10 @@ class TestErgodicBound:
 
 class TestCombinedEvaluators:
     def test_method_routing(self):
-        assert evaluate_noma(pair44(1), SPLIT, QOS1, SNR10).method == "sc_closed"
-        assert evaluate_noma(pair44(4), SPLIT, QOS1, SNR10).method == "mrc_closed"
-        assert (
-            evaluate_noma(pair44(2), SPLIT, QOS1, SNR10).method
-            == "general_quadrature"
-        )
+        # every law of the minimum is integrated the same way
+        for n in (1, 2, 4):
+            assert evaluate_noma(pair44(n), SPLIT, QOS1, SNR10).method == "exact"
+        assert evaluate_noma(pair44(2), SPLIT, QosProfile(1e-12), SNR10).method == "ergodic_bound"
 
     def test_ergodic_limit_is_the_ergodic_report(self, monkeypatch):
         calls = []
@@ -414,3 +413,80 @@ class TestExactCases:
         value = ec_strong(pair44(2), SPLIT, QosProfile(1e-12), SNR10)
         assert len(quadratures) == 1
         assert value == ergodic_rate(pair44(2), SPLIT, SNR10).e_strong
+
+
+def python_calls(f, x) -> int:
+    """The number of Python frames that f(x) runs."""
+    events = []
+    sys.setprofile(lambda frame, event, arg: events.append(event))
+    try:
+        f(x)
+    finally:
+        sys.setprofile(None)
+    return events.count("call")
+
+
+class TestIntegrands:
+    """Each term is integrated through one function with the SINR's
+    coefficients and the exponent bound in: it computes the floats of the
+    term of ``sinr`` times the density, in one Python frame per node."""
+
+    PAIRS = {
+        f"{N}-{n}": UserPairSpec(GscSpec(N, n, 1.0), GscSpec(N, n, 0.1))
+        for N, n in ((4, 1), (4, 2), (4, 4), (8, 3))
+    }
+    # theta 0 is the ergodic limit
+    CASES = [
+        (SPLIT, QosProfile(theta), SnrPoint.from_db(rho_db))
+        for theta in (0.0, 0.5, 2.0)
+        for rho_db in (10.0, 40.0)
+    ]
+
+    @staticmethod
+    def direct(pair, quantity, case):
+        """``quantity`` from the integral of its term of ``sinr`` times the
+        density, each node calling both."""
+        key = capacity.term_key(quantity, *case)
+        (a_s, rho, signal), exponent = key
+        density, law = capacity._law(pair, key)
+        if exponent is None:
+            term = lambda s: math.log2(1.0 + s)
+        else:
+            term = lambda s: (1.0 + s) ** -exponent
+        result = integrate_semi_infinite(
+            lambda x: term(capacity.sinr(signal, a_s, rho, x)) * density(law, x)
+        )
+        return capacity._finish(quantity, case[1], result)
+
+    @pytest.mark.parametrize("pair", PAIRS.values(), ids=PAIRS.keys())
+    def test_values_equal_the_direct_integral(self, pair):
+        want = [{q: self.direct(pair, q, case) for q in QUANTITIES} for case in self.CASES]
+        # outside a block: one exact_cases call per case and quantity
+        for case, values in zip(self.CASES, want):
+            for q, value in values.items():
+                assert exact_cases(pair, [case], (q,))[0][q] == value, (case, q)
+        # inside one: the cases share their terms' stored density values
+        with reuse_densities():
+            assert exact_cases(pair, self.CASES) == want
+            assert exact_cases(pair, self.CASES[::-1]) == want[::-1]
+
+    @pytest.mark.parametrize(
+        "quantity", ["ec_strong", "ergodic_strong", "ec_weak", "ergodic_weak", "ec_oma_weak"]
+    )
+    def test_one_python_frame_at_a_stored_node(self, quadratures, quantity):
+        # the four shapes: a power or log2 of the linear or the weak SINR
+        pair, case = pair44(2), (SPLIT, QOS1, SNR10)
+        key = capacity.term_key(quantity, *case)
+        with reuse_densities():
+            exact_cases(pair, [case], (quantity,))
+            (integrand,) = quadratures
+            x = next(iter(numerics._DENSITIES.get()[capacity._law(pair, key)]))
+            assert python_calls(integrand, x) == 1
+
+    @pytest.mark.parametrize("pair", [pair44(1), pair44(4), pair44(2)], ids=["sc", "mrc", "general"])
+    def test_min_moments_run_one_python_frame_at_a_stored_node(self, quadratures, pair):
+        with reuse_densities():
+            distributions.min_moments(pair)
+            x = next(iter(numerics._DENSITIES.get()[distributions.min_density(pair), pair]))
+            assert len(quadratures) == 2
+            assert [python_calls(integrand, x) for integrand in quadratures] == [1, 1]

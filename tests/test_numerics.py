@@ -169,11 +169,16 @@ class _Counted:
         return self.density(law, x)
 
 
+def _term(h):
+    """The term builder of x -> h(x) * density."""
+    return lambda values: lambda x: h(x) * values[x]
+
+
 class TestExpectation:
     def test_is_the_integral_of_h_times_the_density(self):
         spec = GscSpec(4, 2, 1.0)
         h = lambda x: (1.0 + 3.0 * x) ** -0.7
-        r = expectation(h, gsc_pdf, spec)
+        r = expectation(_term(h), gsc_pdf, spec)
         assert r == integrate_semi_infinite(lambda x: h(x) * gsc_pdf(spec, x))
 
     def test_quadrature_stays_behind_numerics(self):
@@ -198,8 +203,8 @@ class TestReuseDensities:
             (gsc_pdf, self.PAIR.weak),
             (min_pdf_general, self.PAIR),
         ]
-        h = lambda x: (1.0 + 3.0 * x) ** -0.7
-        g = lambda x: math.log2(1.0 + 30.0 * x)
+        h = _term(lambda x: (1.0 + 3.0 * x) ** -0.7)
+        g = _term(lambda x: math.log2(1.0 + 30.0 * x))
         fresh_h = [expectation(h, d, law) for d, law in laws]
         fresh_g = [expectation(g, d, law) for d, law in laws]
         counted = [_Counted(d) for d, _ in laws]
@@ -229,7 +234,7 @@ class TestReuseDensities:
         with reuse_densities():
             for _ in range(2):
                 with pytest.raises(DomainError):
-                    expectation(lambda x: 1.0, density, "law")
+                    expectation(_term(lambda x: 1.0), density, "law")
             stored = numerics._DENSITIES.get()[density, "law"]
             assert stored and all(x <= 5.0 for x in stored)
         # the second pass computed the failing node again
@@ -242,12 +247,12 @@ class TestReuseDensities:
                 outer = numerics._DENSITIES.get()
                 with reuse_densities():
                     assert numerics._DENSITIES.get() is outer
-                    first = expectation(lambda x: x, density, "law")
+                    first = expectation(_term(lambda x: x), density, "law")
                 # the inner block's values outlive it
                 assert numerics._DENSITIES.get() is outer and outer[density, "law"]
                 density.seen.clear()
                 with reuse_densities():
-                    assert expectation(lambda x: x, density, "law") == first
+                    assert expectation(_term(lambda x: x), density, "law") == first
                     assert density.seen == []
                     raise IntegrationError("an inner block fails")
         assert numerics._DENSITIES.get() is None
@@ -257,12 +262,12 @@ class TestReuseDensities:
         assert numerics._DENSITIES.get() is None
         with pytest.raises(IntegrationError):
             with reuse_densities():
-                expectation(lambda x: x, density, "law")
+                expectation(_term(lambda x: x), density, "law")
                 assert numerics._DENSITIES.get()
                 raise IntegrationError("the caller fails inside the block")
         assert numerics._DENSITIES.get() is None
         # nothing carries over to the next block
         evaluated = len(density.seen)
         with reuse_densities():
-            expectation(lambda x: x, density, "law")
+            expectation(_term(lambda x: x), density, "law")
         assert len(density.seen) == 2 * evaluated

@@ -29,7 +29,7 @@ PACKAGE = {
     "gsc_pdf": distributions.gsc_pdf,
     # the general composition of the two laws, whatever the pair
     "min_expectation": lambda pair, b, p: numerics.expectation(
-        lambda x: (1.0 + b * x) ** -p, distributions.min_pdf_general, pair
+        lambda values: lambda x: (1.0 + b * x) ** -p * values[x], distributions.min_pdf_general, pair
     ).value,
 }
 
