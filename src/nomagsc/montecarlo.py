@@ -43,6 +43,8 @@ class SimPlan:
     def __post_init__(self):
         if self.samples < 1:
             raise ValueError(f"samples must be >= 1, got {self.samples}")
+        if not 0 <= self.seed < 2**64:  # one Philox key word
+            raise ValueError(f"seed must be in [0, 2**64), got {self.seed}")
         if self.batch < 1:
             raise ValueError(f"batch must be >= 1, got {self.batch}")
 

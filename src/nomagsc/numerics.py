@@ -12,7 +12,7 @@ dict into one integrand function, so each quadrature node runs two
 Python frames: the finite check of ``integrate_semi_infinite`` and that
 function.  Inside a ``reuse_densities`` block each density value is
 computed once, for callers that integrate many times over the same laws:
-a serial sweep, one ``capacity.exact_cases`` call and a power search
+a sweep, one ``capacity.exact_cases`` call and a power search
 each run in one block.
 """
 

@@ -17,6 +17,10 @@ from .distributions import UserPairSpec
 from .numerics import reuse_densities
 
 
+# Most splits a search grid may hold; the default grid has 24.
+MAX_SPLITS = 10_000
+
+
 @dataclass(frozen=True)
 class SearchSpec:
     a_min: float = 0.01
@@ -31,6 +35,13 @@ class SearchSpec:
             )
         if not self.step > 0:
             raise ValueError(f"step must be > 0, got {self.step}")
+        # a_min + k * step never falls as k grows, so grid() holds more
+        # than MAX_SPLITS splits exactly when it keeps k = MAX_SPLITS
+        if self.a_min + MAX_SPLITS * self.step <= self.a_max + 1e-12:
+            raise ValueError(
+                f"step {self.step} gives more than {MAX_SPLITS} splits in "
+                f"[{self.a_min}, {self.a_max}]"
+            )
         if self.objective not in ("sum_ec", "sum_rate"):
             raise ValueError(f"unknown objective {self.objective!r}")
 
@@ -69,8 +80,8 @@ def optimize_power(
     ``ergodic_rate`` for sum rate.  The splits integrate over the same
     channel laws at the same quadrature nodes, so the whole scan runs in
     one ``numerics.reuse_densities`` block: each density value is
-    computed once per search, or once per enclosing block (a serial
-    sweep), and dropped when the outermost block ends.  Every value is
+    computed once per search, or once per enclosing block (a sweep),
+    and dropped when the outermost block ends.  Every value is
     the one a separate evaluation per split gives.
     Raises SearchError, naming the split, when the objective fails.
     """

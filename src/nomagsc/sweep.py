@@ -26,8 +26,9 @@ non-finite branch power, omega_w >= omega_s, an antenna count out of
 range); a negative or non-finite theta; an SNR whose linear value
 overflows or underflows; a ``block_length`` or ``bandwidth`` <= 0 or not
 finite; a nu = theta*T*B/ln 2 that overflows; a fixed ``a_s`` outside
-(0, 0.5); a repeated entry in ``n``, ``snr_db``,
-``theta`` or ``methods``.
+(0, 0.5); a search ``step`` whose grid would hold more than
+``optimizer.MAX_SPLITS`` splits; a ``sim.seed`` outside [0, 2**64); a
+repeated entry in ``n``, ``snr_db``, ``theta`` or ``methods``.
 Every requested (point, method) combination produces exactly one row;
 evaluator errors are recorded in-row under ``status`` and never abort
 sibling points.  The ``montecarlo`` rows of one n come from one pass over
@@ -39,8 +40,6 @@ from __future__ import annotations
 
 import csv
 import json
-import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
 from . import capacity, montecarlo
@@ -66,8 +65,6 @@ CSV_COLUMNS = (
     "std_error",
     "status",
 )
-
-WORKERS_ENV = "NOMAGSC_WORKERS"
 
 _CONFIG_FIELDS = (
     "pair", "n", "snr_db", "theta", "block_length", "bandwidth", "power", "methods", "sim",
@@ -299,10 +296,9 @@ _EVALUATORS = {
 _SEARCH_METHODS = {"sum_ec": "exact", "sum_rate": "ergodic"}
 
 
-def _montecarlo_pass(args):
+def _montecarlo_pass(spec: SweepSpec, n: int, cases: list) -> list:
     """Monte Carlo EC of every case of one n, from one pass over its draws:
     per case, the estimates or the exception that failed it."""
-    spec, n, cases = args
     try:
         return montecarlo.estimate_cases(spec.pair_for(n), cases, spec.sim, ("ec_strong", "ec_weak"))
     except Exception as exc:  # the batch loop failed: every case of this n
@@ -317,48 +313,31 @@ def _montecarlo_row(coords: dict, est) -> SweepRow:
     return _row(coords, "montecarlo", "ok", (es.value, ew.value, std))
 
 
-def worker_count() -> int:
-    raw = os.environ.get(WORKERS_ENV, "1")
-    try:
-        count = int(raw)
-    except ValueError:
-        raise ConfigError(f"{WORKERS_ENV} must be an integer, got {raw!r}")
-    return max(count, 1)
-
-
 def run_sweep(spec: SweepSpec) -> list[SweepRow]:
     """Evaluate the full grid; rows come back in lexicographic grid order
     (rho_db, theta, n) then canonical method order.  Without methods there
-    are no rows, and no point is evaluated.  Run serially, the whole sweep
-    is one ``numerics.reuse_densities`` block: its points, methods and
-    power searches integrate over few channel laws, and share their
-    density values.  Worker processes do not share them across points."""
+    are no rows, and no point is evaluated.  The whole sweep is one
+    ``numerics.reuse_densities`` block: its points, methods and power
+    searches integrate over few channel laws, and share their density
+    values."""
     if not spec.methods:
         return []
-    workers = worker_count()
-    if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            return _run(spec, pool.map)
     with reuse_densities():
-        return _run(spec, map)
-
-
-def _run(spec: SweepSpec, mapper) -> list[SweepRow]:
-    points = list(spec.points())
-    evaluated = list(mapper(_evaluate_point, [(spec, point) for point in points]))
-    if "montecarlo" in spec.methods:
-        # The channel law depends on n only, so one pass over its draws
-        # estimates every point of that n.  montecarlo is the last method,
-        # so its row goes at the end of the point's rows.
-        by_n: dict[int, list[int]] = {}
-        for i, (point, (_, case, _)) in enumerate(zip(points, evaluated)):
-            if case is not None:
-                by_n.setdefault(point[2], []).append(i)
-        tasks = [(spec, n, [evaluated[i][1] for i in idx]) for n, idx in by_n.items()]
-        for idx, estimates in zip(by_n.values(), mapper(_montecarlo_pass, tasks)):
-            for i, est in zip(idx, estimates):
-                coords, _, rows = evaluated[i]
-                rows.append(_montecarlo_row(coords, est))
+        points = list(spec.points())
+        evaluated = [_evaluate_point((spec, point)) for point in points]
+        if "montecarlo" in spec.methods:
+            # The channel law depends on n only, so one pass over its draws
+            # estimates every point of that n.  montecarlo is the last
+            # method, so its row goes at the end of the point's rows.
+            by_n: dict[int, list[int]] = {}
+            for i, (point, (_, case, _)) in enumerate(zip(points, evaluated)):
+                if case is not None:
+                    by_n.setdefault(point[2], []).append(i)
+            for n, idx in by_n.items():
+                estimates = _montecarlo_pass(spec, n, [evaluated[i][1] for i in idx])
+                for i, est in zip(idx, estimates):
+                    coords, _, rows = evaluated[i]
+                    rows.append(_montecarlo_row(coords, est))
     return [row for _, _, rows in evaluated for row in rows]
 
 

@@ -92,6 +92,8 @@ class TestSweepCommand:
             {"sim": {"samples": 1e4 + 0.5}},
             {"sim": {"seed": 2.5}},
             {"sim": {"seed": True}},
+            {"sim": {"seed": -1}},
+            {"sim": {"seed": 2**64}},
             {"sim": {"batch": "4096"}},
             {"power": {"search": {"step": True}}},
             {"power": {"search": {"a_min": "0.05"}}},
@@ -242,6 +244,11 @@ class TestValidateCommand:
         monkeypatch.setattr(validate_mod.montecarlo, "estimate_cases", broken)
         assert main(["validate", "--samples", "1000"]) == EXIT_VALIDATION
         assert "FAIL" in capsys.readouterr().out
+
+    def test_seed_outside_a_key_word_is_rejected(self, capsys):
+        assert main(["validate", "--samples", "10", "--seed", str(2**64)]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("error: seed must be in [0, 2**64)") and "Traceback" not in err
 
     def test_single_sample_fails(self, capsys, monkeypatch):
         # one sample has no finite standard error, so no check can pass

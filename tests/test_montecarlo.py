@@ -59,6 +59,10 @@ class TestSampling:
             SimPlan(samples=0)
         with pytest.raises(ValueError):
             SimPlan(batch=0)
+        for seed in (-1, 2**64):  # one Philox key word
+            with pytest.raises(ValueError):
+                SimPlan(seed=seed)
+        assert SimPlan(seed=2**64 - 1).seed == 2**64 - 1
 
     def test_exponential_mean(self):
         g = all_samples(GscSpec(1, 1, 1.0), PLAN)

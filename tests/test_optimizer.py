@@ -4,7 +4,7 @@ from nomagsc import capacity, distributions, numerics
 from nomagsc.capacity import PowerSplit, QosProfile, SnrPoint
 from nomagsc.distributions import GscSpec, UserPairSpec
 from nomagsc.numerics import IntegrationError
-from nomagsc.optimizer import SearchError, SearchSpec, optimize_power
+from nomagsc.optimizer import MAX_SPLITS, SearchError, SearchSpec, optimize_power
 
 PAIR = UserPairSpec(GscSpec(4, 4, 1.0), GscSpec(4, 4, 0.1))
 QOS = QosProfile(1.0)
@@ -22,6 +22,9 @@ class TestSearchSpec:
         with pytest.raises(ValueError):
             SearchSpec(step=0.0)
         with pytest.raises(ValueError):
+            # 0.01 + k * 1e-300 == 0.01 for every k: a grid without end
+            SearchSpec(step=1e-300)
+        with pytest.raises(ValueError):
             SearchSpec(objective="profit")
 
     def test_default_grid(self):
@@ -29,6 +32,12 @@ class TestSearchSpec:
         assert len(grid) == 24
         assert grid[0] == pytest.approx(0.01)
         assert grid[-1] == pytest.approx(0.24)
+
+    def test_split_limit(self):
+        # 0.23 / (MAX_SPLITS - 1) spans [0.01, 0.24] in exactly MAX_SPLITS splits
+        assert len(SearchSpec(step=0.23 / (MAX_SPLITS - 1)).grid()) == MAX_SPLITS
+        with pytest.raises(ValueError):
+            SearchSpec(step=0.23 / MAX_SPLITS)
 
     def test_single_point_grid(self):
         grid = SearchSpec(a_min=0.2, a_max=0.2000000001, step=0.05).grid()

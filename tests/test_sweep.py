@@ -20,7 +20,6 @@ from nomagsc.sweep import (
     emit,
     load_spec,
     run_sweep,
-    worker_count,
     write_table,
 )
 
@@ -210,7 +209,6 @@ class TestRunSweep:
             calls.append(split.a_s)
             return evaluate(pair, split, *args)
 
-        monkeypatch.delenv("NOMAGSC_WORKERS", raising=False)
         monkeypatch.setattr(capacity, evaluator, counting)
         spec = make_spec(
             n=[4], snr_db=[20], power={"search": {**SEARCH["search"], "objective": objective}},
@@ -229,7 +227,6 @@ class TestRunSweep:
         # optimize reads a search config and ignores its methods, so an empty
         # list is accepted; a sweep of it has no rows to search for
         calls = []
-        monkeypatch.delenv("NOMAGSC_WORKERS", raising=False)
         monkeypatch.setattr(sweep, "optimize_power", lambda *args: calls.append(args))
         spec = make_spec(n=[2, 4], snr_db=[10, 20], power=SEARCH, methods=[])
         assert run_sweep(spec) == []
@@ -266,25 +263,9 @@ class TestRunSweep:
         assert row.status.startswith("error: Monte Carlo EC mean out of range: 0.0")
         assert row.e_sum is None
 
-    def test_worker_env(self, monkeypatch):
-        monkeypatch.setenv("NOMAGSC_WORKERS", "3")
-        assert worker_count() == 3
-        monkeypatch.setenv("NOMAGSC_WORKERS", "abc")
-        with pytest.raises(ConfigError):
-            worker_count()
-        monkeypatch.delenv("NOMAGSC_WORKERS")
-        assert worker_count() == 1
-
-    def test_parallel_matches_serial(self, monkeypatch):
-        spec = make_spec()
-        serial = run_sweep(spec)
-        monkeypatch.setenv("NOMAGSC_WORKERS", "2")
-        assert run_sweep(spec) == serial
-
     @pytest.mark.parametrize("power", [{"a_s": 0.24}, SEARCH], ids=["fixed", "search"])
-    def test_one_sweep_equals_a_sweep_per_point(self, monkeypatch, power):
-        # a serial sweep shares density values across its points and methods
-        monkeypatch.delenv("NOMAGSC_WORKERS", raising=False)
+    def test_one_sweep_equals_a_sweep_per_point(self, power):
+        # a sweep shares density values across its points and methods
         spec = make_spec(
             n=[1, 2, 4], snr_db=[0, 20, 40], theta=[0.5, 1.0], power=power,
             methods=["exact", "high_snr", "low_snr", "oma", "ergodic"],
@@ -306,13 +287,14 @@ class TestRunSweep:
             computed[table, x] += 1
             return density(table, x)
 
-        monkeypatch.delenv("NOMAGSC_WORKERS", raising=False)
+        # NOMAGSC_WORKERS is not read: every density call is in this process
+        monkeypatch.setenv("NOMAGSC_WORKERS", "2")
         monkeypatch.setattr(distributions, "_density", counted)
         run_sweep(figure_spec("fig3"))
         assert computed and max(computed.values()) == 1
 
     def test_figure_calls_point_evaluator_once_per_point(self, monkeypatch, tmp_path):
-        # the serial run reads sweep._evaluate_point at call time, once per
+        # run_sweep reads sweep._evaluate_point at call time, once per
         # grid point, so that a wrapper installed there sees every point
         calls = []
         evaluate_point = sweep._evaluate_point
@@ -321,7 +303,6 @@ class TestRunSweep:
             calls.append(args)
             return evaluate_point(args)
 
-        monkeypatch.delenv("NOMAGSC_WORKERS", raising=False)
         monkeypatch.setattr(sweep, "_evaluate_point", counting)
         generate_figure("fig3", str(tmp_path))
         spec = figure_spec("fig3")
@@ -376,15 +357,6 @@ class TestMonteCarloPass:
             assert row.status == "ok"
             got = (row.e_strong, row.e_weak, row.e_sum, row.std_error)
             assert got == per_point_montecarlo(spec, row)
-
-    def test_parallel_matches_serial(self, monkeypatch):
-        spec = make_spec(
-            n=[2, 4], snr_db=[10, 30], power=SEARCH,
-            methods=["exact", "oma", "montecarlo"], sim={"samples": 5_000, "seed": 1},
-        )
-        serial = run_sweep(spec)
-        monkeypatch.setenv("NOMAGSC_WORKERS", "2")
-        assert run_sweep(spec) == serial
 
     def test_underflow_fails_only_its_point(self):
         # every EC term underflows at theta = 1e4, 40 dB, but not at theta = 1

@@ -80,3 +80,20 @@ def test_one_quadrature_span_per_expectation(tracing, n, low_snr_quads):
     finally:
         restore()
     assert spans == [quads for _, quads in calls]
+
+
+def test_workload_hooks(monkeypatch, tmp_path):
+    # perfbench/workloads.py builds every workload and times figure points
+    # at sweep._evaluate_point; a fig3 pass checks clean against its reference
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    import workloads
+
+    assert len(workloads.WORKLOADS) == 4
+    for workload in workloads.WORKLOADS.values():
+        workload.build(0)
+    figures = workloads.FiguresWorkload()
+    written, latency = figures.run(["fig3"], tmp_path, None)
+    verdict = figures.check(written, tmp_path, workloads.load_reference("figures"))
+    assert len(latency) == 28
+    assert verdict.attempted > 0
+    assert (verdict.failures, verdict.wrong, verdict.file_errors) == ([], [], [])
