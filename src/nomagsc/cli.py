@@ -7,7 +7,7 @@ Subcommands:
 * ``figure <name> --out-dir <dir>`` — regenerate the data file and plot
   script behind one of the five standard figures.
 * ``optimize <config>`` — one-dimensional power-allocation search per
-  grid point.
+  grid point; the points share density values, as a sweep's do.
 * ``validate`` — analytic-vs-Monte-Carlo oracle grid with a pass/fail
   table.
 
@@ -22,7 +22,7 @@ import sys
 
 from . import figures, sweep, validate
 from .montecarlo import SimPlan
-from .numerics import IntegrationError
+from .numerics import IntegrationError, reuse_densities
 from .optimizer import SearchError, optimize_power
 
 EXIT_OK = 0
@@ -81,13 +81,15 @@ def _cmd_optimize(args) -> int:
             "optimize needs a config with power.search (got a fixed a_s)"
         )
     print("rho_db theta n a_s* e_strong e_weak e_sum")
-    for rho_db, theta, n, pair, qos, snr in spec.points():
-        result = optimize_power(pair, qos, snr, search)
-        rep = result.report
-        print(
-            f"{rho_db:g} {theta:g} {n} {result.a_star:g} "
-            f"{rep.e_strong:.6f} {rep.e_weak:.6f} {rep.e_sum:.6f}"
-        )
+    # the grid points share their channel laws, as a sweep's do
+    with reuse_densities():
+        for rho_db, theta, n, pair, qos, snr in spec.points():
+            result = optimize_power(pair, qos, snr, search)
+            rep = result.report
+            print(
+                f"{rho_db:g} {theta:g} {n} {result.a_star:g} "
+                f"{rep.e_strong:.6f} {rep.e_weak:.6f} {rep.e_sum:.6f}"
+            )
     return EXIT_OK
 
 

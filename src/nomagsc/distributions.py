@@ -19,7 +19,11 @@ case (SC: one branch on both sides, MRC: all branches on both sides,
 otherwise general), and its moments are integrated through
 ``numerics.expectation``.  The density functions are pure: callers that
 integrate many times over the same laws share their values through
-``numerics.reuse_densities``.
+``numerics.reuse_densities``.  ``gsc_pdf`` and the ``min_pdf_*`` take x
+as a float, giving a float, or as a 1-D array of nodes, giving an array,
+as ``numerics.expectation`` asks for a quadrature interval's 15 nodes at
+once; a node's value is the same (==) either way, because each node's
+terms are summed on their own.
 """
 from __future__ import annotations
 
@@ -32,7 +36,7 @@ from typing import NamedTuple
 import numpy as np
 from scipy import special
 
-from .numerics import DomainError, expectation
+from .numerics import DomainError, expectation, reuse_densities
 
 # The signs in ``_gsc_terms``, the table ``gsc_pdf`` reads, alternate, and
 # its sums lose roughly one digit per discarded branch; past this many
@@ -146,11 +150,22 @@ def _density(t: _Table, x: float) -> float:
     )
 
 
-def gsc_pdf(spec: GscSpec, x: float) -> float:
-    """Density of the combined channel power at ``x``."""
-    if x < 0:
-        raise DomainError(f"gsc_pdf requires x >= 0, got {x}")
-    return _density(_gsc_terms(spec), x)
+def _pointwise(name: str, x, values):
+    """``values(nodes)`` over ``x``, a float or a 1-D array: a float for a
+    float, an array for an array.  DomainError if any x is negative."""
+    nodes = np.asarray(x, dtype=float)
+    if (nodes < 0).any():
+        raise DomainError(f"{name} requires x >= 0, got {x}")
+    if nodes.ndim:
+        return values(nodes)
+    return float(values(nodes.reshape(1))[0])
+
+
+def gsc_pdf(spec: GscSpec, x):
+    """Density of the combined channel power at ``x`` (a float or a 1-D
+    array), ``_density`` at each node."""
+    t = _gsc_terms(spec)
+    return _pointwise("gsc_pdf", x, lambda xs: np.array([_density(t, v) for v in xs.tolist()]))
 
 
 def _best_branch(spec: GscSpec, x: float) -> tuple[float, float]:
@@ -213,30 +228,35 @@ def _mixture(antennas: int, combined: int) -> _Mixture:
     return _Mixture(w, survival, divisors)
 
 
-def _receiver(spec: GscSpec, x: float) -> tuple[float, float]:
-    """(density, survival) of one receiver's combined power at x, as sums
-    of positive terms: the best-of-N law for n = 1, the mixture otherwise.
+def _receiver(spec: GscSpec, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(density, survival) of one receiver's combined power at the nodes
+    ``x``, as sums of positive terms: the best-of-N law at each node for
+    n = 1, the mixture otherwise.
 
     With y = x/scale and the Poisson terms t_j = exp(-y) * y**j/j!, the
     mixture's density is sum_k w_k * t_(N-1+k)/scale and its survival
-    sum_k w_k * sum_(j<N+k) t_j = sum_j survival[j] * t_j.
+    sum_k w_k * sum_(j<N+k) t_j = sum_j survival[j] * t_j: one row of
+    terms per node, summed row by row, so that a node's values do not
+    depend on the other nodes.
     """
     N, n = spec.antennas, spec.combined
     if n == 1:
-        return _best_branch(spec, x)
+        f, s = zip(*[_best_branch(spec, v) for v in x.tolist()])
+        return np.array(f), np.array(s)
     m = _mixture(N, n)
     scale = spec.omega * n / N
     y = x / scale
-    e = math.exp(-y)
+    e = np.exp(-y)
     # past y = 745 exp(-y) underflows; there every t_j with j < N + K
     # (K <= 343 terms for N <= 16) is below 1e-55, far under the weight
-    # the mixture leaves out, and the far tail costs no array work
-    if e == 0.0:
-        return 0.0, 0.0
-    t = y / m.divisors
-    t[0] = e
-    t.cumprod(out=t)
-    return float(m.weights.dot(t[N - 1 :])) / scale, float(m.survival.dot(t))
+    # the mixture leaves out, and the row is zero
+    t = np.where(e == 0.0, 0.0, y)[:, None] / m.divisors
+    t[:, 0] = e
+    np.multiply.accumulate(t, axis=1, out=t)
+    return (
+        np.add.reduce(m.weights * t[:, N - 1 :], axis=1) / scale,
+        np.add.reduce(m.survival * t, axis=1),
+    )
 
 
 def gsc_cdf(spec: GscSpec, x: float) -> float:
@@ -253,37 +273,35 @@ def gsc_cdf(spec: GscSpec, x: float) -> float:
     return float(m.weights.dot(special.gammainc(shapes, x / (spec.omega * n / N))))
 
 
-def _min_pdf(pair: UserPairSpec, x: float) -> float:
-    """Density f_s * S_w + f_w * S_s of min(g_s, g_w) over each receiver's
-    (density, survival) from ``_receiver``: positive terms, free of
-    cancellation at any N."""
-    (f_s, s_s), (f_w, s_w) = _receiver(pair.strong, x), _receiver(pair.weak, x)
-    return f_s * s_w + f_w * s_s
+def _min_pdf(name: str, pair: UserPairSpec, x):
+    """Density f_s * S_w + f_w * S_s of min(g_s, g_w) at ``x`` (a float
+    or a 1-D array) over each receiver's (density, survival) from
+    ``_receiver``: positive terms, free of cancellation at any N."""
+
+    def values(nodes):
+        (f_s, s_s), (f_w, s_w) = _receiver(pair.strong, nodes), _receiver(pair.weak, nodes)
+        return f_s * s_w + f_w * s_s
+
+    return _pointwise(name, x, values)
 
 
-def min_pdf_sc(pair: UserPairSpec, x: float) -> float:
+def min_pdf_sc(pair: UserPairSpec, x):
     """Density of min(g_s, g_w) when both receivers select one branch."""
     if not pair.is_sc:
         raise ValueError("min_pdf_sc requires single-branch selection on both sides")
-    if x < 0:
-        raise DomainError(f"min_pdf_sc requires x >= 0, got {x}")
-    return _min_pdf(pair, x)
+    return _min_pdf("min_pdf_sc", pair, x)
 
 
-def min_pdf_mrc(pair: UserPairSpec, x: float) -> float:
+def min_pdf_mrc(pair: UserPairSpec, x):
     """Density of min(g_s, g_w) when both receivers combine all branches."""
     if not pair.is_mrc:
         raise ValueError("min_pdf_mrc requires full combining on both sides")
-    if x < 0:
-        raise DomainError(f"min_pdf_mrc requires x >= 0, got {x}")
-    return _min_pdf(pair, x)
+    return _min_pdf("min_pdf_mrc", pair, x)
 
 
-def min_pdf_general(pair: UserPairSpec, x: float) -> float:
+def min_pdf_general(pair: UserPairSpec, x):
     """Density of min(g_s, g_w) for arbitrary combining on either side."""
-    if x < 0:
-        raise DomainError(f"min_pdf_general requires x >= 0, got {x}")
-    return _min_pdf(pair, x)
+    return _min_pdf("min_pdf_general", pair, x)
 
 
 def min_law(pair: UserPairSpec) -> str:
@@ -336,7 +354,9 @@ def gsc_moments(spec: GscSpec) -> tuple[float, float]:
 
 def min_moments(pair: UserPairSpec) -> tuple[float, float]:
     """(mean, second raw moment) of min(g_s, g_w), by quadrature over
-    ``min_density``."""
+    ``min_density``; both run in one ``numerics.reuse_densities`` block,
+    so they share their density values."""
     density = min_density(pair)
     terms = (lambda v: lambda x: x * v[x], lambda v: lambda x: x * x * v[x])
-    return tuple(expectation(term, density, pair).value for term in terms)
+    with reuse_densities():
+        return tuple(expectation(term, density, pair).value for term in terms)

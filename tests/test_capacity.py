@@ -1,8 +1,10 @@
+import collections
 import itertools
 import math
 import sys
 
 import mpmath as mp
+import numpy as np
 import pytest
 
 import mp_oracle
@@ -229,6 +231,22 @@ class TestLowSnr:
         # rho = 1e160 is finite, but rho^2 overflows to inf
         with pytest.raises(ValidityError, match="not finite"):
             ec_low_snr(pair44(2), SPLIT, QOS05, SnrPoint.from_db(1600))
+
+    @pytest.mark.parametrize("n", [1, 2, 4], ids=["sc", "general", "mrc"])
+    def test_min_moments_compute_each_node_once(self, monkeypatch, n):
+        # the two moments integrate over one law in one reuse_densities block
+        pair, computed = pair44(n), collections.Counter()
+        real = distributions.min_density(pair)
+
+        def counted(law, x):
+            computed.update(np.atleast_1d(x).tolist())
+            return real(law, x)
+
+        monkeypatch.setattr(distributions, real.__name__, counted)
+        report = ec_low_snr(pair, SPLIT, QOS05, SnrPoint(0.1))
+        assert computed and max(computed.values()) == 1
+        monkeypatch.undo()
+        assert ec_low_snr(pair, SPLIT, QOS05, SnrPoint(0.1)) == report
 
     def test_five_percent_below_minus_ten_db(self):
         for n in (1, 4):

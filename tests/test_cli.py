@@ -1,10 +1,12 @@
+import collections
 import csv
 import json
 import math
 
+import numpy as np
 import pytest
 
-from nomagsc import cli, figures, sweep
+from nomagsc import cli, distributions, figures, sweep
 from nomagsc.cli import (
     EXIT_CONFIG,
     EXIT_NUMERICAL,
@@ -151,6 +153,25 @@ class TestOptimizeCommand:
         assert lines[0].startswith("rho_db")
         assert len(lines) == 2
         assert " 0.24 " in lines[1]
+
+    def test_points_compute_each_density_value_once(self, tmp_path, monkeypatch, capsys):
+        # two points of one n read the same laws; the command runs them in
+        # one reuse_densities block, as a sweep does
+        computed = collections.Counter()
+        for name in ("gsc_pdf", "min_pdf_general"):
+            real = getattr(distributions, name)
+
+            def counted(law, x, real=real):
+                computed.update((law, v) for v in np.atleast_1d(x).tolist())
+                return real(law, x)
+
+            monkeypatch.setattr(distributions, name, counted)
+        cfg = {**CONFIG, "n": [2], "power": SEARCH}
+        path = tmp_path / "opt.json"
+        path.write_text(json.dumps(cfg))
+        assert main(["optimize", str(path)]) == EXIT_OK
+        assert len(capsys.readouterr().out.strip().splitlines()) == 3
+        assert computed and max(computed.values()) == 1
 
     @pytest.mark.usefixtures("fail_at_0db")
     def test_failed_search_is_numerical_failure(self, tmp_path, capsys):

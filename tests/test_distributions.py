@@ -8,7 +8,7 @@ import pytest
 from scipy import special
 
 import mp_oracle
-from nomagsc import distributions
+from nomagsc import distributions, numerics
 from nomagsc.distributions import (
     MAX_ANTENNAS,
     GscSpec,
@@ -221,13 +221,14 @@ class TestMixture:
                 assert mean == pytest.approx(float(sum(c)), rel=1e-14, abs=0), (N, n)
 
     def test_terms_past_the_underflow_are_negligible(self):
-        # _receiver returns (0, 0) once exp(-y) underflows (y > 745); there
-        # the largest Poisson term it would sum, j = N + K - 2, is tiny
+        # _receiver gives a node (0, 0) once exp(-y) underflows (y > 745);
+        # there the largest Poisson term it would sum, j = N + K - 2, is tiny
         for N in range(2, MAX_ANTENNAS + 1):
             for n in range(2, N + 1):
                 j = len(distributions._mixture(N, n).divisors) - 1
                 assert -745 + j * math.log(745) - math.lgamma(j + 1) < math.log(1e-50), (N, n)
-        assert distributions._receiver(GscSpec(16, 2, 1.0), 750 / 8) == (0.0, 0.0)
+        f, s = distributions._receiver(GscSpec(16, 2, 1.0), np.array([750 / 8, 740 / 8]))
+        assert (f[0], s[0]) == (0.0, 0.0) and f[1] > 0 and s[1] > 0
 
 
 class TestMinPdfs:
@@ -354,6 +355,68 @@ class TestMinPdfs:
                 value = min_pdf_general(pair, x)
                 assert value >= 0.0
                 assert abs(value - ref) <= 1e-14 * ref + 1e-17, (pair, x)
+
+
+class TestArrayForm:
+    """Each density takes a float or a 1-D array of nodes, and a node's
+    value is the same (==) either way."""
+
+    # x = 0, 1e-3..1e3, and past y = x/scale = 745, where exp(-y) underflows
+    XS = [0.0] + np.logspace(-3, 3, 49).tolist() + [7.46e3, 1e4, 3e5]
+    LAWS = [
+        (N, n, omega)
+        for N in (1, 2, 4, 8, 12, 16)
+        for n in sorted({1, 2, N // 2, N - 1, N} & set(range(1, N + 1)))
+        for omega in (0.1, 1.0)
+    ]
+
+    @staticmethod
+    def assert_array_form(density, law, xs):
+        block = density(law, np.array(xs))
+        scalars = [density(law, x) for x in xs]
+        assert isinstance(block, np.ndarray) and block.shape == (len(xs),)
+        assert all(type(v) is float for v in scalars)
+        assert block.tolist() == scalars, law
+
+    def test_gsc_pdf(self):
+        for N, n, omega in self.LAWS:
+            self.assert_array_form(gsc_pdf, GscSpec(N, n, omega), self.XS)
+
+    def test_min_pdfs(self):
+        for N, n, omega in self.LAWS:
+            if omega == 1.0:
+                # the pair of (N, n) receivers with the weak one 10 times weaker
+                pair = UserPairSpec(GscSpec(N, n, omega), GscSpec(N, n, 0.1 * omega))
+            else:
+                # a stronger (N, N) receiver against this one
+                pair = UserPairSpec(GscSpec(N, N, 1.0), GscSpec(N, n, omega))
+            self.assert_array_form(min_pdf_general, pair, self.XS)
+            if pair.is_sc:
+                self.assert_array_form(min_pdf_sc, pair, self.XS)
+            if pair.is_mrc:
+                self.assert_array_form(min_pdf_mrc, pair, self.XS)
+
+    def test_a_kronrod_block(self):
+        # the 15 nodes the store asks for at once
+        xs = numerics._kronrod_block(3.0)
+        for N, n in ((4, 1), (4, 2), (4, 4), (12, 6), (16, 15)):
+            pair = UserPairSpec(GscSpec(N, n, 1.0), GscSpec(N, n, 0.1))
+            self.assert_array_form(gsc_pdf, pair.strong, xs)
+            self.assert_array_form(min_density(pair), pair, xs)
+
+    def test_checks_hold_for_arrays(self):
+        xs = np.array([0.1, 2.0, 30.0])
+        with pytest.raises(ValueError, match="single-branch"):
+            min_pdf_sc(PAIR_MRC, xs)
+        with pytest.raises(ValueError, match="full combining"):
+            min_pdf_mrc(PAIR_SC, xs)
+        laws = [(gsc_pdf, PAIR_GSC.strong), (min_pdf_sc, PAIR_SC), (min_pdf_mrc, PAIR_MRC), (min_pdf_general, PAIR_GSC)]
+        for density, law in laws:
+            for i in range(len(xs)):
+                bad = xs.copy()
+                bad[i] = -1e-300
+                with pytest.raises(DomainError):
+                    density(law, bad)
 
 
 class TestMoments:

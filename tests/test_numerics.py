@@ -1,6 +1,7 @@
 import math
 
 import mpmath as mp
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -19,6 +20,7 @@ from nomagsc.distributions import (
 from nomagsc.numerics import (
     DomainError,
     IntegrationError,
+    _kronrod_block,
     expectation,
     integrate_semi_infinite,
     reuse_densities,
@@ -158,14 +160,15 @@ class TestIntegrateSemiInfinite:
 
 
 class _Counted:
-    """A density that records every x it is called at."""
+    """A density that records every node it is called at, a float or each
+    element of an array."""
 
     def __init__(self, density):
         self.density = density
         self.seen = []
 
     def __call__(self, law, x):
-        self.seen.append(x)
+        self.seen.extend(np.atleast_1d(x).tolist())
         return self.density(law, x)
 
 
@@ -225,23 +228,25 @@ class TestReuseDensities:
     def test_errors_are_not_stored(self):
         raised = []
 
+        # the nodes of QAGI's first interval reach x = 233, the next ones
+        # go beyond: the first block is stored, the second fails
         def density(law, x):
-            if x > 5.0:
-                raised.append(x)
+            if (np.atleast_1d(x) > 250.0).any():
+                raised.append(np.atleast_1d(x).tolist())
                 raise DomainError(f"no density at {x}")
-            return math.exp(-x)
+            return np.exp(-x)
 
         with reuse_densities():
             for _ in range(2):
                 with pytest.raises(DomainError):
                     expectation(_term(lambda x: 1.0), density, "law")
             stored = numerics._DENSITIES.get()[density, "law"]
-            assert stored and all(x <= 5.0 for x in stored)
-        # the second pass computed the failing node again
+            assert stored and all(x <= 250.0 for x in stored)
+        # the second pass computed the failing nodes again
         assert len(raised) == 2 and raised[0] == raised[1]
 
     def test_nested_blocks_share_one_store(self):
-        density = _Counted(lambda law, x: math.exp(-x))
+        density = _Counted(lambda law, x: np.exp(-x))
         with pytest.raises(IntegrationError):
             with reuse_densities():
                 outer = numerics._DENSITIES.get()
@@ -258,7 +263,7 @@ class TestReuseDensities:
         assert numerics._DENSITIES.get() is None
 
     def test_store_ends_with_the_block(self):
-        density = _Counted(lambda law, x: math.exp(-x))
+        density = _Counted(lambda law, x: np.exp(-x))
         assert numerics._DENSITIES.get() is None
         with pytest.raises(IntegrationError):
             with reuse_densities():
@@ -271,3 +276,73 @@ class TestReuseDensities:
         with reuse_densities():
             expectation(_term(lambda x: x), density, "law")
         assert len(density.seen) == 2 * evaluated
+
+
+def _requested(f):
+    """Every x that scipy's quad asks ``integrate_semi_infinite`` for, in
+    order, integrating f."""
+    seen = []
+
+    def recorded(x):
+        seen.append(x)
+        return f(x)
+
+    integrate_semi_infinite(recorded)
+    return seen
+
+
+def _depth(run):
+    """The bisection depth of a run's QAGI interval: its outermost nodes
+    lie at t = c -/+ 0.9915 * 2**-(depth + 1)."""
+    t_low, t_high = (1.0 / (1.0 + x) for x in run[1:3])
+    return round(-math.log2((t_high - t_low) / (2 * numerics._XGK[0]))) - 1
+
+
+class TestKronrodBlocks:
+    """QUADPACK's QAGI rule asks for nodes 15 at a time, the centre of a
+    dyadic t-interval first; ``_kronrod_block`` names each run from its
+    first node, so a scipy that changes the order fails here."""
+
+    INTEGRANDS = {
+        "easy": lambda x: math.exp(-x),
+        # a peak 1e-4 wide at x = 3 bisects 17 levels deep
+        "deep": lambda x: 1.0 / (1.0 + ((x - 3.0) / 1e-4) ** 2),
+        # a tail out to x = 3e7, t = 3.3e-8
+        "far": lambda x: 1e5 / (1e5 + x) ** 2,
+    }
+
+    @pytest.mark.parametrize("name", INTEGRANDS)
+    def test_runs_of_15_are_blocks(self, name):
+        seen = _requested(self.INTEGRANDS[name])
+        assert seen and len(seen) % 15 == 0
+        runs = [seen[i : i + 15] for i in range(0, len(seen), 15)]
+        assert all(run == _kronrod_block(run[0]) for run in runs)
+        # the other 14 nodes of a run are no centres
+        assert all(_kronrod_block(x) is None for run in runs for x in run[1:])
+        if name == "deep":
+            assert max(_depth(run) for run in runs) > 8
+        if name == "far":
+            assert min(1.0 / (1.0 + x) for x in seen) < 1e-7
+
+    def test_none_off_the_centres(self):
+        for x in (0.0, -1.0, 0.3, 2.5, math.pi, 1e-7, 123.456, 1e300, math.inf, math.nan):
+            assert _kronrod_block(x) is None, x
+        # the centres of (0, 1), (0, 1/2) and (1/2, 1)
+        assert [_kronrod_block(x)[0] for x in (1.0, 3.0, 1 / 3)] == [1.0, 3.0, 1 / 3]
+
+    @pytest.mark.parametrize("N, n", [(4, 2), (12, 6)])
+    def test_exact_cases_make_no_one_node_calls(self, monkeypatch, N, n):
+        pair = UserPairSpec(GscSpec(N, n, 1.0), GscSpec(N, n, 0.1))
+        calls = []
+        for name in ("gsc_pdf", "min_pdf_general"):
+            real = getattr(distributions, name)
+            monkeypatch.setattr(
+                distributions, name, lambda law, x, real=real: calls.append(np.ndim(x)) or real(law, x)
+            )
+        cases = [
+            (capacity.PowerSplit(0.24), capacity.QosProfile(theta), capacity.SnrPoint.from_db(rho_db))
+            for theta in (0.0, 0.5)
+            for rho_db in (0.0, 10.0, 20.0)
+        ]
+        capacity.exact_cases(pair, cases, ("ec_strong", "ec_weak", "ergodic_weak"))
+        assert calls and set(calls) == {1}
