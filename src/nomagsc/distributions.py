@@ -6,31 +6,31 @@ order-statistics density, an alternating series over the discarded
 branches.  ``gsc_pdf`` reads it as a finite signed sum of gamma kernels
 a * x**m * exp(-lam * x), held once per spec in ``_gsc_terms`` and
 grouped by rate, so that one call computes each distinct exp(-lam * x)
-once.  One receiver's moments are Renyi's exact sums.
+once.
 
 By Renyi's representation, g = omega * sum_i c_i E_i is also a positive
 mixture of gamma laws of one scale (Moschopoulos 1985), ``_mixture``:
 no term of it cancels, at any N.  ``gsc_cdf``, the Mellin transform
-E[g^s] (``gsc_mellin``, the high-SNR expectation) and the law of the
-minimum read it.  The density of min(g_s, g_w) is f_s * S_w + f_w * S_s
-over each receiver's (density, survival) pair, from the best-of-N law
-for one branch and the mixture otherwise; ``min_law`` names the pair's
-case (SC: one branch on both sides, MRC: all branches on both sides,
-otherwise general), and its moments are integrated through
+E[g^s] (``gsc_mellin``: the high-SNR expectation, and at s = 1, 2 the
+moments ``gsc_moments``) and the law of the minimum read it.  The
+density of min(g_s, g_w) is f_s * S_w + f_w * S_s over each receiver's
+(density, survival) pair, from the best-of-N law for one branch and the
+mixture otherwise; ``min_density`` picks the pair's case (SC: one
+branch on both sides, MRC: all branches on both sides, otherwise
+general), and its moments are integrated through
 ``numerics.expectation``.  The density functions are pure: callers that
 integrate many times over the same laws share their values through
 ``numerics.reuse_densities``.  ``gsc_pdf`` and the ``min_pdf_*`` take x
 as a float, giving a float, or as a 1-D array of nodes, giving an array,
 as ``numerics.expectation`` asks for a quadrature interval's 15 nodes at
 once; a node's value is the same (==) either way, because each node's
-terms are summed on their own.
+terms are summed on their own.  Every x must be finite and >= 0.
 """
 from __future__ import annotations
 
 import functools
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import NamedTuple
 
 import numpy as np
@@ -152,10 +152,11 @@ def _density(t: _Table, x: float) -> float:
 
 def _pointwise(name: str, x, values):
     """``values(nodes)`` over ``x``, a float or a 1-D array: a float for a
-    float, an array for an array.  DomainError if any x is negative."""
+    float, an array for an array.  DomainError unless every x is finite
+    and >= 0 (a NaN fails both comparisons)."""
     nodes = np.asarray(x, dtype=float)
-    if (nodes < 0).any():
-        raise DomainError(f"{name} requires x >= 0, got {x}")
+    if not (0 <= nodes.min(initial=math.inf) and nodes.max(initial=0.0) < math.inf):
+        raise DomainError(f"{name} requires finite x >= 0, got {x}")
     if nodes.ndim:
         return values(nodes)
     return float(values(nodes.reshape(1))[0])
@@ -166,15 +167,6 @@ def gsc_pdf(spec: GscSpec, x):
     array), ``_density`` at each node."""
     t = _gsc_terms(spec)
     return _pointwise("gsc_pdf", x, lambda xs: np.array([_density(t, v) for v in xs.tolist()]))
-
-
-def _best_branch(spec: GscSpec, x: float) -> tuple[float, float]:
-    """(density, survival) at x of the best of N branches, e = exp(-x/omega):
-    (N/omega) * e * (1 - e)**(N-1) and 1 - (1 - e)**N, without cancellation."""
-    N, omega = spec.antennas, spec.omega
-    e = math.exp(-x / omega)
-    f = N / omega * e * (-math.expm1(-x / omega)) ** (N - 1)
-    return f, -math.expm1(N * math.log1p(-e)) if e < 1.0 else 1.0
 
 
 class _Mixture(NamedTuple):
@@ -230,19 +222,22 @@ def _mixture(antennas: int, combined: int) -> _Mixture:
 
 def _receiver(spec: GscSpec, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(density, survival) of one receiver's combined power at the nodes
-    ``x``, as sums of positive terms: the best-of-N law at each node for
-    n = 1, the mixture otherwise.
+    ``x``, free of cancellation.  For n = 1, with e = exp(-x/omega), the
+    best-of-N law: (N/omega) * e * (1 - e)**(N-1) and 1 - (1 - e)**N =
+    -expm1(N * log1p(-e)), which is 1 at x = 0, where log1p(-1) = -inf.
 
-    With y = x/scale and the Poisson terms t_j = exp(-y) * y**j/j!, the
-    mixture's density is sum_k w_k * t_(N-1+k)/scale and its survival
-    sum_k w_k * sum_(j<N+k) t_j = sum_j survival[j] * t_j: one row of
-    terms per node, summed row by row, so that a node's values do not
-    depend on the other nodes.
+    Otherwise, with y = x/scale and the Poisson terms t_j = exp(-y) *
+    y**j/j!, the mixture's density is sum_k w_k * t_(N-1+k)/scale and its
+    survival sum_k w_k * sum_(j<N+k) t_j = sum_j survival[j] * t_j: one
+    row of terms per node, summed row by row, so that a node's values do
+    not depend on the other nodes.
     """
     N, n = spec.antennas, spec.combined
     if n == 1:
-        f, s = zip(*[_best_branch(spec, v) for v in x.tolist()])
-        return np.array(f), np.array(s)
+        u = x / spec.omega
+        e = np.exp(-u)
+        with np.errstate(divide="ignore"):
+            return N / spec.omega * e * (-np.expm1(-u)) ** (N - 1), -np.expm1(N * np.log1p(-e))
     m = _mixture(N, n)
     scale = spec.omega * n / N
     y = x / scale
@@ -263,8 +258,8 @@ def gsc_cdf(spec: GscSpec, x: float) -> float:
     """Distribution function: (1 - exp(-x/omega))**N for n = 1, otherwise
     the mixture's sum_k w_k * P(N + k, x/scale) with P the regularized
     lower incomplete gamma; a sum of positive terms either way."""
-    if x < 0:
-        raise DomainError(f"gsc_cdf requires x >= 0, got {x}")
+    if not 0 <= x < math.inf:
+        raise DomainError(f"gsc_cdf requires finite x >= 0, got {x}")
     N, n = spec.antennas, spec.combined
     if n == 1:
         return (-math.expm1(-x / spec.omega)) ** N
@@ -304,26 +299,21 @@ def min_pdf_general(pair: UserPairSpec, x):
     return _min_pdf("min_pdf_general", pair, x)
 
 
-def min_law(pair: UserPairSpec) -> str:
-    """The pair's case of min(g_s, g_w): "sc" when both receivers select
-    one branch, "mrc" when both combine all branches, otherwise "general".
-    Each case has its own density name; all three compute ``_min_pdf``."""
-    if pair.is_sc:
-        return "sc"
-    if pair.is_mrc:
-        return "mrc"
-    return "general"
-
-
 def min_density(pair: UserPairSpec):
-    """The density function of min(g_s, g_w) for the case ``min_law``
-    names: ``min_pdf_sc``, ``min_pdf_mrc`` or ``min_pdf_general``, read
-    from this module when called."""
-    return {"sc": min_pdf_sc, "mrc": min_pdf_mrc, "general": min_pdf_general}[min_law(pair)]
+    """The density function of min(g_s, g_w) for the pair's case:
+    ``min_pdf_sc`` when both receivers select one branch, ``min_pdf_mrc``
+    when both combine all branches, otherwise ``min_pdf_general``; each
+    name is read from this module when called.  All three compute
+    ``_min_pdf``."""
+    if pair.is_sc:
+        return min_pdf_sc
+    if pair.is_mrc:
+        return min_pdf_mrc
+    return min_pdf_general
 
 
 def gsc_mellin(spec: GscSpec, s: float) -> float:
-    """Mellin transform E[g^s] of the combined power, for real s > -N.
+    """Mellin transform E[g^s] of the combined power, for finite s > -N.
 
     s = 1 and s = 2 give the raw moments; s = -nu gives the high-SNR
     expectation E[g^-nu].  Over the mixture it is
@@ -332,24 +322,16 @@ def gsc_mellin(spec: GscSpec, s: float) -> float:
     x**(N-1) at 0.
     """
     N, n = spec.antennas, spec.combined
-    if not s > -N:
-        raise DomainError(f"gsc_mellin requires s > -N = {-N}, got {s}")
+    if not -N < s < math.inf:
+        raise DomainError(f"gsc_mellin requires finite s > -N = {-N}, got {s}")
     w = _mixture(N, n).weights
     return (spec.omega * n / N) ** s * float(w.dot(special.poch(N + np.arange(len(w)), s)))
 
 
 def gsc_moments(spec: GscSpec) -> tuple[float, float]:
-    """(mean, second raw moment) of the combined channel power.
-
-    By Renyi's representation g is a sum of independent exponentials of
-    means omega * c_i, i = 1..N, with c_i = 1 for i <= n and n/i above, so
-    the mean is omega * sum c and E[g^2] = omega^2 * sum c^2 + mean^2.  The
-    sums are exact fractions, free of the alternating table's cancellation.
-    """
-    n = spec.combined
-    c = [Fraction(1)] * n + [Fraction(n, i) for i in range(n + 1, spec.antennas + 1)]
-    mean = spec.omega * float(sum(c))
-    return mean, spec.omega**2 * float(sum(x * x for x in c)) + mean**2
+    """(mean, second raw moment) of the combined channel power: the Mellin
+    transform at s = 1 and s = 2."""
+    return gsc_mellin(spec, 1), gsc_mellin(spec, 2)
 
 
 def min_moments(pair: UserPairSpec) -> tuple[float, float]:

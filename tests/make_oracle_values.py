@@ -98,6 +98,8 @@ def _stored_values() -> dict:
 A_S = 0.24
 # the corners every quantity is checked at: (theta, rho in dB)
 CORNERS = ((2.0, 40), (1e4, 40), (1.0, 3000))
+# (omega, rho in dB) with omega * rho = 10, as at omega = 1 and 10 dB
+OMEGA_SCALES = ((1e-9, 100), (1e-4, 50), (1e4, -30), (1e6, -50), (1e9, -80))
 
 
 _PREFIX = {"a_s": "a", "theta": "th"}
@@ -129,13 +131,13 @@ def _row(quantity, inputs, routes, rel_tol=1e-9):
     }
 
 
-def _pair(N, n, **point):
-    """A pair of (N, n) receivers, omega 1 and 0.1, at ``point``."""
-    return {"strong": [N, n, 1.0], "weak": [N, n, 0.1], **point}
+def _pair(N, n, omega=1.0, **point):
+    """A pair of (N, n) receivers, omega and omega/10, at ``point``."""
+    return {"strong": [N, n, omega], "weak": [N, n, omega / 10], **point}
 
 
-def _ec(N, n, theta, snr_db):
-    return _pair(N, n, a_s=A_S, theta=theta, snr_db=snr_db)
+def _ec(N, n, theta, snr_db, omega=1.0):
+    return _pair(N, n, omega, a_s=A_S, theta=theta, snr_db=snr_db)
 
 
 def _oma(N, n, omega, theta, snr_db):
@@ -160,6 +162,7 @@ HIGH_SNR = "high-SNR quadrature: the inner expectation is tiny, so numerics.ABS_
 UNDERFLOW = "underflow: the inner EC expectation underflows to 0.0 and IntegrationError is raised"
 WIDE = "N = 12: the alternating series cancels"
 NO_CONVERGENCE = f"{WIDE} and QUADPACK misses the tolerance contract (IntegrationError)"
+SCALE = "omega far from 1: the quadrature, on the scale x ~ 1, misses a law whose mass lies at x ~ omega"
 DEFECTS = {
     "ec_strong-N4n1w1+N4n1w0.1-a0.24-th2-40dB": f"{HIGH_SNR}: 11.054105578 against 11.054106590, 9.2e-8",
     "ec_strong-N4n2w1+N4n2w0.1-a0.24-th2-40dB": f"{HIGH_SNR}: 11.773816203 against 11.773815238, 8.2e-8",
@@ -184,6 +187,26 @@ DEFECTS = {
     "ergodic_strong-N12n9w1+N12n9w0.1-a0.24-10dB": f"{NO_CONVERGENCE}: error 9.1e-6 on 4.78",
     "ergodic_weak-N12n9w1+N12n9w0.1-a0.24-10dB": f"{NO_CONVERGENCE} in the strong half: error 9.1e-6 on 4.78",
     "gsc_pdf-N16n15w1-x0.5": "the series breaks down at N = 16: -19.796 against 1.5067e-17",
+    "ec_oma-N4n4w1e-09-th1-100dB": f"{SCALE}; {UNDERFLOW}; true 2.5179064329",
+    "ec_strong-N4n2w1e-09+N4n2w1e-10-a0.24-th1-100dB": f"{SCALE}; {UNDERFLOW}; true 2.7274275858",
+    "ec_weak-N4n2w1e-09+N4n2w1e-10-a0.24-th1-100dB": f"{SCALE}; {UNDERFLOW}; true 1.1375800564",
+    "ergodic_strong-N4n2w1e-09+N4n2w1e-10-a0.24-100dB": f"{SCALE}: 0.0 against 2.9566877593, silently",
+    "ec_weak-N4n2w0.0001+N4n2w1e-05-a0.24-th1-50dB": f"{SCALE}; {UNDERFLOW}; true 1.1375800564",
+    "ec_oma-N4n4w10000-th1--30dB": f"{SCALE}; IntegrationError: error 0.037 on 0.081 after 16 subdivisions",
+    "ec_strong-N4n2w10000+N4n2w1000-a0.24-th1--30dB": f"{SCALE}; IntegrationError: error 0.063 on 0.065 "
+    "after 13 subdivisions",
+    "ergodic_strong-N4n2w10000+N4n2w1000-a0.24--30dB": f"{SCALE}; IntegrationError: error 0.94 on 2.98 "
+    "after 14 subdivisions",
+    "ec_oma-N4n4w1e+06-th1--50dB": f"{SCALE}: 31.481322677 against 2.5179064329, silently",
+    "ec_strong-N4n2w1e+06+N4n2w100000-a0.24-th1--50dB": f"{SCALE}: 30.381185304 against 2.7274275858, silently",
+    "ec_weak-N4n2w1e+06+N4n2w100000-a0.24-th1--50dB": f"{SCALE}; IntegrationError: inner EC expectation "
+    "out of range: -4.6e-14; true 1.1375800564",
+    "ergodic_strong-N4n2w1e+06+N4n2w100000-a0.24--50dB": f"{SCALE}: 1.0e-16 against 2.9566877593, silently",
+    "ec_oma-N4n4w1e+09-th1--80dB": f"{SCALE}: 59.108519863 against 2.5179064329, silently",
+    "ec_strong-N4n2w1e+09+N4n2w1e+08-a0.24-th1--80dB": f"{SCALE}; IntegrationError: inner EC expectation "
+    "out of range: -3.7e-21; true 2.7274275858",
+    "ec_weak-N4n2w1e+09+N4n2w1e+08-a0.24-th1--80dB": f"{SCALE}: 48.799474913 against 1.1375800564, silently",
+    "ergodic_strong-N4n2w1e+09+N4n2w1e+08-a0.24--80dB": f"{SCALE}: -5.8e-27 against 2.9566877593, silently",
 }
 
 
@@ -220,6 +243,14 @@ def definitions() -> list:
         inputs = _pair(N, n, a_s=A_S, snr_db=db)
         rows.append(_row("ergodic_strong", inputs, _one_receiver_routes(N, n, db)))
         rows.append(_row("ergodic_weak", inputs, _weak_routes(N, n)))
+    # the mean branch power far from 1: each row scales a theta = 1, 10 dB
+    # row above by omega and its rho by 1/omega, so that rho * omega, and
+    # with it the value, is unchanged
+    for omega, db in OMEGA_SCALES:
+        rows.append(_row("ec_oma", _oma(4, 4, omega, 1.0, db), both))
+        rows.append(_row("ec_strong", _ec(4, 2, 1.0, db, omega), both))
+        rows.append(_row("ec_weak", _ec(4, 2, 1.0, db, omega), _weak_routes(4, 2)))
+        rows.append(_row("ergodic_strong", _pair(4, 2, omega, a_s=A_S, snr_db=db), both))
     # the Mellin transform at negative order
     for n in (1, 2, 3, 4):
         for s in (-0.3, -0.7):

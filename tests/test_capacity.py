@@ -104,7 +104,7 @@ class TestEcStrong:
 def ec_weak_by(law, monkeypatch, *args):
     """ec_weak with the minimum's law forced to ``law``."""
     with monkeypatch.context() as m:
-        m.setattr(distributions, "min_law", lambda pair: law)
+        m.setattr(distributions, "min_density", lambda pair: getattr(distributions, f"min_pdf_{law}"))
         return ec_weak(*args)
 
 

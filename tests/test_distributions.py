@@ -17,7 +17,6 @@ from nomagsc.distributions import (
     gsc_mellin,
     gsc_moments,
     gsc_pdf,
-    min_law,
     min_density,
     min_moments,
     min_pdf_general,
@@ -313,10 +312,21 @@ class TestMinPdfs:
         with pytest.raises(ValueError):
             min_pdf_mrc(PAIR_SC, 0.1)
 
-    def test_min_pdf_follows_min_law(self, monkeypatch):
-        assert [min_law(p) for p in (PAIR_SC, PAIR_MRC, PAIR_GSC)] == ["sc", "mrc", "general"]
-        for pair, form in ((PAIR_SC, min_pdf_sc), (PAIR_MRC, min_pdf_mrc), (PAIR_GSC, min_pdf_general)):
-            assert min_density(pair) is form
+    def test_min_density_follows_the_pairs_case(self, monkeypatch):
+        # every pair of receivers with N <= 4 on both sides: selection on both
+        # wins over full combining ((1, 1)/(1, 1) is both), and a mixed pair
+        # such as (4, 1)/(4, 4) is general
+        specs = [(N, n) for N in range(1, 5) for n in range(1, N + 1)]
+        for Ns, ns in specs:
+            for Nw, nw in specs:
+                pair = UserPairSpec(GscSpec(Ns, ns, 1.0), GscSpec(Nw, nw, 0.1))
+                if ns == nw == 1:
+                    form = min_pdf_sc
+                elif ns == Ns and nw == Nw:
+                    form = min_pdf_mrc
+                else:
+                    form = min_pdf_general
+                assert min_density(pair) is form, pair
         # read from the module when called, so a replacement installed there is returned
         def replacement(pair, x):
             return 0.0
@@ -418,6 +428,19 @@ class TestArrayForm:
                 with pytest.raises(DomainError):
                     density(law, bad)
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -1e-300])
+    def test_x_must_be_finite_and_non_negative(self, bad):
+        # a float, and one bad node in a block of good ones
+        laws = [(gsc_pdf, PAIR_GSC.strong), (gsc_pdf, PAIR_SC.strong), (min_pdf_sc, PAIR_SC),
+                (min_pdf_mrc, PAIR_MRC), (min_pdf_general, PAIR_GSC)]
+        for density, law in laws:
+            for x in (bad, np.array([0.0, 1.0, bad, 2.0])):
+                with pytest.raises(DomainError, match="finite x >= 0"):
+                    density(law, x)
+        for spec in (PAIR_SC.strong, PAIR_GSC.strong):
+            with pytest.raises(DomainError, match="finite x >= 0"):
+                gsc_cdf(spec, bad)
+
 
 class TestMoments:
     def test_gamma_moments(self):
@@ -457,12 +480,12 @@ class TestMoments:
 
     def test_min_moments_exponential(self, monkeypatch):
         pair = UserPairSpec(GscSpec(1, 1, 1.0), GscSpec(1, 1, 0.1))
-        assert min_law(pair) == "sc"
+        assert min_density(pair) is min_pdf_sc
         m1, m2 = min_moments(pair)
         assert m1 == pytest.approx(1 / 11, rel=1e-12)
         assert m2 == pytest.approx(2 / 121, rel=1e-12)
         # one antenna per side: the MRC form applies too
-        monkeypatch.setattr(distributions, "min_law", lambda pair: "mrc")
+        monkeypatch.setattr(distributions, "min_density", lambda pair: min_pdf_mrc)
         assert min_moments(pair) == pytest.approx((m1, m2), rel=1e-12)
 
     def test_min_moments_sc_frozen_monte_carlo(self):
@@ -509,5 +532,6 @@ class TestMellin:
                 ref = math.gamma(N - 1.5) / math.gamma(N) * omega**-1.5
                 assert gsc_mellin(GscSpec(N, N, omega), -1.5) == pytest.approx(ref, rel=1e-14), (N, omega)
         for N, n in ((1, 1), (4, 2), (16, 15)):
-            with pytest.raises(DomainError):
-                gsc_mellin(GscSpec(N, n, 1.0), -N)
+            for s in (-N, math.nan, math.inf, -math.inf):
+                with pytest.raises(DomainError):
+                    gsc_mellin(GscSpec(N, n, 1.0), s)
