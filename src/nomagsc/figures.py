@@ -17,7 +17,7 @@ _BASE = {
     "block_length": 1e-5,
     "bandwidth": 1e5,
     "power": {"a_s": 0.24},
-    "sim": {"samples": 100_000, "seed": 2024, "batch": 1 << 18},
+    "sim": {"samples": 100_000, "seed": 2024},
 }
 
 FIGURE_SPECS = {

@@ -2,10 +2,12 @@
 
 Samples Rayleigh branch powers, applies GSC selection/combining and the
 NOMA power-domain SINR model, and turns per-sample functionals into
-estimates with standard errors.  Batches draw from counter-based Philox
-streams keyed by (seed, batch index), so results are reproducible no
-matter how batches are scheduled; accumulators are merged in fixed batch
-order for bit-identical repeats.
+estimates with standard errors.  A ``SimPlan`` is (samples, seed): batch
+b holds ``BATCH`` samples (the last one fewer) drawn from the
+counter-based stream ``Philox(key=[seed, b])``, so an estimate depends
+only on the seed and the sample count.  Accumulators keep a running sum
+for the mean and each batch's centred second moment for the standard
+error, merged in fixed batch order for bit-identical repeats.
 
 Stream contract: a batch's stream holds the strong user's branch powers
 first and the weak user's after them; one user alone
@@ -33,20 +35,23 @@ import numpy as np
 from .capacity import QUANTITIES, Case, PowerSplit, QosProfile, SnrPoint, requested, sinr, term_key
 from .distributions import GscSpec, UserPairSpec
 
+BATCH = 1 << 18  # samples per batch; batch b draws from Philox(seed, b)
+
 
 @dataclass(frozen=True)
 class SimPlan:
     samples: int = 10**6
     seed: int = 0
-    batch: int = 1 << 18
 
     def __post_init__(self):
+        for name in ("samples", "seed"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, int):
+                raise ValueError(f"{name} must be an int, got {value!r}")
         if self.samples < 1:
             raise ValueError(f"samples must be >= 1, got {self.samples}")
         if not 0 <= self.seed < 2**64:  # one Philox key word
             raise ValueError(f"seed must be in [0, 2**64), got {self.seed}")
-        if self.batch < 1:
-            raise ValueError(f"batch must be >= 1, got {self.batch}")
 
 
 @dataclass(frozen=True)
@@ -59,15 +64,16 @@ class Estimate:
 def _batches(plan: SimPlan) -> Iterator[tuple[int, np.random.Generator]]:
     """(size, stream) per batch, in batch order; batch ``index`` draws from
     its own ``Philox(seed, index)`` stream."""
-    for index, done in enumerate(range(0, plan.samples, plan.batch)):
-        size = min(plan.batch, plan.samples - done)
+    for index, done in enumerate(range(0, plan.samples, BATCH)):
+        size = min(BATCH, plan.samples - done)
         yield size, np.random.Generator(np.random.Philox(key=[plan.seed, index]))
 
 
 # Rows of fewer branches than this are combined column by column.  numpy
 # sums fewer than 8 terms left to right and 8 or more pairwise, so only
-# below 8 do column adds equal the row sum bit for bit; above it the
-# compare-exchange network's O(N^2) cost also outgrows a row partition.
+# below 8 do column adds equal the row sum bit for bit.  That, not speed,
+# sets the threshold: the column path stays faster up to N = 12 and loses
+# only at N = 16, n >= 8.
 _COLUMN_WISE_BELOW = 8
 # Rows per column block: N < 8 columns of this many doubles stay in cache.
 _CHUNK_ROWS = 8192
@@ -184,18 +190,48 @@ def sample_gsc_power(spec: GscSpec, plan: SimPlan) -> Iterator[np.ndarray]:
         yield _combined(spec, rng.standard_exponential(size * spec.antennas), size)
 
 
+# Terms are >= 0.  From a batch mean of this size up, every nonzero
+# deviation is at least ~2**-453 and its square stays normal; below it,
+# each deviation is under n times the mean and its square may underflow.
+_TINY = 2.0**-400
+
+
 class _MeanAccumulator:
-    """Streaming sum / sum-of-squares, merged in fixed order."""
+    """Streaming mean and centred second moment, merged batch by batch in
+    fixed order by Chan, Golub & LeVeque (1979).
+
+    The mean is the running sum over the count.  The second moment about
+    the mean is held as ``m2 * 4**scale``: a batch whose mean is below
+    ``_TINY`` is squared in units of its largest deviation, so neither
+    cancellation nor underflow can read a spread as 0.
+    """
 
     def __init__(self):
         self.s1 = 0.0
-        self.s2 = 0.0
+        self.m2 = 0.0
+        self.scale = 0
         self.count = 0
 
     def add(self, values: np.ndarray):
-        self.s1 += float(values.sum())
-        self.s2 += float(np.square(values).sum())
-        self.count += values.size
+        """Merge one batch of terms; ``values`` is overwritten."""
+        size = values.size
+        total = float(values.sum())
+        deviation = np.subtract(values, total / size, out=values)
+        scale = 0
+        if total / size < _TINY:
+            scale = math.frexp(max(deviation.max(), -deviation.min()))[1]
+            np.ldexp(deviation, -scale, out=deviation)
+        m2 = float(np.square(deviation, out=deviation).sum())
+        parts = [(self.m2, self.scale), (m2, scale)]
+        if self.count:
+            # the spread of the two means, (shift * 2**exp)**2 * n_a * n_b / n
+            shift, exp = math.frexp(total / size - self.s1 / self.count)
+            parts.append((shift * shift * self.count * size / (self.count + size), exp))
+        parts = [(m, s) for m, s in parts if m != 0.0]
+        self.scale = max((s for _, s in parts), default=0)
+        self.m2 = math.fsum(math.ldexp(m, 2 * (s - self.scale)) for m, s in parts)
+        self.s1 += total
+        self.count += size
 
     @property
     def mean(self) -> float:
@@ -205,8 +241,8 @@ class _MeanAccumulator:
     def se_mean(self) -> float:
         if self.count < 2:
             return math.inf
-        var = max(self.s2 - self.s1 * self.s1 / self.count, 0.0) / (self.count - 1)
-        return math.sqrt(var / self.count)
+        n = self.count
+        return math.ldexp(math.sqrt(self.m2 / ((n - 1) * n)), self.scale)
 
 
 def _term(base: np.ndarray, exponent: float | None) -> np.ndarray:

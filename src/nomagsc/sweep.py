@@ -13,14 +13,16 @@ methods to run.  Example::
       "bandwidth": 1e5,
       "power": {"a_s": 0.24},
       "methods": ["exact", "oma", "montecarlo"],
-      "sim": {"samples": 100000, "seed": 7, "batch": 262144}
+      "sim": {"samples": 100000, "seed": 7}
     }
 
 ``power`` is either a fixed ``{"a_s": value}`` or
 ``{"search": {"a_min": ..., "a_max": ..., "step": ..., "objective": ...}}``,
-in which case the split is optimized per grid point.  Every value is
-checked at load, before any evaluation, and each of these is a
-``ConfigError``: an unknown key at any level; a ``power`` without
+in which case the split is optimized per grid point.  ``sim`` holds the
+Monte Carlo ``samples`` and ``seed``; the batch size is not a setting
+(``montecarlo.BATCH``).  Every value is checked at load, before any
+evaluation, and each of these is a ``ConfigError``: an unknown key at
+any level (``sim.batch`` included); a ``power`` without
 exactly one entry; a user pair that is invalid at some ``n`` (a
 non-finite branch power, omega_w >= omega_s, an antenna count out of
 range); a negative or non-finite theta; an SNR whose linear value
@@ -155,7 +157,7 @@ class SweepSpec:
             )
         sim = _build(
             SimPlan, raw.get("sim", {}), "sim",
-            {"samples": _count, "seed": _count, "batch": _count},
+            {"samples": _count, "seed": _count},
         )
         try:
             return cls(

@@ -119,6 +119,15 @@ class TestSweepCommand:
         err = capsys.readouterr().err
         assert err.startswith("config error: ") and "Traceback" not in err
 
+    def test_sim_batch_is_config_error(self, tmp_path, capsys):
+        # the batch size is the constant montecarlo.BATCH, not a setting
+        path = tmp_path / "batch.json"
+        path.write_text(json.dumps({**CONFIG, "sim": {"samples": 1000, "batch": 262144}}))
+        code = main(["sweep", str(path), "--out", str(tmp_path / "o.csv")])
+        assert code == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and "'batch'" in err
+
     @pytest.mark.parametrize(
         "overrides",
         [

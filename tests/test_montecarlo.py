@@ -57,12 +57,21 @@ class TestSampling:
     def test_plan_validation(self):
         with pytest.raises(ValueError):
             SimPlan(samples=0)
-        with pytest.raises(ValueError):
-            SimPlan(batch=0)
         for seed in (-1, 2**64):  # one Philox key word
             with pytest.raises(ValueError):
                 SimPlan(seed=seed)
         assert SimPlan(seed=2**64 - 1).seed == 2**64 - 1
+
+    @pytest.mark.parametrize(
+        "fields",
+        [{"seed": 1.5}, {"seed": 2.0}, {"seed": False}, {"samples": 2.5},
+         {"samples": 1e3}, {"samples": True}, {"seed": "1"}],
+    )
+    def test_plan_takes_integers_only(self, fields):
+        # seed 1.5 would draw seed 1's stream, and samples 2.5 would fail
+        # inside the batch loop
+        with pytest.raises(ValueError, match=f"{next(iter(fields))} must be an int"):
+            SimPlan(**fields)
 
     def test_exponential_mean(self):
         g = all_samples(GscSpec(1, 1, 1.0), PLAN)
@@ -77,10 +86,15 @@ class TestSampling:
         se = g.std() / math.sqrt(g.size)
         assert g.mean() == pytest.approx(19 / 6, abs=3 * se)
 
-    def test_batching_does_not_change_draws(self):
-        a = all_samples(GscSpec(4, 2, 1.0), SimPlan(samples=1000, seed=5, batch=1000))
-        b = all_samples(GscSpec(4, 2, 1.0), SimPlan(samples=1000, seed=5, batch=1000))
-        assert np.array_equal(a, b)
+    def test_batching_does_not_change_draws(self, monkeypatch):
+        # batch b's rows depend on (seed, b) only: a longer plan repeats a
+        # shorter one's batches before its own
+        monkeypatch.setattr(montecarlo, "BATCH", 400)
+        spec = GscSpec(4, 2, 1.0)
+        short = all_samples(spec, SimPlan(samples=800, seed=5))
+        long = all_samples(spec, SimPlan(samples=1000, seed=5))
+        assert np.array_equal(long[:800], short)
+        assert np.array_equal(long, all_samples(spec, SimPlan(samples=1000, seed=5)))
 
 
 class TestCombining:
@@ -171,11 +185,6 @@ class TestEcEstimates:
             assert isinstance(info.value, ArithmeticError)
             assert not isinstance(info.value, ValueError)
 
-    @pytest.mark.xfail(
-        strict=True,
-        reason="s2 - s1^2/n: the terms span 0 to 1.5e-183, so their squares "
-        "underflow and the standard error reads 0.0",
-    )
     def test_std_error_of_tiny_terms(self):
         (est,) = estimate_cases(
             PAIR_MRC,
@@ -185,12 +194,6 @@ class TestEcEstimates:
         # a log-domain delta-method estimate from the same draws
         assert est["ec_strong"].std_error == pytest.approx(0.0200, rel=1e-3)
 
-    @pytest.mark.xfail(
-        strict=True,
-        reason="s2 - s1^2/n: just above the ergodic cutoff every term is "
-        "1 - O(nu), the subtraction cancels and the standard error reads 0.0 "
-        "against the ergodic rate's 0.0148 (strong) and 0.0056 (weak)",
-    )
     def test_std_error_near_the_ergodic_cutoff(self):
         pair = UserPairSpec(GscSpec(4, 2, 1.0), GscSpec(4, 2, 0.1))
         near, limit = estimate_cases(
@@ -254,6 +257,22 @@ class TestEstimateInvariants:
         est = estimate_ec_weak(PAIR_SC, SPLIT, QOS, SNR, SimPlan(samples=1_000))
         assert est.std_error >= 0
 
+    @pytest.mark.parametrize(
+        "scales", [(1.0, 1.0, 1.0), (1e-200, 1e-190, 1e-200), (1.0, 1e-200), (1e-320, 1e-300)]
+    )
+    def test_std_error_merges_batches(self, scales):
+        # merged batch by batch, the standard error is the sample one of all
+        # the terms at once, also for batches whose squares underflow
+        rng = np.random.default_rng(0)
+        batches = [scale * rng.standard_exponential(1000) for scale in scales]
+        acc = montecarlo._MeanAccumulator()
+        for batch in batches:
+            acc.add(batch.copy())
+        unit = 1.0 / max(scales)
+        scaled = np.concatenate(batches) * unit
+        expected = scaled.std(ddof=1) / math.sqrt(scaled.size)
+        assert acc.se_mean * unit == pytest.approx(expected, rel=1e-12)
+
 
 class TestSharedDraw:
     """estimate_cases is the one pass over a pair's draws.  Its estimates
@@ -272,14 +291,16 @@ class TestSharedDraw:
         (PowerSplit(0.24), QosProfile(1.0), SnrPoint.from_db(20)),
         (PowerSplit(0.4), QosProfile(2.0), SnrPoint.from_db(40)),
     ]
+    # (plan, batch size): one batch, and three with a short last one
     PLANS = [
-        SimPlan(samples=20_000, seed=11),
-        SimPlan(samples=10_001, seed=3, batch=4096),  # short last batch
+        pytest.param(SimPlan(samples=20_000, seed=11), montecarlo.BATCH, id="plan0"),
+        pytest.param(SimPlan(samples=10_001, seed=3), 4096, id="plan1"),
     ]
 
-    @pytest.mark.parametrize("plan", PLANS)
+    @pytest.mark.parametrize("plan, batch", PLANS)
     @pytest.mark.parametrize("pair", PAIRS)
-    def test_fused_equals_separate_estimators(self, pair, plan):
+    def test_fused_equals_separate_estimators(self, pair, plan, batch, monkeypatch):
+        monkeypatch.setattr(montecarlo, "BATCH", batch)
         fused = estimate_cases(pair, self.CASES, plan)
         assert len(fused) == len(self.CASES)
         for (split, qos, snr), est in zip(self.CASES, fused):
@@ -296,13 +317,14 @@ class TestSharedDraw:
             assert est == separate
             assert est["ec_strong"].samples_used == plan.samples
 
-    def test_pair_stream_matches_numpy(self):
+    def test_pair_stream_matches_numpy(self, monkeypatch):
         # reference: batch b is a fresh Philox(seed, b) stream holding the
         # strong user's exponential block, then the weak user's; the weak
         # user alone (OMA) reads its block from the start of the stream.
         # Each user sums its n largest branches, found here by a full sort.
         pair = self.PAIRS[1]  # N_s < N_w
-        plan = SimPlan(samples=6_000, seed=5, batch=4096)  # 4096 + a short 1904
+        monkeypatch.setattr(montecarlo, "BATCH", 4096)
+        plan = SimPlan(samples=6_000, seed=5)  # 4096 + a short 1904
 
         def stream(index):
             return np.random.Generator(np.random.Philox(key=[plan.seed, index]))
@@ -351,10 +373,11 @@ class TestSharedDraw:
         assert np.array_equal(first, 0.1 * unit[:3000].reshape(1000, 3))
         assert np.array_equal(second, 2.5 * unit[3000:].reshape(1000, 5))
 
-    def test_sampler_matches_direct_draw(self):
+    def test_sampler_matches_direct_draw(self, monkeypatch):
         # reference: batch b is a fresh Philox(seed, b) exponential draw,
         # combined by partial selection
-        spec, plan = GscSpec(5, 3, 0.7), SimPlan(samples=10_001, seed=3, batch=4096)
+        monkeypatch.setattr(montecarlo, "BATCH", 4096)
+        spec, plan = GscSpec(5, 3, 0.7), SimPlan(samples=10_001, seed=3)
         for index, batch in enumerate(sample_gsc_power(spec, plan)):
             rng = np.random.Generator(np.random.Philox(key=[plan.seed, index]))
             branches = rng.exponential(spec.omega, size=(batch.size, 5))
@@ -372,13 +395,15 @@ class TestSharedDraw:
             return combined(spec, unit, size)
 
         monkeypatch.setattr(montecarlo, "_combined", counting)
-        pair, plan = self.PAIRS[1], self.PLANS[1]  # three batches
+        monkeypatch.setattr(montecarlo, "BATCH", 4096)
+        pair, plan = self.PAIRS[1], SimPlan(samples=10_001, seed=3)  # three batches
         estimate_ec_strong(pair, *self.CASES[1], plan)
         assert specs == [pair.strong] * 3
 
-    def test_whole_grid_validation_equals_per_point(self, tmp_path):
+    def test_whole_grid_validation_equals_per_point(self, tmp_path, monkeypatch):
         grid = {"snr_db": (0.0, 30.0), "theta": (0.5, 1.0), "n": (2, 4), "a_s": (0.1, 0.24)}
-        plan = SimPlan(samples=5_000, seed=8, batch=2048)
+        monkeypatch.setattr(montecarlo, "BATCH", 2048)
+        plan = SimPlan(samples=5_000, seed=8)
         per_point = []
         for rho_db in grid["snr_db"]:
             for theta in grid["theta"]:
@@ -416,7 +441,8 @@ class TestSharedDraw:
             add(acc, values)
 
         monkeypatch.setattr(montecarlo._MeanAccumulator, "add", counting)
-        validate.run_validation(SimPlan(samples=3_000, seed=0, batch=1_000))
+        monkeypatch.setattr(montecarlo, "BATCH", 1_000)
+        validate.run_validation(SimPlan(samples=3_000, seed=0))
         assert len(calls) == 80 * len(validate.DEFAULT_GRID["n"]) * 3
 
     def test_validation_integrates_each_exact_term_once(self, quadratures):
@@ -451,7 +477,7 @@ class TestSharedDraw:
         ],
         ids=["4-4", "4-12", "12-12"],
     )
-    def test_every_subset_equals_the_full_pass(self, pair):
+    def test_every_subset_equals_the_full_pass(self, pair, monkeypatch):
         # the subset decides whether the weak block and the weak user's OMA
         # block are read; neither may change any estimate
         cases = [
@@ -460,7 +486,8 @@ class TestSharedDraw:
             for rho_db in (0, 30)
             for theta in (0.0, 0.5, 1.0)
         ]
-        plan = SimPlan(samples=3_000, seed=6, batch=2048)
+        monkeypatch.setattr(montecarlo, "BATCH", 2048)
+        plan = SimPlan(samples=3_000, seed=6)
         full = estimate_cases(pair, cases, plan)
         for k in range(1, len(QUANTITIES) + 1):
             for subset in itertools.combinations(QUANTITIES, k):
@@ -495,10 +522,11 @@ class TestWeakOmaBlock:
                  2.294631366219396, 7.309491355277867, 1.8803595482807778),
     }
     CASE = (PowerSplit(0.24), QosProfile(1.0), SnrPoint.from_db(20))
-    PLAN = SimPlan(samples=5_000, seed=21, batch=2048)
+    PLAN = SimPlan(samples=5_000, seed=21)  # three batches of 2048 at most
 
     @pytest.mark.parametrize("sizes", list(PAIRS), ids=[f"{s}-{w}" for s, w in PAIRS])
-    def test_estimates_unchanged(self, sizes):
+    def test_estimates_unchanged(self, sizes, monkeypatch):
+        monkeypatch.setattr(montecarlo, "BATCH", 2048)
         pair = self.PAIRS[sizes]
         (est,) = estimate_cases(pair, [self.CASE], self.PLAN)
         assert tuple(e.value for e in est.values()) == self.FROZEN[sizes]
@@ -550,10 +578,11 @@ class TestErgodicLimit:
     average rate (halved for OMA), as on the analytic side."""
 
     PAIR = UserPairSpec(GscSpec(4, 2, 1.0), GscSpec(4, 2, 0.1))
-    PLAN = SimPlan(samples=20_000, seed=21, batch=8192)
+    PLAN = SimPlan(samples=20_000, seed=21)  # three batches of 8192 at most
 
     @pytest.mark.parametrize("theta", [0.0, 1e-12])
-    def test_ec_is_the_average_rate(self, theta):
+    def test_ec_is_the_average_rate(self, theta, monkeypatch):
+        monkeypatch.setattr(montecarlo, "BATCH", 8192)
         qos = QosProfile(theta)
         (est,) = estimate_cases(self.PAIR, [(SPLIT, qos, SNR)], self.PLAN)
         assert est["ec_strong"] == est["ergodic_strong"]
@@ -564,13 +593,12 @@ class TestErgodicLimit:
             )
         assert est["ec_oma_strong"] == estimate_ec_oma(self.PAIR.strong, qos, SNR, self.PLAN)
 
-    def test_cutoff_keeps_the_ec_route(self):
+    def test_cutoff_keeps_the_ec_route(self, monkeypatch):
         # theta = 1e-9 is not in the limit: these are the values of the
         # -(1/nu) log2(mean) route
+        monkeypatch.setattr(montecarlo, "BATCH", 2048)
         (est,) = estimate_cases(
-            self.PAIR,
-            [(SPLIT, QosProfile(1e-9), SNR)],
-            SimPlan(samples=5_000, seed=21, batch=2048),
+            self.PAIR, [(SPLIT, QosProfile(1e-9), SNR)], SimPlan(samples=5_000, seed=21)
         )
         assert {q: e.value for q, e in est.items()} == {
             "ec_strong": 2.9644685639127437,

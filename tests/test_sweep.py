@@ -41,12 +41,12 @@ def make_spec(**overrides) -> SweepSpec:
 class TestConfigParsing:
     def test_integral_floats_are_counts(self):
         spec = make_spec(
-            n=[2.0], pair={**BASE_CONFIG["pair"], "N_s": 4.0}, sim={"samples": 1e4, "batch": 4096.0}
+            n=[2.0], pair={**BASE_CONFIG["pair"], "N_s": 4.0}, sim={"samples": 1e4, "seed": 7.0}
         )
         assert spec.n_values == (2,) and type(spec.n_values[0]) is int
         assert spec.antennas_strong == 4 and type(spec.antennas_strong) is int
-        assert spec.sim == SimPlan(samples=10_000, batch=4096)
-        assert type(spec.sim.samples) is int and type(spec.sim.batch) is int
+        assert spec.sim == SimPlan(samples=10_000, seed=7)
+        assert type(spec.sim.samples) is int and type(spec.sim.seed) is int
 
     def test_missing_field(self):
         raw = {k: v for k, v in BASE_CONFIG.items() if k != "snr_db"}
@@ -332,22 +332,29 @@ class TestMonteCarloPass:
     """run_sweep estimates montecarlo rows in one pass per n."""
 
     @pytest.mark.parametrize(
-        "spec",
+        "spec, batch",
         [
-            figure_spec("fig1"),
-            make_spec(
-                pair={"N_s": 6, "N_w": 3, "omega_s": 1.0, "omega_w": 0.1},
-                n=[1, 2, 3, 6], snr_db=[0, 20], theta=[0.5, 1.0],
-                methods=["oma", "montecarlo"], sim={"samples": 10_001, "seed": 3, "batch": 4096},
+            (figure_spec("fig1"), montecarlo.BATCH),
+            (
+                make_spec(
+                    pair={"N_s": 6, "N_w": 3, "omega_s": 1.0, "omega_w": 0.1},
+                    n=[1, 2, 3, 6], snr_db=[0, 20], theta=[0.5, 1.0],
+                    methods=["oma", "montecarlo"], sim={"samples": 10_001, "seed": 3},
+                ),
+                4096,
             ),
-            make_spec(
-                n=[2, 4], snr_db=[10, 30], power=SEARCH,
-                methods=["exact", "montecarlo"], sim={"samples": 5_000, "seed": 1},
+            (
+                make_spec(
+                    n=[2, 4], snr_db=[10, 30], power=SEARCH,
+                    methods=["exact", "montecarlo"], sim={"samples": 5_000, "seed": 1},
+                ),
+                montecarlo.BATCH,
             ),
         ],
         ids=["fig1", "6-3", "search"],
     )
-    def test_rows_equal_per_point_passes(self, spec):
+    def test_rows_equal_per_point_passes(self, spec, batch, monkeypatch):
+        monkeypatch.setattr(montecarlo, "BATCH", batch)
         rows = run_sweep(spec)
         others = dataclasses.replace(spec, methods=tuple(m for m in spec.methods if m != "montecarlo"))
         assert [r for r in rows if r.method != "montecarlo"] == run_sweep(others)
