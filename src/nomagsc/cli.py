@@ -6,24 +6,26 @@ Subcommands:
   grid sweep (JSON config, see :mod:`nomagsc.sweep`).
 * ``figure <name> --out-dir <dir>`` — regenerate the data file and plot
   script behind one of the five standard figures.
-* ``optimize <config>`` — one-dimensional power-allocation search per
-  grid point; the points share density values, as a sweep's do.
+* ``optimize <config>`` — the sweep's search path: a sweep of a
+  ``power.search`` config with the one method the search evaluates,
+  printed as the optimal split and capacities per grid point.
 * ``validate`` — analytic-vs-Monte-Carlo oracle grid with a pass/fail
   table.
 
-Exit codes: 0 success, 1 config error, 2 numerical failure,
+Exit codes: 0 success, 1 config or usage error, 2 numerical failure,
 3 validation failure.
 """
 
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import sys
 
 from . import figures, sweep, validate
 from .montecarlo import SimPlan
-from .numerics import IntegrationError, reuse_densities
-from .optimizer import SearchError, optimize_power
+from .numerics import IntegrationError
+from .optimizer import SearchError
 
 EXIT_OK = 0
 EXIT_CONFIG = 1
@@ -75,21 +77,19 @@ def _cmd_figure(args) -> int:
 
 def _cmd_optimize(args) -> int:
     spec = sweep.load_spec(args.config)
-    search = spec.search
-    if search is None:
-        raise sweep.ConfigError(
-            "optimize needs a config with power.search (got a fixed a_s)"
-        )
+    if spec.search is None:
+        raise sweep.ConfigError("optimize needs a config with power.search (got a fixed a_s)")
+    # the sweep's search path, with the one method whose report the search computes
+    method = sweep._SEARCH_METHODS[spec.search.objective]
+    rows = sweep.run_sweep(dataclasses.replace(spec, methods=(method,)))
     print("rho_db theta n a_s* e_strong e_weak e_sum")
-    # the grid points share their channel laws, as a sweep's do
-    with reuse_densities():
-        for rho_db, theta, n, pair, qos, snr in spec.points():
-            result = optimize_power(pair, qos, snr, search)
-            rep = result.report
-            print(
-                f"{rho_db:g} {theta:g} {n} {result.a_star:g} "
-                f"{rep.e_strong:.6f} {rep.e_weak:.6f} {rep.e_sum:.6f}"
-            )
+    for (rho_db, theta, n, *_), row in zip(spec.points(), rows):
+        if row.status != "ok":  # the search failed at this point
+            raise SearchError(row.status.removeprefix("error: "))
+        print(
+            f"{rho_db:g} {theta:g} {n} {row.a_s:g} "
+            f"{row.e_strong:.6f} {row.e_weak:.6f} {row.e_sum:.6f}"
+        )
     return EXIT_OK
 
 
@@ -115,7 +115,11 @@ def _cmd_validate(args) -> int:
 
 
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
+    try:
+        args = _build_parser().parse_args(argv)
+    except SystemExit as exc:
+        # argparse has printed the usage error; its exit code 2 means a numerical failure here
+        raise SystemExit(EXIT_CONFIG if exc.code == 2 else exc.code) from None
     handlers = {
         "sweep": _cmd_sweep,
         "figure": _cmd_figure,

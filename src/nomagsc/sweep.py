@@ -18,19 +18,23 @@ methods to run.  Example::
 
 ``power`` is either a fixed ``{"a_s": value}`` or
 ``{"search": {"a_min": ..., "a_max": ..., "step": ..., "objective": ...}}``,
-in which case the split is optimized per grid point.  ``sim`` holds the
-Monte Carlo ``samples`` and ``seed``; the batch size is not a setting
-(``montecarlo.BATCH``).  Every value is checked at load, before any
-evaluation, and each of these is a ``ConfigError``: an unknown key at
-any level (``sim.batch`` included); a ``power`` without
-exactly one entry; a user pair that is invalid at some ``n`` (a
-non-finite branch power, omega_w >= omega_s, an antenna count out of
-range); a negative or non-finite theta; an SNR whose linear value
-overflows or underflows; a ``block_length`` or ``bandwidth`` <= 0 or not
-finite; a nu = theta*T*B/ln 2 that overflows; a fixed ``a_s`` outside
-(0, 0.5); a search ``step`` whose grid would hold more than
-``optimizer.MAX_SPLITS`` splits; a ``sim.seed`` outside [0, 2**64); a
-repeated entry in ``n``, ``snr_db``, ``theta`` or ``methods``.
+in which case the split is optimized per grid point (``nomagsc optimize``
+prints these searches).  ``sim`` holds the Monte Carlo ``samples`` and
+``seed``; the batch size is not a setting (``montecarlo.BATCH``).  One
+reader checks every JSON object of a config (the root, ``pair``,
+``power``, ``power.search``, ``sim``) at load, before any evaluation,
+and each of these is a ``ConfigError``: an unknown key, reported with
+the allowed keys of its level (``sim.batch`` included); a ``power``
+without exactly one entry; an ``n`` above both antenna counts (one
+between them is clamped for the smaller receiver); a user pair that is
+invalid at some ``n`` (a non-finite branch power, omega_w >= omega_s, an
+antenna count out of range); a negative or non-finite theta; an SNR
+whose linear value overflows or underflows; a ``block_length`` or
+``bandwidth`` <= 0 or not finite; a nu = theta*T*B/ln 2 that overflows;
+a fixed ``a_s`` outside (0, 0.5); a search ``step`` whose grid would
+hold more than ``optimizer.MAX_SPLITS`` splits; a ``sim.seed`` outside
+[0, 2**64); a repeated entry in ``n``, ``snr_db``, ``theta`` or
+``methods``.
 Every requested (point, method) combination produces exactly one row;
 evaluator errors are recorded in-row under ``status`` and never abort
 sibling points.  The ``montecarlo`` rows of one n come from one pass over
@@ -41,6 +45,7 @@ error in the pass's batch loop fails every ``montecarlo`` row of that n.
 from __future__ import annotations
 
 import csv
+import dataclasses
 import json
 from dataclasses import dataclass, field
 
@@ -53,46 +58,9 @@ from .optimizer import SearchSpec, optimize_power
 
 METHODS = ("exact", "high_snr", "low_snr", "oma", "ergodic", "montecarlo")
 
-CSV_COLUMNS = (
-    "rho_db",
-    "theta",
-    "nu",
-    "n_s",
-    "n_w",
-    "a_s",
-    "method",
-    "e_strong",
-    "e_weak",
-    "e_sum",
-    "std_error",
-    "status",
-)
-
-_CONFIG_FIELDS = (
-    "pair", "n", "snr_db", "theta", "block_length", "bandwidth", "power", "methods", "sim",
-)
-
 
 class ConfigError(ValueError):
     """A sweep configuration failed validation before any evaluation."""
-
-
-def _build(cls, fields, where: str, convert):
-    """``cls(**fields)`` with ``convert`` applied to every field it names;
-    any bad key or value is reported as a ConfigError."""
-    if not isinstance(fields, dict):
-        raise ConfigError(f"{where} must be a JSON object")
-    try:
-        return cls(**{k: convert[k](v) if k in convert else v for k, v in fields.items()})
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"invalid {where}: {exc}") from exc
-
-
-def _known(fields: dict, allowed: tuple[str, ...], where: str) -> None:
-    """Reject any key of ``fields`` that is not in ``allowed``."""
-    unknown = sorted(set(fields) - set(allowed))
-    if unknown:
-        raise ConfigError(f"unknown field(s) {unknown} in {where}; expected {list(allowed)}")
 
 
 def _real(value) -> float:
@@ -107,6 +75,62 @@ def _count(value) -> int:
     if not _real(value).is_integer():
         raise ValueError(f"expected an integer, got {value!r}")
     return int(value)
+
+
+def _grid(convert):
+    """A JSON list as a tuple, ``convert`` applied to every entry."""
+    def read(values) -> tuple:
+        if not isinstance(values, list):
+            raise TypeError(f"expected a JSON list, got {values!r}")
+        return tuple(convert(v) for v in values)
+    return read
+
+
+def _object(raw, where: str, fields: dict, required: tuple[str, ...] = ()) -> dict:
+    """The JSON object ``raw`` (the config root or the object at path
+    ``where``) with every value converted by its key's function in
+    ``fields``.  Not an object, a key outside ``fields``, a missing
+    ``required`` key or a value its function rejects is a ConfigError;
+    the last is reported as ``invalid <path>: …``."""
+    if not isinstance(raw, dict):
+        raise ConfigError(f"{where} must be a JSON object")
+    unknown = sorted(set(raw) - set(fields))
+    if unknown:
+        raise ConfigError(f"unknown field(s) {unknown} in {where}; expected {list(fields)}")
+    for key in required:
+        if key not in raw:
+            raise ConfigError(f"missing field {key!r} in {where}")
+    values = {}
+    for key, value in raw.items():
+        try:
+            values[key] = fields[key](value)
+        except ConfigError:
+            raise
+        except (TypeError, ValueError) as exc:
+            path = key if where == "config" else f"{where}.{key}"
+            raise ConfigError(f"invalid {path}: {exc}") from exc
+    return values
+
+
+_PAIR_FIELDS = {"N_s": _count, "N_w": _count, "omega_s": _real, "omega_w": _real}
+_SEARCH_FIELDS = {"a_min": _real, "a_max": _real, "step": _real, "objective": str}
+_POWER_FIELDS = {
+    "a_s": _real,
+    "search": lambda raw: SearchSpec(**_object(raw, "power.search", _SEARCH_FIELDS)),
+}
+# key -> converter, in the order an unknown-key error lists them
+_CONFIG_FIELDS = {
+    "pair": lambda raw: _object(raw, "pair", _PAIR_FIELDS, tuple(_PAIR_FIELDS)),
+    "n": _grid(_count),
+    "snr_db": _grid(_real),
+    "theta": _grid(_real),
+    "block_length": _real,
+    "bandwidth": _real,
+    "power": lambda raw: _object(raw, "power", _POWER_FIELDS),
+    "methods": _grid(str),
+    "sim": lambda raw: SimPlan(**_object(raw, "sim", {"samples": _count, "seed": _count})),
+}
+_CONFIG_REQUIRED = ("pair", "n", "snr_db", "theta", "power", "methods")
 
 
 @dataclass(frozen=True)
@@ -127,53 +151,17 @@ class SweepSpec:
 
     @classmethod
     def from_dict(cls, raw: dict) -> "SweepSpec":
-        def need(key, ctx=raw, where="config", kind=None):
-            if key not in ctx:
-                raise ConfigError(f"missing field {key!r} in {where}")
-            if kind is not None and not isinstance(ctx[key], kind):
-                kind_name = "object" if kind is dict else "list"
-                raise ConfigError(f"field {key!r} must be a JSON {kind_name}")
-            return ctx[key]
-
-        def grid(key, convert):
-            values = need(key, kind=list)
-            try:
-                return tuple(convert(v) for v in values)
-            except (TypeError, ValueError) as exc:
-                raise ConfigError(f"invalid {key!r}: {exc}") from exc
-
-        if not isinstance(raw, dict):
-            raise ConfigError("config root must be a JSON object")
-        _known(raw, _CONFIG_FIELDS, "config")
-        pair = need("pair", kind=dict)
-        _known(pair, ("N_s", "N_w", "omega_s", "omega_w"), "pair")
-        power = need("power", kind=dict)
-        _known(power, ("a_s", "search"), "power")
-        search = None
-        if "search" in power:
-            search = _build(
-                SearchSpec, power["search"], "power.search",
-                {"a_min": _real, "a_max": _real, "step": _real},
-            )
-        sim = _build(
-            SimPlan, raw.get("sim", {}), "sim",
-            {"samples": _count, "seed": _count},
-        )
+        config = _object(raw, "config", _CONFIG_FIELDS, _CONFIG_REQUIRED)
+        pair, power = config["pair"], config["power"]
         try:
             return cls(
-                antennas_strong=_count(need("N_s", pair, "pair")),
-                antennas_weak=_count(need("N_w", pair, "pair")),
-                omega_strong=_real(need("omega_s", pair, "pair")),
-                omega_weak=_real(need("omega_w", pair, "pair")),
-                n_values=grid("n", _count),
-                snr_db=grid("snr_db", _real),
-                theta=grid("theta", _real),
-                block_length=_real(raw.get("block_length", 1e-5)),
-                bandwidth=_real(raw.get("bandwidth", 1e5)),
-                a_s=_real(power["a_s"]) if "a_s" in power else None,
-                search=search,
-                methods=grid("methods", str),
-                sim=sim,
+                antennas_strong=pair["N_s"], antennas_weak=pair["N_w"],
+                omega_strong=pair["omega_s"], omega_weak=pair["omega_w"],
+                n_values=config["n"], snr_db=config["snr_db"], theta=config["theta"],
+                block_length=config.get("block_length", 1e-5),
+                bandwidth=config.get("bandwidth", 1e5),
+                a_s=power.get("a_s"), search=power.get("search"),
+                methods=config["methods"], sim=config.get("sim", SimPlan()),
             )
         except (TypeError, ValueError) as exc:
             raise ConfigError(str(exc)) from exc
@@ -190,6 +178,10 @@ class SweepSpec:
         for m in self.methods:
             if m not in METHODS:
                 raise ConfigError(f"unknown method {m!r}; expected one of {METHODS}")
+        # pair_for clamps n to each N, so such an n would repeat the rows of n = max(N_s, N_w)
+        if max(self.n_values) > max(self.antennas_strong, self.antennas_weak):
+            raise ConfigError(f"n = {max(self.n_values)} is above both antenna counts "
+                              f"(N_s = {self.antennas_strong}, N_w = {self.antennas_weak})")
         if (self.a_s is None) == (self.search is None):
             raise ConfigError("field 'power' needs exactly one of 'a_s' and 'search'")
         if self.a_s is not None:
@@ -227,6 +219,9 @@ class SweepRow:
     e_sum: float | None
     std_error: float | None
     status: str = "ok"
+
+
+CSV_COLUMNS = tuple(f.name for f in dataclasses.fields(SweepRow))
 
 
 def load_spec(path: str) -> SweepSpec:

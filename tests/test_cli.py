@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from nomagsc import cli, distributions, figures, sweep
+from nomagsc import distributions, figures, sweep
 from nomagsc.cli import (
     EXIT_CONFIG,
     EXIT_NUMERICAL,
@@ -195,19 +195,40 @@ class TestOptimizeCommand:
         assert main(["optimize", config_path]) == EXIT_CONFIG
         assert "search" in capsys.readouterr().err
 
+    def test_clamped_n_prints_as_given(self, tmp_path, capsys):
+        # N_w = 2, so n = 3 combines 3 strong and 2 weak branches
+        cfg = {**CONFIG, "pair": {**CONFIG["pair"], "N_w": 2}, "n": [3], "snr_db": [10],
+               "power": SEARCH}
+        path = tmp_path / "opt.json"
+        path.write_text(json.dumps(cfg))
+        assert main(["optimize", str(path)]) == EXIT_OK
+        assert capsys.readouterr().out.splitlines()[1].startswith("10 1 3 ")
+
+
+@pytest.mark.parametrize(
+    "argv", [["validate", "--samples", "1e5"], ["figure", "nope"], []],
+    ids=["bad-option-value", "bad-figure-name", "no-command"],
+)
+def test_usage_error_is_config_error(argv, capsys):
+    # argparse's own exit code, 2, means a numerical failure here
+    with pytest.raises(SystemExit) as info:
+        main(argv)
+    assert info.value.code == EXIT_CONFIG
+    assert "error:" in capsys.readouterr().err
+
 
 @pytest.mark.parametrize("command", [["sweep", "--out", "o.csv"], ["optimize"]])
 def test_bad_grid_value_fails_before_any_point(command, tmp_path, monkeypatch, capsys):
     # theta = -1 is the last theta of the grid: it must fail at load, not
     # after the points at theta = 1 were evaluated
     calls = []
-    evaluate_point, optimize = sweep._evaluate_point, cli.optimize_power
+    evaluate_point, optimize = sweep._evaluate_point, sweep.optimize_power
 
     def counting(real):
         return lambda *args: calls.append(args) or real(*args)
 
     monkeypatch.setattr(sweep, "_evaluate_point", counting(evaluate_point))
-    monkeypatch.setattr(cli, "optimize_power", counting(optimize))
+    monkeypatch.setattr(sweep, "optimize_power", counting(optimize))
     path = tmp_path / "bad.json"
     path.write_text(json.dumps({**CONFIG, "theta": [1.0, -1.0], "power": SEARCH}))
     monkeypatch.chdir(tmp_path)

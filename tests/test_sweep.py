@@ -144,6 +144,34 @@ class TestConfigParsing:
         with pytest.raises(ConfigError, match="cannot read"):
             load_spec(str(tmp_path / "nope.json"))
 
+    @pytest.mark.parametrize(
+        "overrides, where, allowed",
+        [
+            ({"sead": 1}, "config", list(sweep._CONFIG_FIELDS)),
+            ({"pair": {**BASE_CONFIG["pair"], "sead": 1}}, "pair",
+             ["N_s", "N_w", "omega_s", "omega_w"]),
+            ({"power": {"a_s": 0.24, "sead": 1}}, "power", ["a_s", "search"]),
+            ({"power": {"search": {"a_min": 0.05, "sead": 1}}}, "power.search",
+             ["a_min", "a_max", "step", "objective"]),
+            ({"sim": {"samples": 1000, "sead": 1}}, "sim", ["samples", "seed"]),
+        ],
+        ids=["config", "pair", "power", "power.search", "sim"],
+    )
+    def test_unknown_key_reported_alike_at_every_level(self, overrides, where, allowed):
+        with pytest.raises(ConfigError) as info:
+            make_spec(**overrides)
+        assert str(info.value) == f"unknown field(s) ['sead'] in {where}; expected {allowed}"
+
+    def test_n_above_both_antenna_counts(self):
+        # pair_for would clamp n = 5 to 4, repeating the rows of n = 4
+        with pytest.raises(ConfigError, match="n = 5 is above both antenna counts"):
+            make_spec(n=[4, 5])
+
+    def test_n_between_antenna_counts_is_clamped(self):
+        pair = {**BASE_CONFIG["pair"], "N_w": 2}
+        rows = run_sweep(make_spec(pair=pair, n=[2, 3], snr_db=[10], methods=["exact"]))
+        assert [(r.n_s, r.n_w) for r in rows] == [(2, 2), (3, 2)]
+
 
 class TestRunSweep:
     def test_row_cardinality_and_order(self):
