@@ -12,11 +12,14 @@ error, merged in fixed batch order for bit-identical repeats.
 Stream contract: a batch's stream holds the strong user's branch powers
 first and the weak user's after them; one user alone
 (``estimate_ec_oma``, ``sample_gsc_power``) is read from the start of
-the stream.  ``estimate_cases`` is the one pass that turns a pair's
-draws into estimates: it draws each batch once and evaluates every
-requested quantity of every (split, qos, snr) case on it.
+the stream.  ``estimate_pairs`` is the one pass that turns draws into
+estimates: it draws each batch once and evaluates every requested
+quantity of every (split, qos, snr) case on it.  Pairs with the same
+antenna counts read the same stream, so one pass serves them all and
+only the combine step is per pair; a sweep's n values share a pass this
+way.  ``estimate_cases`` is that pass for one pair, and
 ``estimate_ec_strong``, ``estimate_ec_weak`` and ``estimate_ergodic``
-are that pass with one case.
+are it with one case.
 
 The quantities, their SINRs and term keys are ``capacity``'s model
 (``QUANTITIES``, ``sinr``, ``term_key``), the one ``capacity.exact_cases``
@@ -142,45 +145,6 @@ def _combine_columns(cols: list[np.ndarray], n: int, spare: np.ndarray, out: np.
         np.maximum(out, col, out=out)
     for col in cols[N - n + 1 :]:
         out += col
-
-
-def _draw_pair(
-    rng: np.random.Generator,
-    size: int,
-    pair: UserPairSpec,
-    weak_block: bool,
-    weak_first: bool,
-) -> tuple[np.ndarray, np.ndarray | None, np.ndarray | None]:
-    """(g_s, g_min, g_w_first) of one batch.
-
-    g_s is the strong user's combined power and g_min its minimum with
-    the weak user's (drawn next).  Without ``weak_block``, g_min is None:
-    the weak block is not combined, and not drawn unless g_w_first reads
-    it.  With ``weak_first``, g_w_first is the weak spec read from the
-    start of the stream instead, as an estimator of the weak user alone
-    draws it; it reuses the values already drawn.
-    """
-    strong, weak = pair.strong, pair.weak
-    head = size * weak.antennas
-    first = rng.standard_exponential(size * strong.antennas)
-    second = None
-    gw_first = None
-    if weak_first and head > first.size:
-        second = rng.standard_exponential(head)
-        gw_first = _combined(weak, np.concatenate((first, second[: head - first.size])), size)
-    elif weak_first:
-        # only the row-wise combine writes to its input; the strong user
-        # reads this block next
-        in_place = weak.antennas >= _COLUMN_WISE_BELOW
-        gw_first = _combined(weak, first[:head].copy() if in_place else first[:head], size)
-    gs = _combined(strong, first, size)
-    del first  # free it before the second block is drawn
-    if not weak_block:
-        return gs, None, gw_first
-    if second is None:
-        second = rng.standard_exponential(head)
-    gw = _combined(weak, second, size)
-    return gs, np.minimum(gs, gw, out=gw), gw_first
 
 
 def sample_gsc_power(spec: GscSpec, plan: SimPlan) -> Iterator[np.ndarray]:
@@ -320,6 +284,158 @@ def estimate_ec_oma(
     return _finish("ec_oma_strong", qos, acc)
 
 
+class _PairPass:
+    """One pair's part of a pass: the accumulators of its cases and, within
+    a batch, its combined powers by signal.  Cases that agree on what a
+    term reads share its accumulator, so each distinct term is evaluated
+    once per batch.  ``error`` is the exception that failed the pair."""
+
+    def __init__(self, pair: UserPairSpec, cases: list[Case], wanted: list[str]):
+        self.pair = pair
+        self.cases = cases
+        groups: dict[tuple, dict] = {}  # (a_s, rho, signal) -> {exponent: accumulator}
+        self.case_accs = []
+        for case in cases:
+            accs = {}
+            for q in wanted:
+                group, exponent = term_key(q, *case)
+                accs[q] = groups.setdefault(group, {}).setdefault(exponent, _MeanAccumulator())
+            self.case_accs.append(accs)
+        # in (a_s, rho) order, so that one weak SINR array is alive at a time
+        self.groups = sorted(groups.items())
+        self.powers: dict[str, np.ndarray] = {}
+        self.error: Exception | None = None
+
+    def combine_weak_first(self, unit: np.ndarray, size: int):
+        self.powers["oma_weak"] = _combined(self.pair.weak, unit, size)
+
+    def combine_strong(self, unit: np.ndarray, size: int):
+        self.powers["strong"] = self.powers["oma_strong"] = _combined(self.pair.strong, unit, size)
+
+    def combine_weak(self, unit: np.ndarray, size: int):
+        """g_min = min(g_s, g_w), written over g_s: the terms that read g_s
+        are added by now."""
+        gs = self.powers.pop("strong")
+        del self.powers["oma_strong"]
+        self.powers["weak"] = np.minimum(gs, _combined(self.pair.weak, unit, size), out=gs)
+
+    def accumulate(self, signals: tuple[str, ...]):
+        """Add this batch's terms of every group whose signal is in ``signals``."""
+        for (a_s, rho, signal), accs in self.groups:
+            if signal in signals:
+                base = None  # free the last one first
+                base = 1.0 + sinr(signal, a_s, rho, self.powers[signal])
+                for exponent, acc in accs.items():
+                    acc.add(_term(base, exponent))
+
+    def results(self) -> list[dict[str, Estimate] | ArithmeticError] | Exception:
+        if self.error is not None:
+            return self.error
+        results = []
+        for (_, qos, _), accs in zip(self.cases, self.case_accs):
+            try:
+                results.append({q: _finish(q, qos, a) for q, a in accs.items()})
+            except ArithmeticError as exc:
+                results.append(exc)
+        return results
+
+
+def _guarded(p: _PairPass, stage, *args):
+    """``stage(p, *args)`` unless the pair has failed; an exception fails
+    this pair alone, and the pass goes on with the others."""
+    if p.error is None:
+        try:
+            stage(p, *args)
+        except Exception as exc:
+            p.error = exc
+            p.powers.clear()
+
+
+# the signals whose terms read the first block's combined powers; "weak"
+# reads min(g_s, g_w), which needs the second block
+_FIRST_BLOCK = ("strong", "oma_strong", "oma_weak")
+
+
+def _run_batch(passes: list[_PairPass], rng: np.random.Generator, size: int,
+               weak: bool, weak_first: bool):
+    """One batch of a pass over pairs with the same antenna counts.
+
+    The stream is drawn once per block, in stream order.  Block 0 (the
+    strong user's N_s branch powers per sample) is combined for every
+    pair and freed, and then the terms that read it are added.  Block 1
+    (the weak user's N_w) is drawn only if ``weak``: each pair folds its
+    combined power into g_s as min(g_s, g_w), the block is freed, and the
+    weak user's terms are added.  With ``weak_first``, each pair also
+    combines the weak spec read from the start of the stream, as an
+    estimator of the weak user alone draws it, reusing the values drawn.
+    """
+    n_strong, n_weak = passes[0].pair.strong.antennas, passes[0].pair.weak.antennas
+
+    def combine_all(stage, unit: np.ndarray, antennas: int, owned: bool):
+        # the row-wise combine writes to its input, so each pair gets its
+        # own copy of a shared block; the last gets the block itself when
+        # nothing reads it after (``owned``)
+        live = [p for p in passes if p.error is None]
+        for p in live:
+            copy = antennas >= _COLUMN_WISE_BELOW and not (owned and p is live[-1])
+            _guarded(p, stage, unit.copy() if copy else unit, size)
+
+    head = size * n_weak
+    first = rng.standard_exponential(size * n_strong)
+    second = None
+    if weak_first and head > first.size:
+        second = rng.standard_exponential(head)
+        combine_all(_PairPass.combine_weak_first,
+                    np.concatenate((first, second[: head - first.size])), n_weak, True)
+    elif weak_first:
+        # the strong user reads this block next
+        combine_all(_PairPass.combine_weak_first, first[:head], n_weak, False)
+    combine_all(_PairPass.combine_strong, first, n_strong, True)
+    del first  # free it before the terms and the second block
+    for p in passes:
+        _guarded(p, _PairPass.accumulate, _FIRST_BLOCK)
+    if weak:
+        if second is None:
+            second = rng.standard_exponential(head)
+        combine_all(_PairPass.combine_weak, second, n_weak, True)
+        del second
+        for p in passes:
+            _guarded(p, _PairPass.accumulate, ("weak",))
+    for p in passes:
+        p.powers.clear()
+
+
+def estimate_pairs(
+    work: list[tuple[UserPairSpec, list[Case]]],
+    plan: SimPlan,
+    quantities=tuple(QUANTITIES),
+) -> list[list[dict[str, Estimate] | ArithmeticError] | Exception]:
+    """Monte Carlo ``quantities`` of every (pair, cases) of ``work``, from
+    one pass over the batches.
+
+    The pairs must have the same antenna counts (N_s, N_w), as the pairs
+    of one sweep do: its n changes only how many branches are combined.
+    Batch b's stream then holds the same unit exponentials for every
+    pair, so each block is drawn once per batch and combined once per
+    pair.  Per pair, returns what ``estimate_cases`` returns for that pair
+    alone, bit for bit, or the exception that failed its combine or terms;
+    the other pairs keep their estimates.  An exception in the shared
+    draw raises.  Nothing is drawn when no pair has a case or no quantity
+    is asked.
+    """
+    wanted = requested(quantities)
+    if len({(pair.strong.antennas, pair.weak.antennas) for pair, _ in work}) > 1:
+        raise ValueError("the pairs of one pass must have the same antenna counts")
+    passes = [_PairPass(pair, cases, wanted) for pair, cases in work]
+    live = [p for p in passes if p.groups]
+    if live:
+        # only the weak user's NOMA quantities read the weak block and g_min
+        weak = "ec_weak" in wanted or "ergodic_weak" in wanted
+        for size, rng in _batches(plan):
+            _run_batch(live, rng, size, weak, "ec_oma_weak" in wanted)
+    return [p.results() for p in passes]
+
+
 def estimate_cases(
     pair: UserPairSpec,
     cases: list[Case],
@@ -327,44 +443,18 @@ def estimate_cases(
     quantities=tuple(QUANTITIES),
 ) -> list[dict[str, Estimate] | ArithmeticError]:
     """Monte Carlo ``quantities`` of ``pair`` for each (split, qos, snr)
-    case, from one pass over the batches.
+    case, from one pass over the batches (``estimate_pairs`` with one
+    pair).
 
     The channel law does not depend on the case, so each batch is drawn
-    and combined once and every case's terms read it.  Cases that agree on
-    what a term reads share its running sums, so each distinct term is
-    evaluated once per batch.  This is the only code that turns a pair's
-    draws into estimates; ``ec_oma_*`` equals ``estimate_ec_oma`` of that
-    user's spec.  Returns one {quantity: Estimate} dict per case, in
-    QUANTITIES order; a case whose estimate fails (every EC term
-    underflowed) gets the ArithmeticError instead, and the other cases
-    keep their estimates.
+    and combined once and every case's terms read it.  ``ec_oma_*``
+    equals ``estimate_ec_oma`` of that user's spec.  Returns one
+    {quantity: Estimate} dict per case, in QUANTITIES order; a case whose
+    estimate fails (every EC term underflowed) gets the ArithmeticError
+    instead, and the other cases keep their estimates.  An exception that
+    fails the pass raises.
     """
-    wanted = requested(quantities)
-    # only the weak user's NOMA quantities read the weak block and g_min
-    weak = "ec_weak" in wanted or "ergodic_weak" in wanted
-    # (a_s, rho, signal) -> {exponent: accumulator}
-    groups: dict[tuple, dict] = {}
-    case_accs = []
-    for case in cases:
-        accs = {}
-        for q in wanted:
-            group, exponent = term_key(q, *case)
-            accs[q] = groups.setdefault(group, {}).setdefault(exponent, _MeanAccumulator())
-        case_accs.append(accs)
-    # in (a_s, rho) order, so that one weak SINR array is alive at a time
-    ordered = sorted(groups.items())
-    for size, rng in _batches(plan):
-        gs, gmin, gw_first = _draw_pair(rng, size, pair, weak, "ec_oma_weak" in wanted)
-        powers = {"strong": gs, "weak": gmin, "oma_strong": gs, "oma_weak": gw_first}
-        for (a_s, rho, signal), accs in ordered:
-            base = None  # free the last one first
-            base = 1.0 + sinr(signal, a_s, rho, powers[signal])
-            for exponent, acc in accs.items():
-                acc.add(_term(base, exponent))
-    results = []
-    for (_, qos, _), acc in zip(cases, case_accs):
-        try:
-            results.append({q: _finish(q, qos, a) for q, a in acc.items()})
-        except ArithmeticError as exc:
-            results.append(exc)
-    return results
+    (result,) = estimate_pairs([(pair, cases)], plan, quantities)
+    if isinstance(result, Exception):
+        raise result
+    return result

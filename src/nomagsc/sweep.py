@@ -37,9 +37,12 @@ hold more than ``optimizer.MAX_SPLITS`` splits; a ``sim.seed`` outside
 ``methods``.
 Every requested (point, method) combination produces exactly one row;
 evaluator errors are recorded in-row under ``status`` and never abort
-sibling points.  The ``montecarlo`` rows of one n come from one pass over
-that n's draws; a point whose estimate fails gets an error row, and an
-error in the pass's batch loop fails every ``montecarlo`` row of that n.
+sibling points.  The ``montecarlo`` rows of every n come from one pass
+that draws each batch once; a point whose estimate fails gets an error
+row, an error in one n's combine or terms fails every ``montecarlo`` row
+of that n, and an error in the shared draw fails every ``montecarlo``
+row.  The ergodic rate does not read theta, so it is evaluated once per
+(n, a_s, rho), and every theta gets that report or error.
 """
 
 from __future__ import annotations
@@ -243,13 +246,34 @@ def _row(coords: dict, method: str, status: str, values=(None, None, None)) -> S
                     std_error=std, status=status)
 
 
+def _reported(report) -> tuple[str, tuple]:
+    """(status, values) of the row of a method's report."""
+    return "ok", (report.e_strong, report.e_weak, report.numeric_error)
+
+
+def _outcome(evaluate, *args) -> tuple[str, tuple]:
+    """(status, values) of the row of ``evaluate(*args)``: its report's, or
+    the error that failed it with no values.  Only the status text is
+    kept of an error, so no traceback outlives the call."""
+    try:
+        report = evaluate(*args)
+    except ValidityError as exc:
+        return f"invalid: {exc}", (None, None, None)
+    except Exception as exc:
+        return f"error: {exc}", (None, None, None)
+    return _reported(report)
+
+
 def _evaluate_point(args):
-    """(coords, case, rows) of one grid point of ``spec.points()``: its row
-    coordinates, its (split, qos, snr) case and the rows of every method
-    but ``montecarlo``, which ``run_sweep`` estimates per n.  The split is
-    the fixed a_s or the searched optimum, whose report is the row of the
-    method the search evaluated; when the search fails, case is None and
-    every method, ``montecarlo`` included, has an error row."""
+    """(coords, case, rows, searched) of one grid point of ``spec.points()``:
+    its row coordinates, its (split, qos, snr) case, the rows of its
+    methods that read theta (every method before ``ergodic``) and the
+    {method: (status, values)} of the report its power search evaluated.  ``run_sweep`` adds the
+    ``ergodic`` and ``montecarlo`` rows, which it evaluates across points.
+    The split is the fixed a_s or the searched optimum, whose report is
+    the row of the method the search evaluated; when the search fails,
+    case is None and every method, ``ergodic`` and ``montecarlo``
+    included, has an error row."""
     spec, (rho_db, theta, n, pair, qos, snr) = args
     coords = dict(rho_db=rho_db, theta=theta, nu=qos.nu,
                   n_s=pair.strong.combined, n_w=pair.weak.combined)
@@ -260,46 +284,49 @@ def _evaluate_point(args):
             result = optimize_power(pair, qos, snr, spec.search)
         except Exception as exc:
             coords["a_s"] = None
-            return coords, None, [_row(coords, method, f"error: {exc}") for method in methods]
+            return coords, None, [_row(coords, method, f"error: {exc}") for method in methods], {}
         a_s = result.a_star
-        searched[_SEARCH_METHODS[spec.search.objective]] = result.report
+        searched[_SEARCH_METHODS[spec.search.objective]] = _reported(result.report)
     coords["a_s"] = a_s
     split = PowerSplit(a_s)
-    rows = []
-    for method in methods:
-        if method == "montecarlo":
-            continue
-        try:
-            rep = searched[method] if method in searched else _EVALUATORS[method](pair, split, qos, snr)
-        except ValidityError as exc:
-            rows.append(_row(coords, method, f"invalid: {exc}"))
-        except Exception as exc:
-            rows.append(_row(coords, method, f"error: {exc}"))
-        else:
-            values = (rep.e_strong, rep.e_weak, rep.numeric_error)
-            rows.append(_row(coords, method, "ok", values))
-    return coords, (split, qos, snr), rows
+    rows = [
+        _row(coords, method, *(searched.get(method)
+                               or _outcome(_EVALUATORS[method], pair, split, qos, snr)))
+        for method in methods if method in _EVALUATORS
+    ]
+    return coords, (split, qos, snr), rows, searched
 
 
-# method -> evaluator, read from ``capacity`` at call time so that a wrapper there is used
+# method -> evaluator of the methods that read theta, read from
+# ``capacity`` at call time so that a wrapper there is used
 _EVALUATORS = {
     "exact": lambda pair, split, qos, snr: capacity.evaluate_noma(pair, split, qos, snr),
     "high_snr": lambda pair, split, qos, snr: capacity.ec_high_snr(pair, split, qos, snr),
     "low_snr": lambda pair, split, qos, snr: capacity.ec_low_snr(pair, split, qos, snr),
     "oma": lambda pair, split, qos, snr: capacity.evaluate_oma(pair, qos, snr),
-    "ergodic": lambda pair, split, qos, snr: capacity.ergodic_rate(pair, split, snr),
 }
 # search objective -> the method whose report the search evaluates
 _SEARCH_METHODS = {"sum_ec": "exact", "sum_rate": "ergodic"}
 
 
-def _montecarlo_pass(spec: SweepSpec, n: int, cases: list) -> list:
-    """Monte Carlo EC of every case of one n, from one pass over its draws:
-    per case, the estimates or the exception that failed it."""
+def _montecarlo_pass(spec: SweepSpec, points: list[tuple[int, tuple]]) -> list:
+    """Monte Carlo EC of every (n, case), from one pass over the draws: per
+    point, the estimates or the exception that failed it.  Every n of a
+    sweep has the same antenna counts, so its pairs share each batch's
+    draws."""
+    by_n: dict[int, list] = {}
+    for n, case in points:
+        by_n.setdefault(n, []).append(case)
+    work = [(spec.pair_for(n), cases) for n, cases in by_n.items()]
     try:
-        return montecarlo.estimate_cases(spec.pair_for(n), cases, spec.sim, ("ec_strong", "ec_weak"))
-    except Exception as exc:  # the batch loop failed: every case of this n
-        return [exc] * len(cases)
+        results = montecarlo.estimate_pairs(work, spec.sim, ("ec_strong", "ec_weak"))
+    except Exception as exc:  # the shared draw failed: every case of every n
+        results = [exc] * len(work)
+    per_n = {
+        n: iter([result] * len(cases) if isinstance(result, Exception) else result)
+        for (n, cases), result in zip(by_n.items(), results)
+    }
+    return [next(per_n[n]) for n, _ in points]
 
 
 def _montecarlo_row(coords: dict, est) -> SweepRow:
@@ -316,26 +343,33 @@ def run_sweep(spec: SweepSpec) -> list[SweepRow]:
     are no rows, and no point is evaluated.  The whole sweep is one
     ``numerics.reuse_densities`` block: its points, methods and power
     searches integrate over few channel laws, and share their density
-    values."""
+    values.  Values that several points share are computed once: the
+    ergodic rate, which does not read theta, once per (n, a_s, rho), its
+    report or error going to every theta; and the ``montecarlo`` rows of
+    every n in one pass, which draws each batch once for all n."""
     if not spec.methods:
         return []
     with reuse_densities():
         points = list(spec.points())
         evaluated = [_evaluate_point((spec, point)) for point in points]
-        if "montecarlo" in spec.methods:
-            # The channel law depends on n only, so one pass over its draws
-            # estimates every point of that n.  montecarlo is the last
-            # method, so its row goes at the end of the point's rows.
-            by_n: dict[int, list[int]] = {}
-            for i, (point, (_, case, _)) in enumerate(zip(points, evaluated)):
+        # ergodic and montecarlo are the last methods, so their rows go at
+        # the end of the point's rows, in that order
+        if "ergodic" in spec.methods:
+            rates: dict[tuple, tuple] = {}  # (n, a_s, rho) -> (status, values)
+            for (_, _, n, pair, _, _), (coords, case, rows, searched) in zip(points, evaluated):
                 if case is not None:
-                    by_n.setdefault(point[2], []).append(i)
-            for n, idx in by_n.items():
-                estimates = _montecarlo_pass(spec, n, [evaluated[i][1] for i in idx])
-                for i, est in zip(idx, estimates):
-                    coords, _, rows = evaluated[i]
-                    rows.append(_montecarlo_row(coords, est))
-    return [row for _, _, rows in evaluated for row in rows]
+                    split, _, snr = case
+                    key = (n, split.a_s, snr.rho)
+                    if key not in rates:
+                        rates[key] = searched.get("ergodic") or _outcome(
+                            capacity.ergodic_rate, pair, split, snr)
+                    rows.append(_row(coords, "ergodic", *rates[key]))
+        if "montecarlo" in spec.methods:
+            estimated = [(point[2], e) for point, e in zip(points, evaluated) if e[1] is not None]
+            estimates = _montecarlo_pass(spec, [(n, case) for n, (_, case, _, _) in estimated])
+            for (_, (coords, _, rows, _)), est in zip(estimated, estimates):
+                rows.append(_montecarlo_row(coords, est))
+    return [row for _, _, rows, _ in evaluated for row in rows]
 
 
 def _fmt(value) -> str:

@@ -74,6 +74,9 @@ def run_validation(plan: SimPlan, grid: dict | None = None) -> list[ValidationRo
     point.  The channel law depends on n only: per n, one Monte Carlo pass
     and one ``exact_cases`` call evaluate every (rho_db, theta, a_s), so the
     points share their draws and each distinct exact term is integrated once.
+    The n values could share one pass, as a sweep's do, but here the 80
+    terms per draw dominate: at 1e6 samples one pass for all four n was
+    no faster (1.9-2.2 s either way on 2 cores) and peaked 12 MB higher.
     """
     if grid is None:
         grid = DEFAULT_GRID

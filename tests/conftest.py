@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 
 from nomagsc import capacity, numerics
@@ -30,3 +31,23 @@ def quadratures(monkeypatch):
 
     monkeypatch.setattr(numerics, "integrate_semi_infinite", counting)
     return calls
+
+
+@pytest.fixture
+def stream_fills(monkeypatch):
+    """((seed, batch), count) of every standard-exponential fill the test
+    makes from a Monte Carlo batch stream, in call order."""
+    fills = []
+    generator = np.random.Generator
+
+    class Counting:
+        def __init__(self, bit_generator):
+            self.key = tuple(int(k) for k in bit_generator.state["state"]["key"])
+            self.rng = generator(bit_generator)
+
+        def standard_exponential(self, count):
+            fills.append((self.key, count))
+            return self.rng.standard_exponential(count)
+
+    monkeypatch.setattr(np.random, "Generator", Counting)
+    return fills

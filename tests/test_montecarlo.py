@@ -26,6 +26,7 @@ from nomagsc.montecarlo import (
     estimate_ec_strong,
     estimate_ec_weak,
     estimate_ergodic,
+    estimate_pairs,
     sample_gsc_power,
 )
 
@@ -494,6 +495,143 @@ class TestSharedDraw:
                 got = estimate_cases(pair, cases, plan, subset[::-1])
                 for est, ref in zip(got, full):
                     assert est == {q: ref[q] for q in subset}, subset
+
+
+def outcomes(results):
+    """Estimates as they are, exceptions as (type, message): comparable
+    with ==."""
+    if isinstance(results, Exception):
+        return type(results), str(results)
+    return [outcomes(r) if isinstance(r, Exception) else r for r in results]
+
+
+class TestSharedPairs:
+    """estimate_pairs draws each batch once for pairs with the same antenna
+    counts; every pair's estimates and exceptions equal those of one
+    estimate_cases call per pair."""
+
+    CASES = [
+        (PowerSplit(a_s), QosProfile(theta), SnrPoint.from_db(rho_db))
+        for a_s in (0.1, 0.24)
+        for rho_db in (0, 30)
+        for theta in (0.0, 0.5, 1.0)
+    ]
+    PLAN = SimPlan(samples=5_000, seed=8)  # three batches of 2048 at most
+
+    @staticmethod
+    def pairs(N_s, N_w, n_values):
+        return [UserPairSpec(GscSpec(N_s, min(n, N_s), 1.0), GscSpec(N_w, min(n, N_w), 0.1))
+                for n in n_values]
+
+    def check(self, work, quantities=tuple(QUANTITIES)):
+        shared = estimate_pairs(work, self.PLAN, quantities)
+        separate = []
+        for pair, cases in work:
+            try:
+                separate.append(estimate_cases(pair, cases, self.PLAN, quantities))
+            except Exception as exc:
+                separate.append(exc)
+        assert [outcomes(r) for r in shared] == [outcomes(r) for r in separate]
+        return shared
+
+    @pytest.fixture(autouse=True)
+    def small_batches(self, monkeypatch):
+        monkeypatch.setattr(montecarlo, "BATCH", 2048)
+
+    def test_sweep_quantities(self, stream_fills):
+        work = [(pair, self.CASES) for pair in self.pairs(4, 4, (1, 2, 3, 4))]
+        stream_fills.clear()
+        shared = estimate_pairs(work, self.PLAN, ("ec_strong", "ec_weak"))
+        # two blocks per batch, not two per batch and pair
+        assert [count for _, count in stream_fills] == [4 * 2048, 4 * 2048] * 2 + [4 * 904] * 2
+        assert all(isinstance(est, dict) for results in shared for est in results)
+        self.check(work, ("ec_strong", "ec_weak"))
+
+    @pytest.mark.parametrize("N", [12, 9])
+    def test_row_wise_pairs_copy_the_shared_block(self, N):
+        # the row-wise combine (N >= 8) scales its input in place
+        work = [(pair, self.CASES) for pair in self.pairs(N, N, (1, 3, 6, N))]
+        self.check(work)
+
+    @pytest.mark.parametrize("N_s, N_w", [(3, 5), (9, 12), (5, 3), (12, 9)])
+    def test_weak_first_block(self, N_s, N_w):
+        # with N_w > N_s the weak user's read from the start of the stream
+        # spans both blocks
+        work = [(pair, self.CASES) for pair in self.pairs(N_s, N_w, (1, 2, max(N_s, N_w)))]
+        self.check(work)
+        self.check(work, ("ec_oma_weak",))
+        self.check(work, ("ec_strong", "ec_oma_weak"))
+
+    def test_underflow_fails_only_its_pair(self):
+        # every EC term underflows at theta = 1e4, 40 dB, but not at theta = 1
+        ok, underflow = ((SPLIT, QosProfile(theta), SnrPoint.from_db(40)) for theta in (1.0, 1e4))
+        pairs = self.pairs(4, 4, (1, 2, 4))
+        shared = self.check([(pairs[0], [ok]), (pairs[1], [underflow]), (pairs[2], [ok, underflow])])
+        assert isinstance(shared[0][0], dict) and isinstance(shared[2][0], dict)
+        assert isinstance(shared[1][0], FloatingPointError)
+        assert isinstance(shared[2][1], FloatingPointError)
+
+    @pytest.mark.parametrize("block", ["strong", "weak"])
+    def test_combine_error_fails_only_its_pair(self, block, monkeypatch):
+        combined = montecarlo._combined
+        pairs = self.pairs(4, 4, (1, 2, 4))
+        failing_spec = getattr(pairs[1], block)
+
+        def failing(spec, unit, size):
+            if spec == failing_spec:
+                raise RuntimeError("combine failed")
+            return combined(spec, unit, size)
+
+        monkeypatch.setattr(montecarlo, "_combined", failing)
+        shared = self.check([(pair, self.CASES) for pair in pairs])
+        assert outcomes(shared[1]) == (RuntimeError, "combine failed")
+        with pytest.raises(RuntimeError, match="combine failed"):
+            estimate_cases(pairs[1], self.CASES, self.PLAN)
+        monkeypatch.setattr(montecarlo, "_combined", combined)
+        assert [shared[0], shared[2]] == [estimate_cases(p, self.CASES, self.PLAN) for p in pairs[::2]]
+
+    def test_accumulate_error_fails_only_its_pair(self, monkeypatch):
+        accumulate = montecarlo._PairPass.accumulate
+        pairs = self.pairs(12, 12, (1, 6, 12))
+
+        def failing(pass_, signals):
+            if pass_.pair == pairs[0]:
+                raise RuntimeError("accumulate failed")
+            accumulate(pass_, signals)
+
+        monkeypatch.setattr(montecarlo._PairPass, "accumulate", failing)
+        shared = estimate_pairs([(pair, self.CASES) for pair in pairs], self.PLAN)
+        assert outcomes(shared[0]) == (RuntimeError, "accumulate failed")
+        monkeypatch.setattr(montecarlo._PairPass, "accumulate", accumulate)
+        assert shared[1:] == [estimate_cases(p, self.CASES, self.PLAN) for p in pairs[1:]]
+
+    def test_pairs_must_share_antenna_counts(self):
+        work = [(pair, self.CASES) for pair in self.pairs(4, 4, (1,)) + self.pairs(4, 3, (1,))]
+        with pytest.raises(ValueError, match="antenna counts"):
+            estimate_pairs(work, self.PLAN)
+
+    def test_nothing_asked_draws_nothing(self, stream_fills):
+        pair = PAIR_SC
+        assert estimate_cases(pair, [], self.PLAN) == []
+        assert estimate_cases(pair, self.CASES[:2], self.PLAN, ()) == [{}, {}]
+        assert estimate_pairs([(pair, []), (PAIR_MRC, [])], self.PLAN) == [[], []]
+        assert stream_fills == []
+        with pytest.raises(ValueError, match="unknown quantities"):
+            estimate_cases(pair, [], self.PLAN, ("ec_nope",))
+
+    def test_pair_without_cases_is_skipped(self, monkeypatch, stream_fills):
+        specs = []
+        combined = montecarlo._combined
+
+        def counting(spec, unit, size):
+            specs.append(spec)
+            return combined(spec, unit, size)
+
+        monkeypatch.setattr(montecarlo, "_combined", counting)
+        shared = estimate_pairs([(PAIR_SC, []), (PAIR_MRC, self.CASES)], self.PLAN, ("ec_weak",))
+        assert shared[0] == []
+        assert specs == [PAIR_MRC.strong, PAIR_MRC.weak] * 3
+        assert len(stream_fills) == 2 * 3
 
 
 class TestWeakOmaBlock:

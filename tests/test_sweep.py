@@ -1,12 +1,13 @@
 import collections
 import csv
 import dataclasses
+import gc
 import json
 import math
 
 import pytest
 
-from nomagsc import capacity, distributions, montecarlo, sweep
+from nomagsc import capacity, distributions, montecarlo, numerics, sweep
 from nomagsc.capacity import PowerSplit, QosProfile, SnrPoint
 from nomagsc.distributions import GscSpec, UserPairSpec
 from nomagsc.figures import figure_spec, generate_figure
@@ -406,18 +407,48 @@ class TestMonteCarloPass:
         assert failed.e_sum is None and failed.std_error is None
 
     def test_batch_loop_error_fails_every_point_of_its_n(self, monkeypatch):
-        draw_pair = montecarlo._draw_pair
+        # the n share one pass; an error in one pair's terms fails that n alone
+        accumulate = montecarlo._PairPass.accumulate
 
-        def failing(rng, size, pair, *args):
-            if pair.strong.combined == 2:
-                raise RuntimeError("draw failed")
-            return draw_pair(rng, size, pair, *args)
+        def failing(pass_, signals):
+            if pass_.pair.strong.combined == 2:
+                raise RuntimeError("accumulate failed")
+            accumulate(pass_, signals)
 
-        monkeypatch.setattr(montecarlo, "_draw_pair", failing)
+        monkeypatch.setattr(montecarlo._PairPass, "accumulate", failing)
+        spec = make_spec(n=[1, 2, 4], methods=["oma", "montecarlo"], sim={"samples": 1_000})
+        rows = run_sweep(spec)
+        for row in rows:
+            failed = row.method == "montecarlo" and row.n_s == 2
+            assert row.status == ("error: accumulate failed" if failed else "ok")
+        monkeypatch.setattr(montecarlo._PairPass, "accumulate", accumulate)
+        assert [r for r in rows if r.n_s != 2] == [r for r in run_sweep(spec) if r.n_s != 2]
+
+    def test_combine_error_fails_only_its_n(self, monkeypatch):
+        # the weak block of n = 2 fails after its strong terms were added
+        combined = montecarlo._combined
+
+        def failing(spec, unit, size):
+            if spec.combined == 2 and spec.omega == 0.1:
+                raise RuntimeError("combine failed")
+            return combined(spec, unit, size)
+
+        monkeypatch.setattr(montecarlo, "_combined", failing)
+        spec = make_spec(n=[1, 2, 4], methods=["montecarlo"], sim={"samples": 1_000})
+        rows = run_sweep(spec)
+        assert [r.status for r in rows if r.n_s == 2] == ["error: combine failed"] * 2
+        monkeypatch.setattr(montecarlo, "_combined", combined)
+        assert [r for r in rows if r.n_s != 2] == [r for r in run_sweep(spec) if r.n_s != 2]
+
+    def test_draw_error_fails_every_montecarlo_row(self, monkeypatch):
+        def failing(plan):
+            raise RuntimeError("draw failed")
+            yield
+
+        monkeypatch.setattr(montecarlo, "_batches", failing)
         spec = make_spec(methods=["oma", "montecarlo"], sim={"samples": 1_000})
         for row in run_sweep(spec):
-            failed = row.method == "montecarlo" and row.n_s == 2
-            assert row.status == ("error: draw failed" if failed else "ok")
+            assert row.status == ("error: draw failed" if row.method == "montecarlo" else "ok")
 
     @pytest.mark.usefixtures("fail_at_0db")
     def test_failed_search_gives_montecarlo_error_row(self):
@@ -433,18 +464,21 @@ class TestMonteCarloPass:
         assert rows[1].a_s is None and rows[1].e_sum is None
         assert [r.status for r in rows[2:]] == ["ok", "ok"]
 
-    def test_fig1_draws_each_n_once(self, monkeypatch, tmp_path):
-        calls = []
-        draw_pair = montecarlo._draw_pair
+    def test_fig1_draws_its_batch_once_for_all_four_n(self, monkeypatch, stream_fills, tmp_path):
+        specs = []
+        combined = montecarlo._combined
 
-        def counting(rng, size, pair, *args):
-            calls.append(pair)
-            return draw_pair(rng, size, pair, *args)
+        def counting(spec, unit, size):
+            specs.append(spec)
+            return combined(spec, unit, size)
 
-        monkeypatch.setattr(montecarlo, "_draw_pair", counting)
+        monkeypatch.setattr(montecarlo, "_combined", counting)
         generate_figure("fig1", str(tmp_path))
-        # 1e5 samples are one batch: one draw per n, not per grid point
-        assert calls == [figure_spec("fig1").pair_for(n) for n in (1, 2, 3, 4)]
+        # 1e5 samples are one batch: its two blocks are drawn once, and
+        # each n combines them
+        assert stream_fills == [((2024, 0), 4 * 100_000)] * 2
+        pairs = [figure_spec("fig1").pair_for(n) for n in (1, 2, 3, 4)]
+        assert specs == [p.strong for p in pairs] + [p.weak for p in pairs]
 
     @pytest.mark.parametrize("theta", [0.0, 1e-12])
     def test_ergodic_limit_rows(self, theta):
@@ -456,6 +490,102 @@ class TestMonteCarloPass:
         exact, mc = run_sweep(spec)
         assert exact.status == mc.status == "ok"
         assert abs(mc.e_sum - exact.e_sum) <= 3 * mc.std_error
+
+
+class TestErgodicSharing:
+    """The ergodic rate does not read theta: a sweep evaluates it once per
+    (n, a_s, rho) and gives its report, or its error, to every theta."""
+
+    @pytest.fixture
+    def rate_calls(self, monkeypatch):
+        calls = []
+        rate = capacity.ergodic_rate
+
+        def counting(pair, split, snr):
+            calls.append((pair.strong.combined, split.a_s, snr.rho))
+            return rate(pair, split, snr)
+
+        monkeypatch.setattr(capacity, "ergodic_rate", counting)
+        return calls
+
+    def per_point(self, spec):
+        return [
+            row
+            for rho_db, theta, n, *_ in spec.points()
+            for row in run_sweep(
+                dataclasses.replace(spec, n_values=(n,), snr_db=(rho_db,), theta=(theta,))
+            )
+        ]
+
+    def test_one_rate_per_n_split_and_snr(self, rate_calls):
+        spec = make_spec(n=[1, 2, 4], snr_db=[0, 20], theta=[0.5, 1.0, 2.0],
+                         methods=["exact", "ergodic"])
+        rows = run_sweep(spec)
+        assert sorted(rate_calls) == sorted(set(rate_calls))
+        assert len(rate_calls) == 3 * 2
+        assert rows == self.per_point(spec)
+        assert all(r.status == "ok" for r in rows)
+
+    def test_fig5_evaluates_27_rates(self, rate_calls):
+        run_sweep(figure_spec("fig5"))
+        assert len(rate_calls) == 27  # 3 n x 9 rho; 81 points
+
+    def test_failed_rate_is_the_row_of_every_theta(self, rate_calls, monkeypatch):
+        rate = capacity.ergodic_rate
+
+        def failing(pair, split, snr):
+            report = rate(pair, split, snr)  # counted
+            if snr.rho == 1.0:
+                raise numerics.IntegrationError("quadrature diverged")
+            return report
+
+        monkeypatch.setattr(capacity, "ergodic_rate", failing)
+        spec = make_spec(n=[2], snr_db=[0, 10], theta=[0.5, 1.0, 2.0],
+                         methods=["ergodic", "montecarlo"], sim={"samples": 1_000})
+        rows = run_sweep(spec)
+        assert len(rate_calls) == 2
+        failed = [r for r in rows if r.method == "ergodic" and r.rho_db == 0]
+        assert [r.status for r in failed] == ["error: quadrature diverged"] * 3
+        assert all(r.status == "ok" for r in rows if r not in failed)
+        assert rows == self.per_point(spec)
+
+    def test_failed_rate_leaves_no_garbage(self, monkeypatch):
+        # a shared error is kept as its row text: an exception kept with its
+        # traceback would hold the failed call's frames in a reference
+        # cycle until the collector ran
+        def failing(pair, split, snr):
+            raise numerics.IntegrationError("quadrature diverged")
+
+        monkeypatch.setattr(capacity, "ergodic_rate", failing)
+        spec = make_spec(theta=[0.5, 1.0], methods=["oma", "ergodic"])
+        run_sweep(spec)
+        gc.collect()
+        gc.disable()
+        try:
+            rows = run_sweep(spec)
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
+        assert {r.status for r in rows if r.method == "ergodic"} == {"error: quadrature diverged"}
+
+    def test_search_shares_only_equal_splits(self, rate_calls, monkeypatch):
+        # a split that depends on theta: 0.08 at theta = 0.5 and 2, 0.16 at 1
+        optimize = sweep.optimize_power
+
+        def theta_split(pair, qos, snr, search):
+            a_s = 0.16 if qos.theta == 1.0 else 0.08
+            return optimize(pair, qos, snr, dataclasses.replace(search, a_min=a_s, a_max=a_s + 0.01))
+
+        monkeypatch.setattr(sweep, "optimize_power", theta_split)
+        spec = make_spec(n=[2], snr_db=[10], theta=[0.5, 1.0, 2.0], power=SEARCH,
+                         methods=["ergodic"])
+        rows = run_sweep(spec)
+        assert [r.a_s for r in rows] == [0.08, 0.16, 0.08]
+        assert sorted(rate_calls) == [(2, 0.08, 10.0), (2, 0.16, 10.0)]
+        for row in rows:
+            pair = spec.pair_for(2)
+            rate = capacity.ergodic_rate(pair, PowerSplit(row.a_s), SnrPoint.from_db(10))
+            assert (row.e_strong, row.e_weak) == (rate.e_strong, rate.e_weak)
 
 
 class TestEmit:
