@@ -78,7 +78,7 @@ def _batches(plan: SimPlan) -> Iterator[tuple[int, np.random.Generator]]:
 # sets the threshold: the column path stays faster up to N = 12 and loses
 # only at N = 16, n >= 8.
 _COLUMN_WISE_BELOW = 8
-# Rows per column block: N < 8 columns of this many doubles stay in cache.
+# Rows per chunk: a chunk of N < 8 columns of this many doubles stays in cache.
 _CHUNK_ROWS = 8192
 
 
@@ -87,35 +87,37 @@ def _combined(spec: GscSpec, unit: np.ndarray, size: int) -> np.ndarray:
 
     ``unit`` holds ``size * N`` standard exponentials in stream order;
     scaled by omega they are bit for bit the ``rng.exponential(spec.omega,
-    (size, N))`` draw at that stream position.  ``unit`` may be
-    overwritten.  Every result equals the row-wise one bit for bit: the
+    (size, N))`` draw at that stream position.  ``unit`` is only read:
+    each chunk of rows is scaled into a chunk-sized scratch array and
+    combined there.  Every result equals the row-wise one bit for bit: the
     maximum for n = 1, the row sum for n = N, and otherwise the row sum of
     the n largest that ``np.partition`` leaves (in ascending order).
     """
     N, n = spec.antennas, spec.combined
     branches = unit.reshape(size, N)
-    if N >= _COLUMN_WISE_BELOW:
-        # in place: no batch-sized copy is made
-        branches *= spec.omega
-        if n == N:
-            return branches.sum(axis=1)
-        if n == 1:
-            return branches.max(axis=1)
-        branches.partition(N - n, axis=1)
-        return branches[:, N - n :].sum(axis=1)
-    # A row reduction over a few branches costs per row, not per element:
-    # scale each chunk of rows into contiguous columns and combine those.
-    # One column at a time, because numpy may buffer a whole transposed
-    # chunk.
     out = np.empty(size)
-    block = np.empty((N, min(size, _CHUNK_ROWS)))
-    spare = np.empty(block.shape[1])
+    rows = min(size, _CHUNK_ROWS)
+    # A row reduction over a few branches costs per row, not per element,
+    # so below 8 branches each chunk is scaled into contiguous columns,
+    # one column at a time because numpy may buffer a whole transposed chunk.
+    scratch = np.empty((N, rows) if N < _COLUMN_WISE_BELOW else (rows, N))
+    spare = np.empty(rows)
     for lo in range(0, size, _CHUNK_ROWS):
         hi = min(lo + _CHUNK_ROWS, size)
-        cols = list(block[:, : hi - lo])
-        for col, drawn in zip(cols, branches[lo:hi].T):
-            np.multiply(drawn, spec.omega, out=col)
-        _combine_columns(cols, n, spare[: hi - lo], out[lo:hi])
+        if N < _COLUMN_WISE_BELOW:
+            cols = list(scratch[:, : hi - lo])
+            for col, drawn in zip(cols, branches[lo:hi].T):
+                np.multiply(drawn, spec.omega, out=col)
+            _combine_columns(cols, n, spare[: hi - lo], out[lo:hi])
+            continue
+        chunk = np.multiply(branches[lo:hi], spec.omega, out=scratch[: hi - lo])
+        if n == 1:
+            chunk.max(axis=1, out=out[lo:hi])
+        elif n == N:
+            chunk.sum(axis=1, out=out[lo:hi])
+        else:
+            chunk.partition(N - n, axis=1)
+            chunk[:, N - n :].sum(axis=1, out=out[lo:hi])
     return out
 
 
@@ -221,17 +223,21 @@ def _finish(quantity: str, qos: QosProfile, acc: _MeanAccumulator) -> Estimate:
     the mean (the average rate over the user's share of the resources).
 
     Raises FloatingPointError (a numerical failure, not bad input) when
-    every EC term underflowed, so that the mean is 0.
+    every EC term underflowed, so that the mean is 0, or when the value or
+    (from two samples on) its standard error is not finite, as after a
+    term overflowed.
     """
     share = QUANTITIES[quantity][1]
-    if share is None:
-        return Estimate(acc.mean, acc.se_mean, acc.count)
-    if qos.is_ergodic_limit:
-        return Estimate(share * acc.mean, share * acc.se_mean, acc.count)
-    if acc.mean == 0.0:
-        raise FloatingPointError("Monte Carlo EC mean out of range: 0.0 (every term underflowed)")
-    value = -math.log2(acc.mean) / qos.nu
-    std_error = acc.se_mean / (qos.nu * math.log(2) * acc.mean)
+    value, std_error = acc.mean, acc.se_mean
+    if share is not None and qos.is_ergodic_limit:
+        value, std_error = share * value, share * std_error
+    elif share is not None:
+        if value == 0.0:
+            raise FloatingPointError("Monte Carlo EC mean out of range: 0.0 (every term underflowed)")
+        value, std_error = -math.log2(value) / qos.nu, std_error / (qos.nu * math.log(2) * value)
+    # one sample has no spread, so its standard error is inf by design
+    if not math.isfinite(value) or (acc.count > 1 and not math.isfinite(std_error)):
+        raise FloatingPointError(f"Monte Carlo {quantity} not finite: {value}, std error {std_error}")
     return Estimate(value, std_error, acc.count)
 
 
@@ -273,6 +279,7 @@ def estimate_ergodic(
     return est["ergodic_strong"], est["ergodic_weak"]
 
 
+@np.errstate(over="ignore", invalid="ignore")  # as _run_batch
 def estimate_ec_oma(
     spec: GscSpec, qos: QosProfile, snr: SnrPoint, plan: SimPlan
 ) -> Estimate:
@@ -340,15 +347,16 @@ class _PairPass:
         return results
 
 
-def _guarded(p: _PairPass, stage, *args):
-    """``stage(p, *args)`` unless the pair has failed; an exception fails
-    this pair alone, and the pass goes on with the others."""
-    if p.error is None:
-        try:
-            stage(p, *args)
-        except Exception as exc:
-            p.error = exc
-            p.powers.clear()
+def _each(passes: list[_PairPass], stage, *args):
+    """``stage(p, *args)`` for every pair ``p`` that has not failed; an
+    exception fails that pair alone, and the pass goes on with the others."""
+    for p in passes:
+        if p.error is None:
+            try:
+                stage(p, *args)
+            except Exception as exc:
+                p.error = exc
+                p.powers.clear()
 
 
 # the signals whose terms read the first block's combined powers; "weak"
@@ -356,51 +364,42 @@ def _guarded(p: _PairPass, stage, *args):
 _FIRST_BLOCK = ("strong", "oma_strong", "oma_weak")
 
 
+# An overflow leaves inf or NaN in its case's sums, and _finish fails that
+# case alone; numpy's warning, an error under -W error, would fail the pair.
+@np.errstate(over="ignore", invalid="ignore")
 def _run_batch(passes: list[_PairPass], rng: np.random.Generator, size: int,
                weak: bool, weak_first: bool):
     """One batch of a pass over pairs with the same antenna counts.
 
-    The stream is drawn once per block, in stream order.  Block 0 (the
-    strong user's N_s branch powers per sample) is combined for every
-    pair and freed, and then the terms that read it are added.  Block 1
-    (the weak user's N_w) is drawn only if ``weak``: each pair folds its
-    combined power into g_s as min(g_s, g_w), the block is freed, and the
-    weak user's terms are added.  With ``weak_first``, each pair also
-    combines the weak spec read from the start of the stream, as an
-    estimator of the weak user alone draws it, reusing the values drawn.
+    The stream is drawn once per block, in stream order, and every pair
+    reads the same block: combining only reads it.  Block 0 (the strong
+    user's N_s branch powers per sample) is combined for every pair and
+    freed, and then the terms that read it are added.  Block 1 (the weak
+    user's N_w) is drawn only if ``weak``: each pair folds its combined
+    power into g_s as min(g_s, g_w), the block is freed, and the weak
+    user's terms are added.  With ``weak_first``, each pair also combines
+    the weak spec read from the start of the stream, as an estimator of
+    the weak user alone draws it, reusing the values drawn.
     """
     n_strong, n_weak = passes[0].pair.strong.antennas, passes[0].pair.weak.antennas
-
-    def combine_all(stage, unit: np.ndarray, antennas: int, owned: bool):
-        # the row-wise combine writes to its input, so each pair gets its
-        # own copy of a shared block; the last gets the block itself when
-        # nothing reads it after (``owned``)
-        live = [p for p in passes if p.error is None]
-        for p in live:
-            copy = antennas >= _COLUMN_WISE_BELOW and not (owned and p is live[-1])
-            _guarded(p, stage, unit.copy() if copy else unit, size)
-
     head = size * n_weak
     first = rng.standard_exponential(size * n_strong)
     second = None
     if weak_first and head > first.size:
         second = rng.standard_exponential(head)
-        combine_all(_PairPass.combine_weak_first,
-                    np.concatenate((first, second[: head - first.size])), n_weak, True)
+        _each(passes, _PairPass.combine_weak_first,
+              np.concatenate((first, second[: head - first.size])), size)
     elif weak_first:
-        # the strong user reads this block next
-        combine_all(_PairPass.combine_weak_first, first[:head], n_weak, False)
-    combine_all(_PairPass.combine_strong, first, n_strong, True)
+        _each(passes, _PairPass.combine_weak_first, first[:head], size)
+    _each(passes, _PairPass.combine_strong, first, size)
     del first  # free it before the terms and the second block
-    for p in passes:
-        _guarded(p, _PairPass.accumulate, _FIRST_BLOCK)
+    _each(passes, _PairPass.accumulate, _FIRST_BLOCK)
     if weak:
         if second is None:
             second = rng.standard_exponential(head)
-        combine_all(_PairPass.combine_weak, second, n_weak, True)
+        _each(passes, _PairPass.combine_weak, second, size)
         del second
-        for p in passes:
-            _guarded(p, _PairPass.accumulate, ("weak",))
+        _each(passes, _PairPass.accumulate, ("weak",))
     for p in passes:
         p.powers.clear()
 
@@ -450,9 +449,9 @@ def estimate_cases(
     and combined once and every case's terms read it.  ``ec_oma_*``
     equals ``estimate_ec_oma`` of that user's spec.  Returns one
     {quantity: Estimate} dict per case, in QUANTITIES order; a case whose
-    estimate fails (every EC term underflowed) gets the ArithmeticError
-    instead, and the other cases keep their estimates.  An exception that
-    fails the pass raises.
+    estimate fails (every EC term underflowed, or it is not finite) gets
+    the ArithmeticError instead, and the other cases keep their estimates.
+    An exception that fails the pass raises.
     """
     (result,) = estimate_pairs([(pair, cases)], plan, quantities)
     if isinstance(result, Exception):

@@ -42,6 +42,21 @@ def all_samples(spec, plan):
     return np.concatenate(list(sample_gsc_power(spec, plan)))
 
 
+def peak_bytes(call) -> int:
+    """Peak bytes that ``call()`` allocates, as tracemalloc counts them."""
+    tracing = tracemalloc.is_tracing()
+    if not tracing:
+        tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        base = tracemalloc.get_traced_memory()[0]
+        call()
+        return tracemalloc.get_traced_memory()[1] - base
+    finally:
+        if not tracing:
+            tracemalloc.stop()
+
+
 def row_wise(spec, unit, size):
     """Reference combining, one row per sample: the maximum, the row sum,
     or the row sum of the n largest left by partial selection."""
@@ -102,15 +117,18 @@ class TestCombining:
     @pytest.mark.parametrize("N", range(1, 17))
     def test_equals_row_wise(self, N):
         # N < 8 is combined column by column, N >= 8 row by row; both must
-        # give the row-wise powers bit for bit, across chunk boundaries too
+        # give the row-wise powers bit for bit, across chunk boundaries too,
+        # and leave the drawn block as it was: every pair of a pass reads it
         rng = np.random.default_rng(N)
         for size in (1, montecarlo._CHUNK_ROWS + 1, 20_001):
             unit = rng.standard_exponential(size * N)
+            drawn = unit.copy()
             for n in range(1, N + 1):
                 for omega in (0.1, 1.0, 3.7):
                     spec = GscSpec(N, n, omega)
-                    combined = montecarlo._combined(spec, unit.copy(), size)
-                    assert np.array_equal(combined, row_wise(spec, unit.copy(), size)), (
+                    combined = montecarlo._combined(spec, unit, size)
+                    assert np.array_equal(unit, drawn), (n, omega, size)
+                    assert np.array_equal(combined, row_wise(spec, drawn, size)), (
                         n, omega, size,
                     )
 
@@ -119,19 +137,9 @@ class TestCombining:
         # more batch-sized column would add 800 kB
         spec, size = GscSpec(4, 2, 1.0), 100_000
         unit = np.random.default_rng(0).standard_exponential(size * spec.antennas)
-        tracing = tracemalloc.is_tracing()
-        if not tracing:
-            tracemalloc.start()
-        try:
-            tracemalloc.reset_peak()
-            base = tracemalloc.get_traced_memory()[0]
-            out = montecarlo._combined(spec, unit, size)
-            peak = tracemalloc.get_traced_memory()[1] - base
-        finally:
-            if not tracing:
-                tracemalloc.stop()
+        peak = peak_bytes(lambda: montecarlo._combined(spec, unit, size))
         chunk = (spec.antennas + 1) * montecarlo._CHUNK_ROWS * 8
-        assert peak <= out.nbytes + chunk + 16_384
+        assert peak <= size * 8 + chunk + 16_384
 
 
 class TestEcEstimates:
@@ -548,10 +556,23 @@ class TestSharedPairs:
         self.check(work, ("ec_strong", "ec_weak"))
 
     @pytest.mark.parametrize("N", [12, 9])
-    def test_row_wise_pairs_copy_the_shared_block(self, N):
-        # the row-wise combine (N >= 8) scales its input in place
+    def test_row_wise_pairs_read_one_block(self, N):
+        # the row-wise combine (N >= 8) scales each chunk in its own scratch
         work = [(pair, self.CASES) for pair in self.pairs(N, N, (1, 3, 6, N))]
         self.check(work)
+
+    def test_pass_holds_one_block(self, monkeypatch):
+        # every pair combines the one drawn block: no copy of it is made
+        N, size = 12, 1 << 16
+        monkeypatch.setattr(montecarlo, "BATCH", size)
+        work = [(pair, self.CASES[:1]) for pair in self.pairs(N, N, (1, 6, 12))]
+        plan = SimPlan(samples=size, seed=8)  # one batch
+        peak = peak_bytes(lambda: estimate_pairs(work, plan, ("ec_strong", "ec_weak")))
+        block = size * N * 8
+        # each pair's g_s, the weak power being combined, one chunk's scratch
+        combined = (len(work) + 1) * size * 8
+        scratch = (N + 1) * montecarlo._CHUNK_ROWS * 8
+        assert peak <= block + combined + scratch + 262_144
 
     @pytest.mark.parametrize("N_s, N_w", [(3, 5), (9, 12), (5, 3), (12, 9)])
     def test_weak_first_block(self, N_s, N_w):
@@ -636,8 +657,8 @@ class TestSharedPairs:
 
 class TestWeakOmaBlock:
     """The weak user's OMA estimate reads its block from the start of the
-    stream, which the strong user reads next.  Only the row-wise combine
-    (N_w >= 8) writes to its input, so only then is the block copied."""
+    stream, which the strong user reads next: both combine the same drawn
+    values, which combining only reads."""
 
     PAIRS = {
         (4, 4): UserPairSpec(GscSpec(4, 2, 1.0), GscSpec(4, 3, 0.1)),
@@ -646,7 +667,7 @@ class TestWeakOmaBlock:
         (12, 12): UserPairSpec(GscSpec(12, 5, 1.0), GscSpec(12, 12, 0.1)),
         (9, 8): UserPairSpec(GscSpec(9, 4, 1.0), GscSpec(8, 1, 0.1)),
     }
-    # QUANTITIES values of each pair with the block copied in every batch
+    # QUANTITIES values of each pair
     FROZEN = {
         (4, 4): (5.751862001432506, 1.9106173578068386, 3.9822413438580506,
                  2.4794188716190377, 6.084281215104746, 1.9140266930975103),
@@ -685,6 +706,20 @@ class TestCaseErrors:
         assert isinstance(second, FloatingPointError)
         assert str(second).startswith("Monte Carlo EC mean out of range: 0.0")
 
+    def test_non_finite_estimate_is_a_numerical_error(self):
+        # at 3080 dB and theta = 0 (the ergodic limit) log2(1 + SINR)
+        # overflows to inf; the 10 dB case of the same pass keeps its estimate
+        plan = SimPlan(samples=1_000, seed=0)
+        overflow, finite = (
+            (SPLIT, QosProfile(0.0), SnrPoint.from_db(rho_db)) for rho_db in (3080, 10)
+        )
+        failed, kept = estimate_cases(PAIR_MRC, [overflow, finite], plan)
+        assert isinstance(failed, FloatingPointError)
+        assert str(failed) == "Monte Carlo ec_strong not finite: inf, std error nan"
+        assert kept == estimate_cases(PAIR_MRC, [finite], plan)[0]
+        with pytest.raises(FloatingPointError, match="ec_oma_strong not finite: inf"):
+            estimate_ec_oma(PAIR_MRC.strong, *overflow[1:], plan)
+
     def test_one_weak_sinr_alive_at_a_time(self):
         # ten distinct (a_s, rho): terms run in (a_s, rho) order, so the
         # peak is the one-case peak plus at most one batch-sized array
@@ -696,17 +731,8 @@ class TestCaseErrors:
         ]
 
         def peak(cases):
-            tracing = tracemalloc.is_tracing()
-            if not tracing:
-                tracemalloc.start()
-            try:
-                tracemalloc.reset_peak()
-                base = tracemalloc.get_traced_memory()[0]
-                estimate_cases(PAIR_SC, cases, plan, ("ec_strong", "ec_weak", "ergodic_weak"))
-                return tracemalloc.get_traced_memory()[1] - base
-            finally:
-                if not tracing:
-                    tracemalloc.stop()
+            quantities = ("ec_strong", "ec_weak", "ergodic_weak")
+            return peak_bytes(lambda: estimate_cases(PAIR_SC, cases, plan, quantities))
 
         assert peak(cases) <= peak(cases[:1]) + plan.samples * 8
 

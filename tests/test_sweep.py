@@ -282,6 +282,24 @@ class TestRunSweep:
         )
         assert run_sweep(spec) == run_sweep(spec)
 
+    @pytest.mark.parametrize(
+        "pair, rho_db",
+        [({"N_s": 4, "N_w": 4, "omega_s": 1.0, "omega_w": 0.1}, 3080),
+         ({"N_s": 4, "N_w": 4, "omega_s": 1e300, "omega_w": 1e299}, 3000)],
+        ids=["3080dB", "omega1e300"],
+    )
+    def test_montecarlo_overflow_is_an_error_row(self, pair, rho_db):
+        # at theta = 0 the strong user's mean of log2(1 + SINR) overflows
+        spec = make_spec(
+            pair=pair, n=[1, 2, 4], snr_db=[rho_db], theta=[0.0], methods=["montecarlo"],
+            sim={"samples": 1_000, "seed": 0},
+        )
+        rows = run_sweep(spec)
+        assert [row.status for row in rows] == [
+            "error: Monte Carlo ec_strong not finite: inf, std error nan"
+        ] * 3
+        assert all(row.e_sum is None and row.std_error is None for row in rows)
+
     def test_montecarlo_underflow_is_an_error_row(self):
         # every EC term underflows at theta = 1e4, 40 dB
         spec = make_spec(
