@@ -51,8 +51,8 @@ class SimPlan:
             value = getattr(self, name)
             if isinstance(value, bool) or not isinstance(value, int):
                 raise ValueError(f"{name} must be an int, got {value!r}")
-        if self.samples < 1:
-            raise ValueError(f"samples must be >= 1, got {self.samples}")
+        if self.samples < 2:  # one sample has no standard error
+            raise ValueError(f"samples must be >= 2, got {self.samples}")
         if not 0 <= self.seed < 2**64:  # one Philox key word
             raise ValueError(f"seed must be in [0, 2**64), got {self.seed}")
 
@@ -205,8 +205,6 @@ class _MeanAccumulator:
 
     @property
     def se_mean(self) -> float:
-        if self.count < 2:
-            return math.inf
         n = self.count
         return math.ldexp(math.sqrt(self.m2 / ((n - 1) * n)), self.scale)
 
@@ -224,8 +222,7 @@ def _finish(quantity: str, qos: QosProfile, acc: _MeanAccumulator) -> Estimate:
 
     Raises FloatingPointError (a numerical failure, not bad input) when
     every EC term underflowed, so that the mean is 0, or when the value or
-    (from two samples on) its standard error is not finite, as after a
-    term overflowed.
+    its standard error is not finite, as after a term overflowed.
     """
     share = QUANTITIES[quantity][1]
     value, std_error = acc.mean, acc.se_mean
@@ -235,8 +232,7 @@ def _finish(quantity: str, qos: QosProfile, acc: _MeanAccumulator) -> Estimate:
         if value == 0.0:
             raise FloatingPointError("Monte Carlo EC mean out of range: 0.0 (every term underflowed)")
         value, std_error = -math.log2(value) / qos.nu, std_error / (qos.nu * math.log(2) * value)
-    # one sample has no spread, so its standard error is inf by design
-    if not math.isfinite(value) or (acc.count > 1 and not math.isfinite(std_error)):
+    if not math.isfinite(value) or not math.isfinite(std_error):
         raise FloatingPointError(f"Monte Carlo {quantity} not finite: {value}, std error {std_error}")
     return Estimate(value, std_error, acc.count)
 
@@ -292,10 +288,9 @@ def estimate_ec_oma(
 
 
 class _PairPass:
-    """One pair's part of a pass: the accumulators of its cases and, within
-    a batch, its combined powers by signal.  Cases that agree on what a
-    term reads share its accumulator, so each distinct term is evaluated
-    once per batch.  ``error`` is the exception that failed the pair."""
+    """One pair's part of a pass: the accumulators of its cases.  Cases
+    that agree on what a term reads share its accumulator, so each distinct
+    term is evaluated once per batch."""
 
     def __init__(self, pair: UserPairSpec, cases: list[Case], wanted: list[str]):
         self.pair = pair
@@ -310,34 +305,18 @@ class _PairPass:
             self.case_accs.append(accs)
         # in (a_s, rho) order, so that one weak SINR array is alive at a time
         self.groups = sorted(groups.items())
-        self.powers: dict[str, np.ndarray] = {}
-        self.error: Exception | None = None
 
-    def combine_weak_first(self, unit: np.ndarray, size: int):
-        self.powers["oma_weak"] = _combined(self.pair.weak, unit, size)
-
-    def combine_strong(self, unit: np.ndarray, size: int):
-        self.powers["strong"] = self.powers["oma_strong"] = _combined(self.pair.strong, unit, size)
-
-    def combine_weak(self, unit: np.ndarray, size: int):
-        """g_min = min(g_s, g_w), written over g_s: the terms that read g_s
-        are added by now."""
-        gs = self.powers.pop("strong")
-        del self.powers["oma_strong"]
-        self.powers["weak"] = np.minimum(gs, _combined(self.pair.weak, unit, size), out=gs)
-
-    def accumulate(self, signals: tuple[str, ...]):
-        """Add this batch's terms of every group whose signal is in ``signals``."""
+    def accumulate(self, powers: dict[str, np.ndarray]):
+        """Add this batch's terms of every group whose signal is in
+        ``powers``, the combined powers by signal."""
         for (a_s, rho, signal), accs in self.groups:
-            if signal in signals:
+            if signal in powers:
                 base = None  # free the last one first
-                base = 1.0 + sinr(signal, a_s, rho, self.powers[signal])
+                base = 1.0 + sinr(signal, a_s, rho, powers[signal])
                 for exponent, acc in accs.items():
                     acc.add(_term(base, exponent))
 
-    def results(self) -> list[dict[str, Estimate] | ArithmeticError] | Exception:
-        if self.error is not None:
-            return self.error
+    def results(self) -> list[dict[str, Estimate] | ArithmeticError]:
         results = []
         for (_, qos, _), accs in zip(self.cases, self.case_accs):
             try:
@@ -347,25 +326,8 @@ class _PairPass:
         return results
 
 
-def _each(passes: list[_PairPass], stage, *args):
-    """``stage(p, *args)`` for every pair ``p`` that has not failed; an
-    exception fails that pair alone, and the pass goes on with the others."""
-    for p in passes:
-        if p.error is None:
-            try:
-                stage(p, *args)
-            except Exception as exc:
-                p.error = exc
-                p.powers.clear()
-
-
-# the signals whose terms read the first block's combined powers; "weak"
-# reads min(g_s, g_w), which needs the second block
-_FIRST_BLOCK = ("strong", "oma_strong", "oma_weak")
-
-
 # An overflow leaves inf or NaN in its case's sums, and _finish fails that
-# case alone; numpy's warning, an error under -W error, would fail the pair.
+# case alone; numpy's warning, an error under -W error, would fail the pass.
 @np.errstate(over="ignore", invalid="ignore")
 def _run_batch(passes: list[_PairPass], rng: np.random.Generator, size: int,
                weak: bool, weak_first: bool):
@@ -379,36 +341,43 @@ def _run_batch(passes: list[_PairPass], rng: np.random.Generator, size: int,
     power into g_s as min(g_s, g_w), the block is freed, and the weak
     user's terms are added.  With ``weak_first``, each pair also combines
     the weak spec read from the start of the stream, as an estimator of
-    the weak user alone draws it, reusing the values drawn.
+    the weak user alone draws it, reusing the values drawn.  Each pair's
+    combined powers, by signal, stay local to the batch.
     """
     n_strong, n_weak = passes[0].pair.strong.antennas, passes[0].pair.weak.antennas
     head = size * n_weak
     first = rng.standard_exponential(size * n_strong)
     second = None
-    if weak_first and head > first.size:
-        second = rng.standard_exponential(head)
-        _each(passes, _PairPass.combine_weak_first,
-              np.concatenate((first, second[: head - first.size])), size)
-    elif weak_first:
-        _each(passes, _PairPass.combine_weak_first, first[:head], size)
-    _each(passes, _PairPass.combine_strong, first, size)
+    powers = [{} for _ in passes]
+    if weak_first:
+        unit = first[:head]
+        if head > first.size:
+            second = rng.standard_exponential(head)
+            unit = np.concatenate((first, second[: head - first.size]))
+        for p, got in zip(passes, powers):
+            got["oma_weak"] = _combined(p.pair.weak, unit, size)
+        del unit
+    for p, got in zip(passes, powers):
+        got["strong"] = got["oma_strong"] = _combined(p.pair.strong, first, size)
     del first  # free it before the terms and the second block
-    _each(passes, _PairPass.accumulate, _FIRST_BLOCK)
+    for p, got in zip(passes, powers):
+        p.accumulate(got)
     if weak:
         if second is None:
             second = rng.standard_exponential(head)
-        _each(passes, _PairPass.combine_weak, second, size)
+        # g_min = min(g_s, g_w), written over g_s: the terms that read g_s are added by now
+        powers = [{"weak": np.minimum(got["strong"], _combined(p.pair.weak, second, size),
+                                      out=got["strong"])} for p, got in zip(passes, powers)]
         del second
-        _each(passes, _PairPass.accumulate, ("weak",))
-    for p in passes:
-        p.powers.clear()
+        for p, got in zip(passes, powers):
+            p.accumulate(got)
 
 
 def estimate_pairs(
     work: list[tuple[UserPairSpec, list[Case]]],
     plan: SimPlan,
     quantities=tuple(QUANTITIES),
-) -> list[list[dict[str, Estimate] | ArithmeticError] | Exception]:
+) -> list[list[dict[str, Estimate] | ArithmeticError]]:
     """Monte Carlo ``quantities`` of every (pair, cases) of ``work``, from
     one pass over the batches.
 
@@ -417,10 +386,9 @@ def estimate_pairs(
     Batch b's stream then holds the same unit exponentials for every
     pair, so each block is drawn once per batch and combined once per
     pair.  Per pair, returns what ``estimate_cases`` returns for that pair
-    alone, bit for bit, or the exception that failed its combine or terms;
-    the other pairs keep their estimates.  An exception in the shared
-    draw raises.  Nothing is drawn when no pair has a case or no quantity
-    is asked.
+    alone, bit for bit.  A case whose estimate fails gets its
+    ArithmeticError; any other exception fails the pass and raises.
+    Nothing is drawn when no pair has a case or no quantity is asked.
     """
     wanted = requested(quantities)
     if len({(pair.strong.antennas, pair.weak.antennas) for pair, _ in work}) > 1:
@@ -451,9 +419,6 @@ def estimate_cases(
     {quantity: Estimate} dict per case, in QUANTITIES order; a case whose
     estimate fails (every EC term underflowed, or it is not finite) gets
     the ArithmeticError instead, and the other cases keep their estimates.
-    An exception that fails the pass raises.
+    Any other exception fails the pass and raises.
     """
-    (result,) = estimate_pairs([(pair, cases)], plan, quantities)
-    if isinstance(result, Exception):
-        raise result
-    return result
+    return estimate_pairs([(pair, cases)], plan, quantities)[0]

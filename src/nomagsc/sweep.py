@@ -39,9 +39,8 @@ Every requested (point, method) combination produces exactly one row;
 evaluator errors are recorded in-row under ``status`` and never abort
 sibling points.  The ``montecarlo`` rows of every n come from one pass
 that draws each batch once; a point whose estimate fails gets an error
-row, an error in one n's combine or terms fails every ``montecarlo`` row
-of that n, and an error in the shared draw fails every ``montecarlo``
-row.  The ergodic rate does not read theta, so it is evaluated once per
+row, and any other error in the pass fails every ``montecarlo`` row.
+The ergodic rate does not read theta, so it is evaluated once per
 (n, a_s, rho), and every theta gets that report or error.
 """
 
@@ -311,21 +310,18 @@ _SEARCH_METHODS = {"sum_ec": "exact", "sum_rate": "ergodic"}
 
 def _montecarlo_pass(spec: SweepSpec, points: list[tuple[int, tuple]]) -> list:
     """Monte Carlo EC of every (n, case), from one pass over the draws: per
-    point, the estimates or the exception that failed it.  Every n of a
-    sweep has the same antenna counts, so its pairs share each batch's
-    draws."""
+    point, the estimates, the error that failed its case, or the error
+    that failed the pass.  Every n of a sweep has the same antenna counts,
+    so its pairs share each batch's draws."""
     by_n: dict[int, list] = {}
     for n, case in points:
         by_n.setdefault(n, []).append(case)
     work = [(spec.pair_for(n), cases) for n, cases in by_n.items()]
     try:
         results = montecarlo.estimate_pairs(work, spec.sim, ("ec_strong", "ec_weak"))
-    except Exception as exc:  # the shared draw failed: every case of every n
-        results = [exc] * len(work)
-    per_n = {
-        n: iter([result] * len(cases) if isinstance(result, Exception) else result)
-        for (n, cases), result in zip(by_n.items(), results)
-    }
+    except Exception as exc:  # the pass failed: every case of every n
+        return [exc] * len(points)
+    per_n = {n: iter(result) for n, result in zip(by_n, results)}
     return [next(per_n[n]) for n, _ in points]
 
 

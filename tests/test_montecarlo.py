@@ -71,8 +71,9 @@ def row_wise(spec, unit, size):
 
 class TestSampling:
     def test_plan_validation(self):
-        with pytest.raises(ValueError):
-            SimPlan(samples=0)
+        for samples in (0, 1):  # one sample has no standard error
+            with pytest.raises(ValueError, match="samples must be >= 2"):
+                SimPlan(samples=samples)
         for seed in (-1, 2**64):  # one Philox key word
             with pytest.raises(ValueError):
                 SimPlan(seed=seed)
@@ -477,6 +478,16 @@ class TestSharedDraw:
         assert len(quadratures) == 32
         assert len(rows) == 8 * len(montecarlo.QUANTITIES)
 
+    def test_zero_spread_check_passes_only_on_equality(self):
+        # at -400 dB every term is exactly 1 (an EC) or 0 (a rate), so every
+        # standard error is 0: z is 0 on equality and inf otherwise
+        grid = {"snr_db": (-400.0,), "theta": (1.0,), "n": (2,), "a_s": (0.24,)}
+        rows = validate.run_validation(SimPlan(samples=1_000, seed=0), grid)
+        assert {r.std_error for r in rows} == {0.0}
+        for r in rows:
+            assert (r.z, r.passed) == ((0.0, True) if r.analytic == r.estimate else (math.inf, False))
+        assert [r.passed for r in rows if r.quantity in ("ec_strong", "ec_weak")] == [True, True]
+
     @pytest.mark.parametrize(
         "pair",
         [
@@ -506,17 +517,16 @@ class TestSharedDraw:
 
 
 def outcomes(results):
-    """Estimates as they are, exceptions as (type, message): comparable
-    with ==."""
-    if isinstance(results, Exception):
-        return type(results), str(results)
-    return [outcomes(r) if isinstance(r, Exception) else r for r in results]
+    """A pair's case results, estimates as they are and exceptions as
+    (type, message): comparable with ==."""
+    return [(type(r), str(r)) if isinstance(r, Exception) else r for r in results]
 
 
 class TestSharedPairs:
     """estimate_pairs draws each batch once for pairs with the same antenna
-    counts; every pair's estimates and exceptions equal those of one
-    estimate_cases call per pair."""
+    counts; every pair's estimates and failed cases equal those of one
+    estimate_cases call per pair.  A failed case fails alone, and any other
+    error fails the pass."""
 
     CASES = [
         (PowerSplit(a_s), QosProfile(theta), SnrPoint.from_db(rho_db))
@@ -533,12 +543,7 @@ class TestSharedPairs:
 
     def check(self, work, quantities=tuple(QUANTITIES)):
         shared = estimate_pairs(work, self.PLAN, quantities)
-        separate = []
-        for pair, cases in work:
-            try:
-                separate.append(estimate_cases(pair, cases, self.PLAN, quantities))
-            except Exception as exc:
-                separate.append(exc)
+        separate = [estimate_cases(pair, cases, self.PLAN, quantities) for pair, cases in work]
         assert [outcomes(r) for r in shared] == [outcomes(r) for r in separate]
         return shared
 
@@ -593,7 +598,7 @@ class TestSharedPairs:
         assert isinstance(shared[2][1], FloatingPointError)
 
     @pytest.mark.parametrize("block", ["strong", "weak"])
-    def test_combine_error_fails_only_its_pair(self, block, monkeypatch):
+    def test_combine_error_fails_the_pass(self, block, monkeypatch):
         combined = montecarlo._combined
         pairs = self.pairs(4, 4, (1, 2, 4))
         failing_spec = getattr(pairs[1], block)
@@ -604,27 +609,8 @@ class TestSharedPairs:
             return combined(spec, unit, size)
 
         monkeypatch.setattr(montecarlo, "_combined", failing)
-        shared = self.check([(pair, self.CASES) for pair in pairs])
-        assert outcomes(shared[1]) == (RuntimeError, "combine failed")
         with pytest.raises(RuntimeError, match="combine failed"):
-            estimate_cases(pairs[1], self.CASES, self.PLAN)
-        monkeypatch.setattr(montecarlo, "_combined", combined)
-        assert [shared[0], shared[2]] == [estimate_cases(p, self.CASES, self.PLAN) for p in pairs[::2]]
-
-    def test_accumulate_error_fails_only_its_pair(self, monkeypatch):
-        accumulate = montecarlo._PairPass.accumulate
-        pairs = self.pairs(12, 12, (1, 6, 12))
-
-        def failing(pass_, signals):
-            if pass_.pair == pairs[0]:
-                raise RuntimeError("accumulate failed")
-            accumulate(pass_, signals)
-
-        monkeypatch.setattr(montecarlo._PairPass, "accumulate", failing)
-        shared = estimate_pairs([(pair, self.CASES) for pair in pairs], self.PLAN)
-        assert outcomes(shared[0]) == (RuntimeError, "accumulate failed")
-        monkeypatch.setattr(montecarlo._PairPass, "accumulate", accumulate)
-        assert shared[1:] == [estimate_cases(p, self.CASES, self.PLAN) for p in pairs[1:]]
+            estimate_pairs([(pair, self.CASES) for pair in pairs], self.PLAN)
 
     def test_pairs_must_share_antenna_counts(self):
         work = [(pair, self.CASES) for pair in self.pairs(4, 4, (1,)) + self.pairs(4, 3, (1,))]

@@ -76,6 +76,7 @@ class TestConfigParsing:
         [
             {"sim": {"samples": 1000, "sead": 1}},
             {"sim": {"samples": 0}},
+            {"sim": {"samples": 1}},
             {"sim": [1000]},
             {"power": {"search": {"a_min": 0.05, "a_mx": 0.3}}},
             {"power": {"search": {"a_min": 0.3, "a_max": 0.05}}},
@@ -424,49 +425,37 @@ class TestMonteCarloPass:
         assert failed.status.startswith("error: Monte Carlo EC mean out of range: 0.0")
         assert failed.e_sum is None and failed.std_error is None
 
-    def test_batch_loop_error_fails_every_point_of_its_n(self, monkeypatch):
-        # the n share one pass; an error in one pair's terms fails that n alone
-        accumulate = montecarlo._PairPass.accumulate
-
-        def failing(pass_, signals):
-            if pass_.pair.strong.combined == 2:
-                raise RuntimeError("accumulate failed")
-            accumulate(pass_, signals)
-
-        monkeypatch.setattr(montecarlo._PairPass, "accumulate", failing)
-        spec = make_spec(n=[1, 2, 4], methods=["oma", "montecarlo"], sim={"samples": 1_000})
-        rows = run_sweep(spec)
-        for row in rows:
-            failed = row.method == "montecarlo" and row.n_s == 2
-            assert row.status == ("error: accumulate failed" if failed else "ok")
-        monkeypatch.setattr(montecarlo._PairPass, "accumulate", accumulate)
-        assert [r for r in rows if r.n_s != 2] == [r for r in run_sweep(spec) if r.n_s != 2]
-
-    def test_combine_error_fails_only_its_n(self, monkeypatch):
-        # the weak block of n = 2 fails after its strong terms were added
-        combined = montecarlo._combined
-
-        def failing(spec, unit, size):
-            if spec.combined == 2 and spec.omega == 0.1:
-                raise RuntimeError("combine failed")
-            return combined(spec, unit, size)
-
-        monkeypatch.setattr(montecarlo, "_combined", failing)
-        spec = make_spec(n=[1, 2, 4], methods=["montecarlo"], sim={"samples": 1_000})
-        rows = run_sweep(spec)
-        assert [r.status for r in rows if r.n_s == 2] == ["error: combine failed"] * 2
-        monkeypatch.setattr(montecarlo, "_combined", combined)
-        assert [r for r in rows if r.n_s != 2] == [r for r in run_sweep(spec) if r.n_s != 2]
-
-    def test_draw_error_fails_every_montecarlo_row(self, monkeypatch):
-        def failing(plan):
-            raise RuntimeError("draw failed")
+    @pytest.mark.parametrize("site", ["draw", "combine", "accumulate"])
+    def test_draw_error_fails_every_montecarlo_row(self, site, monkeypatch):
+        # a failed draw, or a failed combine or accumulate of n = 2 alone,
+        # fails the pass, so every montecarlo row of every n
+        def failing_draw(plan):
+            raise RuntimeError("pass failed")
             yield
 
-        monkeypatch.setattr(montecarlo, "_batches", failing)
-        spec = make_spec(methods=["oma", "montecarlo"], sim={"samples": 1_000})
-        for row in run_sweep(spec):
-            assert row.status == ("error: draw failed" if row.method == "montecarlo" else "ok")
+        combined, accumulate = montecarlo._combined, montecarlo._PairPass.accumulate
+
+        def failing_combine(spec, unit, size):
+            if spec.combined == 2 and spec.omega == 0.1:
+                raise RuntimeError("pass failed")
+            return combined(spec, unit, size)
+
+        def failing_accumulate(pass_, powers):
+            if pass_.pair.strong.combined == 2:
+                raise RuntimeError("pass failed")
+            accumulate(pass_, powers)
+
+        target, name, failing = {
+            "draw": (montecarlo, "_batches", failing_draw),
+            "combine": (montecarlo, "_combined", failing_combine),
+            "accumulate": (montecarlo._PairPass, "accumulate", failing_accumulate),
+        }[site]
+        monkeypatch.setattr(target, name, failing)
+        spec = make_spec(n=[1, 2, 4], methods=["oma", "montecarlo"], sim={"samples": 1_000})
+        rows = run_sweep(spec)
+        assert {r.method for r in rows} == {"oma", "montecarlo"}
+        for row in rows:
+            assert row.status == ("error: pass failed" if row.method == "montecarlo" else "ok")
 
     @pytest.mark.usefixtures("fail_at_0db")
     def test_failed_search_gives_montecarlo_error_row(self):
