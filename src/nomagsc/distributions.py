@@ -3,28 +3,30 @@
 The combined power of the n strongest of N i.i.d. Rayleigh branches
 (each branch power exponential with mean Omega) has the classical
 order-statistics density, an alternating series over the discarded
-branches.  ``gsc_pdf`` reads it as a finite signed sum of gamma kernels
+branches: a finite signed sum of 1 + (N - n) * n gamma kernels
 a * x**m * exp(-lam * x), held once per spec in ``_gsc_terms`` and
 grouped by rate, so that one call computes each distinct exp(-lam * x)
-once.
+once.  ``gsc_pdf`` sums it while it is short (at most
+``_SERIES_TERMS_MAX`` terms: every N <= 4 law).
 
 By Renyi's representation, g = omega * sum_i c_i E_i is also a positive
 mixture of gamma laws of one scale (Moschopoulos 1985), ``_mixture``:
 no term of it cancels, at any N.  ``gsc_cdf``, the Mellin transform
 E[g^s] (``gsc_mellin``: the high-SNR expectation, and at s = 1, 2 the
-moments ``gsc_moments``) and the law of the minimum read it.  The
-density of min(g_s, g_w) is f_s * S_w + f_w * S_s over each receiver's
-(density, survival) pair, from the best-of-N law for one branch and the
-mixture otherwise; ``min_density`` picks the pair's case (SC: one
-branch on both sides, MRC: all branches on both sides, otherwise
-general), and its moments are integrated through
-``numerics.expectation``.  The density functions are pure: callers that
-integrate many times over the same laws share their values through
-``numerics.reuse_densities``.  ``gsc_pdf`` and the ``min_pdf_*`` take x
-as a float, giving a float, or as a 1-D array of nodes, giving an array,
-as ``numerics.expectation`` asks for a quadrature interval's 15 nodes at
-once; a node's value is the same (==) either way, because each node's
-terms are summed on their own.  Every x must be finite and >= 0.
+moments ``gsc_moments``) and the law of the minimum read it.  Each
+receiver's (density, survival) pair, ``_receiver``, is the best-of-N law
+for one branch and the mixture otherwise; ``gsc_pdf`` reads its density
+for every law whose series is longer.  The density of min(g_s, g_w) is
+f_s * S_w + f_w * S_s over both receivers' pairs; ``min_density``
+picks the pair's case (SC: one branch on both sides, MRC: all branches
+on both sides, otherwise general), and its moments are integrated
+through ``numerics.expectation``.  The density functions are pure:
+callers that integrate many times over the same laws share their values
+through ``numerics.reuse_densities``.  ``gsc_pdf`` and the ``min_pdf_*``
+take x as a float, giving a float, or as a 1-D array of nodes, giving an
+array, as ``numerics.expectation`` asks for a quadrature interval's 15
+nodes at once; a node's value is the same (==) either way, because each
+node's terms are summed on their own.  Every x must be finite and >= 0.
 """
 from __future__ import annotations
 
@@ -38,9 +40,9 @@ from scipy import special
 
 from .numerics import DomainError, expectation, reuse_densities
 
-# The signs in ``_gsc_terms``, the table ``gsc_pdf`` reads, alternate, and
-# its sums lose roughly one digit per discarded branch; past this many
-# antennas its values are no longer trustworthy.  Only that table limits N.
+# No density cancels at any N (``gsc_pdf`` sums only short series); N
+# stops where the laws are checked: the mixture's size (up to 343
+# weights), ``_receiver``'s underflow bound and the 40-digit gate rows.
 MAX_ANTENNAS = 16
 
 
@@ -61,7 +63,7 @@ class GscSpec:
         if self.antennas > MAX_ANTENNAS:
             raise ValueError(
                 f"antennas={self.antennas} exceeds the supported maximum "
-                f"{MAX_ANTENNAS} (alternating series would lose too much precision)"
+                f"{MAX_ANTENNAS} (the largest N its laws are checked at)"
             )
         if not 0 < self.omega < math.inf:
             raise ValueError(f"omega must be finite and > 0, got {self.omega}")
@@ -162,9 +164,24 @@ def _pointwise(name: str, x, values):
     return float(values(nodes.reshape(1))[0])
 
 
+# ``gsc_pdf`` sums the series of a law with at most this many terms,
+# 1 + (N - n) * n, and reads every longer law from ``_receiver``.  Per
+# 15-node block the mixture costs 1.1-1.2 times the series at
+# N = 4, n >= 2, but the series grows with its terms: at (8, 4), (12, 6)
+# and (16, 8) it takes 1.5, 2.7 and 4.4 times the mixture (about 22 us a
+# block on a shared 2-core x86 host), and it cancels.  The cut keeps
+# every N <= 4 law, every law of the paper's figures, on the series,
+# with its values unchanged.
+_SERIES_TERMS_MAX = 5
+
+
 def gsc_pdf(spec: GscSpec, x):
     """Density of the combined channel power at ``x`` (a float or a 1-D
-    array), ``_density`` at each node."""
+    array): ``_density`` at each node while the law's series is short,
+    otherwise ``_receiver``'s density, which no cancellation reaches."""
+    N, n = spec.antennas, spec.combined
+    if 1 + (N - n) * n > _SERIES_TERMS_MAX:
+        return _pointwise("gsc_pdf", x, lambda xs: _receiver(spec, xs)[0])
     t = _gsc_terms(spec)
     return _pointwise("gsc_pdf", x, lambda xs: np.array([_density(t, v) for v in xs.tolist()]))
 

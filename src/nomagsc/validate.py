@@ -113,15 +113,22 @@ def z_summary(rows: list[ValidationRow]) -> str:
     All checks of one run share their channel draws, so Monte Carlo noise
     moves their z together: expect a mean that changes with the seed and
     a standard deviation below 1.  A bias shows as a mean that stays away
-    from 0 across seeds.
+    from 0 across seeds.  A check with no spread and a mismatch has
+    infinite z: the max, mean and standard deviation describe the finite
+    z, and the line ends with the count of infinite ones.
     """
     z = [r.signed_z for r in rows]
-    mean = math.fsum(z) / len(z)
-    sd = math.sqrt(math.fsum((v - mean) ** 2 for v in z) / max(len(z) - 1, 1))
-    return (
-        f"z: max |z|={max(map(abs, z)):.2f} mean={mean:.3f} "
+    finite = [v for v in z if math.isfinite(v)]
+    mean = sd = math.nan
+    if finite:
+        mean = math.fsum(finite) / len(finite)
+        sd = math.sqrt(math.fsum((v - mean) ** 2 for v in finite) / max(len(finite) - 1, 1))
+    line = (
+        f"z: max |z|={max(map(abs, finite), default=math.nan):.2f} mean={mean:.3f} "
         f"sd={sd:.3f} |z|>2: {sum(abs(v) > 2 for v in z)}/{len(z)}"
     )
+    infinite = len(z) - len(finite)
+    return f"{line} |z|=inf: {infinite}" if infinite else line
 
 
 def write_csv(rows: list[ValidationRow], path: str) -> None:

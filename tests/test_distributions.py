@@ -90,12 +90,16 @@ class TestGscPdf:
             assert gsc_pdf(spec, x) == pytest.approx(ref, rel=1e-10)
 
     def test_normalization_all_configs(self):
-        for N in range(1, 7):
+        # by Renyi, g = omega * sum_i c_i E_i, c_i = 1 for i <= n and n/i above
+        for N in range(1, MAX_ANTENNAS + 1):
             for n in range(1, N + 1):
+                c = [Fraction(1)] * n + [Fraction(n, i) for i in range(n + 1, N + 1)]
                 for omega in (0.1, 1.0, 10.0):
                     spec = GscSpec(N, n, omega)
-                    r = integrate_semi_infinite(lambda x: gsc_pdf(spec, x))
-                    assert r.value == pytest.approx(1.0, abs=1e-9), (N, n, omega)
+                    mass = numerics.expectation(lambda v: lambda x: v[x], gsc_pdf, spec).value
+                    mean = numerics.expectation(lambda v: lambda x: x * v[x], gsc_pdf, spec).value
+                    assert abs(mass - 1) <= 1e-12, (N, n, omega)
+                    assert abs(mean / (omega * float(sum(c))) - 1) <= 1e-12, (N, n, omega)
 
     def test_nonnegative(self):
         rng = np.random.default_rng(5)
@@ -148,11 +152,17 @@ def _per_term_density(terms, x):
 KERNEL_XS = (0.0, 1e-300, 1e-3, 0.7, 30.0, 700.0, 1e4)
 
 
+def _series_terms(N, n):
+    """Terms in the (N, n) law's order-statistics series."""
+    return 1 + (N - n) * n
+
+
 class TestKernelGroups:
-    """The table density computes each distinct kernel once per call; the
-    values are those of the term-by-term formulas, bit for bit.  The
-    distribution function is the gamma mixture's, checked against the
-    40-digit series."""
+    """The series table computes each distinct kernel once per call; its
+    values are those of the term-by-term formulas, bit for bit, and
+    ``gsc_pdf`` returns them for every law whose series is short.  Longer
+    laws read the mixture, checked against the 40-digit series, and so
+    does the distribution function."""
 
     def test_gsc_laws_equal_per_term_formulas(self):
         for N in range(1, 17):
@@ -163,7 +173,31 @@ class TestKernelGroups:
                     terms = [(a, m, lam) for lam, group in table.by_rate for a, m in group]
                     for x in KERNEL_XS:
                         pdf = math.comb(N, n) * _per_term_density(terms, x)
-                        assert gsc_pdf(spec, x) == pdf, (spec, x)
+                        assert distributions._density(table, x) == pdf, (spec, x)
+                        if _series_terms(N, n) <= distributions._SERIES_TERMS_MAX:
+                            assert gsc_pdf(spec, x) == pdf, (spec, x)
+
+    def test_short_series_covers_every_four_antenna_law(self):
+        # the laws of the paper's figures keep the series' values
+        short = {(N, n) for N in range(1, 17) for n in range(1, N + 1)
+                 if _series_terms(N, n) <= distributions._SERIES_TERMS_MAX}
+        assert short == {(N, n) for N in range(1, 5) for n in range(1, N + 1)} | {
+            (N, N) for N in range(5, 17)} | {(5, 1), (5, 4)}
+
+    def test_long_laws_match_40_digits(self):
+        # positive terms, each a few ulps off; the mixture leaves out at
+        # most _MIXTURE_TAIL of weight, the highest shapes, so the far tail
+        # misses by up to 5e-9 relative but only 7e-19/omega absolutely
+        for N in range(5, 17):
+            for n in range(1, N + 1):
+                if _series_terms(N, n) <= distributions._SERIES_TERMS_MAX:
+                    continue
+                spec = GscSpec(N, n, (0.1, 1.0, 3.7)[(N + n) % 3])
+                assert gsc_pdf(spec, 0.0) == 0.0
+                for x in (u * spec.omega for u in (1e-3, 0.7, 3.0, 8.0, 30.0, 700.0)):
+                    ref = mp_oracle.density(spec, x)
+                    bound = 1e-14 * ref + distributions._MIXTURE_TAIL / spec.omega
+                    assert abs(gsc_pdf(spec, x) - ref) <= bound, (spec, x)
 
     def test_gsc_cdf_matches_40_digits(self):
         # a sum of positive terms, each a few ulps off, and the mixture
@@ -177,8 +211,9 @@ class TestKernelGroups:
                     assert abs(gsc_cdf(spec, x) - ref) <= 1e-14 * ref + 1e-17, (spec, x)
 
     def test_one_evaluation_per_distinct_kernel(self, monkeypatch):
-        # at (12, 6) the density's table has 37 terms over 7 rates; the
-        # distribution is one vectorized incomplete gamma over the mixture
+        # the (4, 2) density's table has 5 terms over 3 rates, and the
+        # (12, 6) table 37 terms over 7; the distribution is one vectorized
+        # incomplete gamma over the mixture
         calls = {"exp": 0, "gammainc": 0}
 
         def counted(name, fn):
@@ -194,13 +229,17 @@ class TestKernelGroups:
         monkeypatch.setattr(
             distributions, "special", types.SimpleNamespace(gammainc=counted("gammainc", special.gammainc))
         )
-        spec = GscSpec(12, 6, 1.0)
+        short, long = GscSpec(4, 2, 1.0), GscSpec(12, 6, 1.0)
+        table = distributions._gsc_terms(long)
         for x in (0.3, 2.0):
             calls.update(exp=0, gammainc=0)
-            gsc_pdf(spec, x)
+            gsc_pdf(short, x)
+            assert calls == {"exp": 3, "gammainc": 0}
+            calls.update(exp=0, gammainc=0)
+            distributions._density(table, x)
             assert calls == {"exp": 7, "gammainc": 0}
             calls.update(exp=0, gammainc=0)
-            gsc_cdf(spec, x)
+            gsc_cdf(long, x)
             assert calls == {"exp": 0, "gammainc": 1}
 
 

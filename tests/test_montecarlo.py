@@ -488,6 +488,22 @@ class TestSharedDraw:
             assert (r.z, r.passed) == ((0.0, True) if r.analytic == r.estimate else (math.inf, False))
         assert [r.passed for r in rows if r.quantity in ("ec_strong", "ec_weak")] == [True, True]
 
+    def test_z_summary_describes_the_finite_z(self):
+        # on the -400 dB grid the OMA EC's rounding error (about 1e-15 on a
+        # true 1e-41) against an exact Monte Carlo 0 gives z = inf; the
+        # finite z, all 0 there, are summarized and the infinite counted
+        grid = {"snr_db": (-400.0,), "theta": (1.0,), "n": (2,), "a_s": (0.24,)}
+        rows = validate.run_validation(SimPlan(samples=1_000, seed=0), grid)
+        infinite = sum(math.isinf(r.z) for r in rows)
+        assert infinite
+        assert validate.z_summary(rows) == (
+            f"z: max |z|=0.00 mean=0.000 sd=0.000 |z|>2: {infinite}/6 |z|=inf: {infinite}"
+        )
+        # finite z of 1 and -3 beside one infinite z
+        point = (0.0, 1.0, 2, 0.24, "ec_strong")
+        mixed = [validate.ValidationRow(*point, a, 0.0, s) for a, s in ((1.0, 1.0), (-3.0, 1.0), (1.0, 0.0))]
+        assert validate.z_summary(mixed) == "z: max |z|=3.00 mean=-1.000 sd=2.828 |z|>2: 2/3 |z|=inf: 1"
+
     @pytest.mark.parametrize(
         "pair",
         [

@@ -11,6 +11,7 @@ from nomagsc import capacity, distributions, numerics
 from nomagsc.distributions import (
     GscSpec,
     UserPairSpec,
+    _density,
     _gsc_terms,
     gsc_mellin,
     gsc_pdf,
@@ -43,9 +44,11 @@ def _exact_pdf(spec, x):
 
 
 class TestAlternatingSum:
-    """The order-statistics density is an alternating series; ``gsc_pdf``
+    """The order-statistics density is an alternating series; ``_density``
     sums its terms exactly (math.fsum), so it is the correctly rounded
-    sum of the float terms however much they cancel."""
+    sum of the float terms however much they cancel.  ``gsc_pdf`` sums
+    it only for short series and reads longer laws, where the correctly
+    rounded sum of the rounded terms is still wrong, from the mixture."""
 
     def test_cancellation(self):
         # best of N at x = 0: the integer terms sum(-1)^l C(N-1, l) cancel
@@ -54,11 +57,14 @@ class TestAlternatingSum:
 
     def test_compensated_canonical_case(self):
         # best of 16 at x = 1e-3: terms up to C(15, 7) = 6435 sum to -1.4e-11;
-        # a naive running sum is off by about 1e14 ulp, the density by none
+        # a naive running sum is off by about 1e14 ulp, the exact sum by
+        # none, and both are far from the true 1.6e-44 that gsc_pdf gives
         spec, x = GscSpec(16, 1, 1.0), 1e-3
         ref = _exact_pdf(spec, x)
-        assert gsc_pdf(spec, x) == ref
+        assert _density(_gsc_terms(spec), x) == ref
         assert 16 * sum(_series_terms(spec, x)) != ref
+        true = 16 * math.exp(-x) * (-math.expm1(-x)) ** 15
+        assert gsc_pdf(spec, x) == pytest.approx(true, rel=1e-14)
 
     def test_empty(self):
         # n = N discards no branch: the l-series is empty and only the
@@ -91,7 +97,7 @@ class TestAlternatingSum:
     def test_within_two_ulp_of_exact_sum(self, sizes, omega, x):
         spec = GscSpec(sizes[0], sizes[1], omega)
         ref = _exact_pdf(spec, x)
-        assert abs(gsc_pdf(spec, x) - ref) <= 2 * math.ulp(ref)
+        assert abs(_density(_gsc_terms(spec), x) - ref) <= 2 * math.ulp(ref)
 
 
 # integrands with known values for the error-bound corpus
