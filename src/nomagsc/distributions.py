@@ -56,6 +56,10 @@ class GscSpec:
     omega: float
 
     def __post_init__(self):
+        for name in ("antennas", "combined"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, int):
+                raise ValueError(f"{name} must be an int, got {value!r}")
         if not 1 <= self.combined <= self.antennas:
             raise ValueError(
                 f"need 1 <= combined <= antennas, got n={self.combined}, N={self.antennas}"

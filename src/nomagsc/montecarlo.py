@@ -9,17 +9,17 @@ only on the seed and the sample count.  Accumulators keep a running sum
 for the mean and each batch's centred second moment for the standard
 error, merged in fixed batch order for bit-identical repeats.
 
-Stream contract: a batch's stream holds the strong user's branch powers
-first and the weak user's after them; one user alone
-(``estimate_ec_oma``, ``sample_gsc_power``) is read from the start of
-the stream.  ``estimate_pairs`` is the one pass that turns draws into
-estimates: it draws each batch once and evaluates every requested
-quantity of every (split, qos, snr) case on it.  Pairs with the same
-antenna counts read the same stream, so one pass serves them all and
-only the combine step is per pair; a sweep's n values share a pass this
-way.  ``estimate_cases`` is that pass for one pair, and
-``estimate_ec_strong``, ``estimate_ec_weak`` and ``estimate_ergodic``
-are it with one case.
+Stream contract: block 0 of a batch's stream holds the strong user's
+branch powers and block 1 the weak user's; each user's quantities read
+that user's block, and one user alone (``estimate_ec_oma``,
+``sample_gsc_power``) reads its spec from the start of the stream.
+``estimate_pairs`` is the one pass that turns draws into estimates: it
+draws each batch once and evaluates every requested quantity of every
+(split, qos, snr) case on it.  Pairs with the same antenna counts read
+the same stream, so one pass serves them all and only the combine step
+is per pair, as for a sweep's n values.  ``estimate_cases`` is that pass
+for one pair, and ``estimate_ec_strong``, ``estimate_ec_weak`` and
+``estimate_ergodic`` are it with one case.
 
 The quantities, their SINRs and term keys are ``capacity``'s model
 (``QUANTITIES``, ``sinr``, ``term_key``), the one ``capacity.exact_cases``
@@ -329,45 +329,33 @@ class _PairPass:
 # An overflow leaves inf or NaN in its case's sums, and _finish fails that
 # case alone; numpy's warning, an error under -W error, would fail the pass.
 @np.errstate(over="ignore", invalid="ignore")
-def _run_batch(passes: list[_PairPass], rng: np.random.Generator, size: int,
-               weak: bool, weak_first: bool):
+def _run_batch(passes: list[_PairPass], rng: np.random.Generator, size: int, weak: set[str]):
     """One batch of a pass over pairs with the same antenna counts.
 
     The stream is drawn once per block, in stream order, and every pair
     reads the same block: combining only reads it.  Block 0 (the strong
-    user's N_s branch powers per sample) is combined for every pair and
-    freed, and then the terms that read it are added.  Block 1 (the weak
-    user's N_w) is drawn only if ``weak``: each pair folds its combined
-    power into g_s as min(g_s, g_w), the block is freed, and the weak
-    user's terms are added.  With ``weak_first``, each pair also combines
-    the weak spec read from the start of the stream, as an estimator of
-    the weak user alone draws it, reusing the values drawn.  Each pair's
-    combined powers, by signal, stay local to the batch.
+    user's N_s branch powers per sample) is combined for every pair into
+    g_s and freed, and then the terms that read g_s are added.  Block 1
+    (the weak user's N_w) is drawn only if the pass reads a signal of it,
+    the set ``weak``: each pair combines it into g_w and writes
+    min(g_s, g_w) over g_s, keeping g_w only for "oma_weak" terms; the
+    block is freed, and the weak user's terms are added.
     """
     n_strong, n_weak = passes[0].pair.strong.antennas, passes[0].pair.weak.antennas
-    head = size * n_weak
     first = rng.standard_exponential(size * n_strong)
-    second = None
-    powers = [{} for _ in passes]
-    if weak_first:
-        unit = first[:head]
-        if head > first.size:
-            second = rng.standard_exponential(head)
-            unit = np.concatenate((first, second[: head - first.size]))
-        for p, got in zip(passes, powers):
-            got["oma_weak"] = _combined(p.pair.weak, unit, size)
-        del unit
-    for p, got in zip(passes, powers):
-        got["strong"] = got["oma_strong"] = _combined(p.pair.strong, first, size)
+    g_s = [_combined(p.pair.strong, first, size) for p in passes]
     del first  # free it before the terms and the second block
-    for p, got in zip(passes, powers):
-        p.accumulate(got)
+    for p, g in zip(passes, g_s):
+        p.accumulate({"strong": g, "oma_strong": g})
     if weak:
-        if second is None:
-            second = rng.standard_exponential(head)
-        # g_min = min(g_s, g_w), written over g_s: the terms that read g_s are added by now
-        powers = [{"weak": np.minimum(got["strong"], _combined(p.pair.weak, second, size),
-                                      out=got["strong"])} for p, got in zip(passes, powers)]
+        second = rng.standard_exponential(size * n_weak)
+        powers = []
+        for p, g in zip(passes, g_s):
+            g_w = _combined(p.pair.weak, second, size)
+            # g_min = min(g_s, g_w), written over g_s: the terms that read g_s are added by now
+            read = {"weak": np.minimum(g, g_w, out=g), "oma_weak": g_w}
+            powers.append({signal: read[signal] for signal in weak})
+            del g_w, read  # an unread g_w goes before the next pair's combine
         del second
         for p, got in zip(passes, powers):
             p.accumulate(got)
@@ -396,10 +384,10 @@ def estimate_pairs(
     passes = [_PairPass(pair, cases, wanted) for pair, cases in work]
     live = [p for p in passes if p.groups]
     if live:
-        # only the weak user's NOMA quantities read the weak block and g_min
-        weak = "ec_weak" in wanted or "ergodic_weak" in wanted
+        # the weak user's quantities read block 1: its NOMA ones through g_min
+        weak = {QUANTITIES[q][0] for q in wanted} & {"weak", "oma_weak"}
         for size, rng in _batches(plan):
-            _run_batch(live, rng, size, weak, "ec_oma_weak" in wanted)
+            _run_batch(live, rng, size, weak)
     return [p.results() for p in passes]
 
 
@@ -414,8 +402,8 @@ def estimate_cases(
     pair).
 
     The channel law does not depend on the case, so each batch is drawn
-    and combined once and every case's terms read it.  ``ec_oma_*``
-    equals ``estimate_ec_oma`` of that user's spec.  Returns one
+    and combined once and every case's terms read it.  ``ec_oma_strong``
+    equals ``estimate_ec_oma`` of the strong spec.  Returns one
     {quantity: Estimate} dict per case, in QUANTITIES order; a case whose
     estimate fails (every EC term underflowed, or it is not finite) gets
     the ArithmeticError instead, and the other cases keep their estimates.

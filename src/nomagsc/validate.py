@@ -111,11 +111,13 @@ def z_summary(rows: list[ValidationRow]) -> str:
     of the signed z, and the count with |z| > 2.
 
     All checks of one run share their channel draws, so Monte Carlo noise
-    moves their z together: expect a mean that changes with the seed and
-    a standard deviation below 1.  A bias shows as a mean that stays away
-    from 0 across seeds.  A check with no spread and a mismatch has
-    infinite z: the max, mean and standard deviation describe the finite
-    z, and the line ends with the count of infinite ones.
+    moves their z together, one user's most: the strong user's quantities
+    read block 0 of each batch, the weak user's block 1 (and block 0 through
+    min(g_s, g_w)).  Expect a mean that changes with the seed and a standard
+    deviation below 1.  A bias shows as a mean that stays away from 0 across
+    seeds.  A check with no spread and a mismatch has infinite z: the max,
+    mean and standard deviation describe the finite z, and the line ends
+    with the count of infinite ones.
     """
     z = [r.signed_z for r in rows]
     finite = [v for v in z if math.isfinite(v)]

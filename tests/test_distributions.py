@@ -42,6 +42,18 @@ class TestSpecValidation:
         with pytest.raises(ValueError):
             GscSpec(2, 0, 1.0)
 
+    @pytest.mark.parametrize(
+        "counts",
+        [{"combined": 2.5}, {"antennas": 4.0}, {"combined": 2.0}, {"antennas": True},
+         {"combined": True}, {"antennas": "4"}],
+    )
+    def test_spec_takes_integers_only(self, counts):
+        # a float count would pass the range checks and fail later, inside
+        # the densities, with an untyped TypeError
+        fields = {"antennas": 4, "combined": 2, "omega": 1.0, **counts}
+        with pytest.raises(ValueError, match=f"{next(iter(counts))} must be an int"):
+            GscSpec(**fields)
+
     def test_antenna_cap(self):
         with pytest.raises(ValueError):
             GscSpec(17, 1, 1.0)
