@@ -258,7 +258,9 @@ def ec_oma(spec: GscSpec, qos: QosProfile, snr: SnrPoint) -> float:
 def ec_high_snr(
     pair: UserPairSpec, split: PowerSplit, qos: QosProfile, snr: SnrPoint
 ) -> EcReport:
-    """High-SNR closed-form approximation; requires nu < 1.
+    """High-SNR closed-form approximation; requires nu < 1 and theta at
+    or above the ergodic cutoff (below it, log2(E[g^-nu]) / nu loses
+    digits at a rate of about eps/nu).
 
     The strong user's EC is log2(a_s rho) - log2(E[g^-nu]) / nu.  The weak
     user's EC saturates at log2(1 + a_w/a_s), independent of the delay
@@ -268,6 +270,10 @@ def ec_high_snr(
     if nu >= 1.0:
         raise ValidityError(
             f"high-SNR approximation requires nu < 1, got nu = {nu:.4f}"
+        )
+    if qos.is_ergodic_limit:
+        raise ValidityError(
+            f"high-SNR approximation requires theta >= {THETA_ERGODIC_CUTOFF:g}, got {qos.theta:g}"
         )
     inner = dist.gsc_mellin(pair.strong, -nu)
     e_strong = math.log2(split.a_s * snr.rho) - math.log2(inner) / nu

@@ -72,13 +72,8 @@ def _batches(plan: SimPlan) -> Iterator[tuple[int, np.random.Generator]]:
         yield size, np.random.Generator(np.random.Philox(key=[plan.seed, index]))
 
 
-# Rows of fewer branches than this are combined column by column.  numpy
-# sums fewer than 8 terms left to right and 8 or more pairwise, so only
-# below 8 do column adds equal the row sum bit for bit.  That, not speed,
-# sets the threshold: the column path stays faster up to N = 12 and loses
-# only at N = 16, n >= 8.
-_COLUMN_WISE_BELOW = 8
-# Rows per chunk: a chunk of N < 8 columns of this many doubles stays in cache.
+# Rows per chunk: the combine's scratch is N + 1 columns of this many
+# doubles (64 kB each), so for a few branches a chunk stays in cache.
 _CHUNK_ROWS = 8192
 
 
@@ -88,36 +83,24 @@ def _combined(spec: GscSpec, unit: np.ndarray, size: int) -> np.ndarray:
     ``unit`` holds ``size * N`` standard exponentials in stream order;
     scaled by omega they are bit for bit the ``rng.exponential(spec.omega,
     (size, N))`` draw at that stream position.  ``unit`` is only read:
-    each chunk of rows is scaled into a chunk-sized scratch array and
-    combined there.  Every result equals the row-wise one bit for bit: the
-    maximum for n = 1, the row sum for n = N, and otherwise the row sum of
-    the n largest that ``np.partition`` leaves (in ascending order).
+    each chunk of rows is scaled into N chunk-sized columns and combined
+    there, one column at a time because numpy may buffer a whole
+    transposed chunk.  A combined power is the maximum for n = 1, the sum
+    left to right over the branches as drawn for n = N, and otherwise the
+    sum of the n largest in ascending order, left to right.
     """
     N, n = spec.antennas, spec.combined
     branches = unit.reshape(size, N)
     out = np.empty(size)
     rows = min(size, _CHUNK_ROWS)
-    # A row reduction over a few branches costs per row, not per element,
-    # so below 8 branches each chunk is scaled into contiguous columns,
-    # one column at a time because numpy may buffer a whole transposed chunk.
-    scratch = np.empty((N, rows) if N < _COLUMN_WISE_BELOW else (rows, N))
+    scratch = np.empty((N, rows))
     spare = np.empty(rows)
     for lo in range(0, size, _CHUNK_ROWS):
         hi = min(lo + _CHUNK_ROWS, size)
-        if N < _COLUMN_WISE_BELOW:
-            cols = list(scratch[:, : hi - lo])
-            for col, drawn in zip(cols, branches[lo:hi].T):
-                np.multiply(drawn, spec.omega, out=col)
-            _combine_columns(cols, n, spare[: hi - lo], out[lo:hi])
-            continue
-        chunk = np.multiply(branches[lo:hi], spec.omega, out=scratch[: hi - lo])
-        if n == 1:
-            chunk.max(axis=1, out=out[lo:hi])
-        elif n == N:
-            chunk.sum(axis=1, out=out[lo:hi])
-        else:
-            chunk.partition(N - n, axis=1)
-            chunk[:, N - n :].sum(axis=1, out=out[lo:hi])
+        cols = list(scratch[:, : hi - lo])
+        for col, drawn in zip(cols, branches[lo:hi].T):
+            np.multiply(drawn, spec.omega, out=col)
+        _combine_columns(cols, n, spare[: hi - lo], out[lo:hi])
     return out
 
 
@@ -125,8 +108,7 @@ def _combine_columns(cols: list[np.ndarray], n: int, spare: np.ndarray, out: np.
     """Write to ``out`` the sum of the n largest of ``cols`` per element.
 
     Adds run left to right, over the columns as drawn for n = N and in
-    ascending order otherwise, as the row-wise sum does.  ``cols`` and
-    ``spare`` are overwritten.
+    ascending order otherwise.  ``cols`` and ``spare`` are overwritten.
     """
     N = len(cols)
     if n == N:

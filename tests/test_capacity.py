@@ -188,6 +188,13 @@ class TestHighSnr:
         with pytest.raises(ValidityError, match="nu < 1"):
             ec_high_snr(pair44(2), SPLIT, QosProfile(1.2), SNR40)
 
+    @pytest.mark.parametrize("theta", [0.0, 1e-12])
+    def test_ergodic_limit_is_invalid(self, theta):
+        # at theta = 0 the form divides by nu = 0, and below the ergodic
+        # cutoff it loses digits at about eps/nu (3e-2 at theta = 1e-14)
+        with pytest.raises(ValidityError, match="theta >= 1e-09"):
+            ec_high_snr(pair44(2), SPLIT, QosProfile(theta), SNR40)
+
     def test_two_percent_at_40db(self):
         for n in (1, 2, 3, 4):
             hi = ec_high_snr(pair44(n), SPLIT, QOS05, SNR40)

@@ -58,15 +58,16 @@ def peak_bytes(call) -> int:
 
 
 def row_wise(spec, unit, size):
-    """Reference combining, one row per sample: the maximum, the row sum,
-    or the row sum of the n largest left by partial selection."""
+    """Reference combining, one row per sample: the maximum for n = 1, the
+    sum left to right over the branches as drawn for n = N, and otherwise
+    the sum of the n largest in ascending order, left to right."""
     N, n = spec.antennas, spec.combined
     branches = unit.reshape(size, N) * spec.omega
     if n == 1:
         return branches.max(axis=1)
-    if n == N:
-        return branches.sum(axis=1)
-    return np.partition(branches, N - n, axis=1)[:, N - n :].sum(axis=1)
+    if n < N:
+        branches = np.sort(branches, axis=1)[:, N - n :]
+    return np.cumsum(branches, axis=1)[:, -1]
 
 
 class TestSampling:
@@ -117,9 +118,9 @@ class TestSampling:
 class TestCombining:
     @pytest.mark.parametrize("N", range(1, 17))
     def test_equals_row_wise(self, N):
-        # N < 8 is combined column by column, N >= 8 row by row; both must
-        # give the row-wise powers bit for bit, across chunk boundaries too,
-        # and leave the drawn block as it was: every pair of a pass reads it
+        # every combined power equals the row-wise one bit for bit, across
+        # chunk boundaries too, and the drawn block is left as it was:
+        # every pair of a pass reads it
         rng = np.random.default_rng(N)
         for size in (1, montecarlo._CHUNK_ROWS + 1, 20_001):
             unit = rng.standard_exponential(size * N)
@@ -133,10 +134,24 @@ class TestCombining:
                         n, omega, size,
                     )
 
-    def test_memory_stays_chunk_sized(self):
+    @pytest.mark.parametrize("N", range(8, 17))
+    def test_close_to_numpy_row_sum(self, N):
+        # from 8 terms on numpy sums a row pairwise, not left to right: the
+        # two orders differ by rounding only
+        size = 20_001
+        unit = np.random.default_rng(N).standard_exponential(size * N)
+        branches = unit.reshape(size, N)
+        for n in range(2, N + 1):
+            spec = GscSpec(N, n, 1.0)
+            numpy_sum = np.sort(branches, axis=1)[:, N - n :].sum(axis=1)
+            combined = montecarlo._combined(spec, unit, size)
+            np.testing.assert_allclose(combined, numpy_sum, rtol=1e-15, atol=0)
+
+    @pytest.mark.parametrize("N", [4, 12, 16])
+    def test_memory_stays_chunk_sized(self, N):
         # the output, N + 1 chunk-sized columns and a few small objects; one
         # more batch-sized column would add 800 kB
-        spec, size = GscSpec(4, 2, 1.0), 100_000
+        spec, size = GscSpec(N, N // 2, 1.0), 100_000
         unit = np.random.default_rng(0).standard_exponential(size * spec.antennas)
         peak = peak_bytes(lambda: montecarlo._combined(spec, unit, size))
         chunk = (spec.antennas + 1) * montecarlo._CHUNK_ROWS * 8
@@ -577,8 +592,9 @@ class TestSharedPairs:
         self.check(work, ("ec_strong", "ec_weak"))
 
     @pytest.mark.parametrize("N", [12, 9])
-    def test_row_wise_pairs_read_one_block(self, N):
-        # the row-wise combine (N >= 8) scales each chunk in its own scratch
+    def test_pairs_of_eight_or_more_branches_read_one_block(self, N):
+        # from 8 branches on too, every pair combines the one drawn block,
+        # so the shared pass equals a pass per pair
         work = [(pair, self.CASES) for pair in self.pairs(N, N, (1, 3, 6, N))]
         self.check(work)
 

@@ -211,6 +211,12 @@ class TestRunSweep:
             else:
                 assert row.status == "ok"
 
+    def test_high_snr_ergodic_limit_recorded_in_row(self):
+        # at theta = 0 the high-SNR form would divide by nu = 0
+        spec = make_spec(n=[2], snr_db=[20], theta=[0.0], methods=["high_snr"])
+        (row,) = run_sweep(spec)
+        assert row.status.startswith("invalid:") and row.e_sum is None
+
     def test_low_snr_overflow_recorded_in_row(self):
         spec = make_spec(n=[2], snr_db=[1600], theta=[0.5], methods=["low_snr"])
         (row,) = run_sweep(spec)
