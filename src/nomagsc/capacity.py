@@ -15,8 +15,9 @@ user the law of min(g_s, g_w) that ``min_density`` picks, for an EC and
 a rate alike.  Its integrand is one function of four shapes, a power or
 log2 of 1 + c*x or of 1 + c*x/(d*x + 1), over the (c, d) coefficients
 ``sinr`` reads too, so the exact and the simulated terms compute the
-same floats.  The high-SNR approximation uses the Mellin
-transform ``gsc_mellin``, the low-SNR one the first two moments.  All
+same floats.  The high-SNR approximation uses the log of the Mellin
+transform, ``distributions._log_mellin``, the low-SNR one the first two
+moments.  All
 rates are spectral efficiencies in bits/s/Hz.
 """
 
@@ -259,10 +260,11 @@ def ec_high_snr(
     pair: UserPairSpec, split: PowerSplit, qos: QosProfile, snr: SnrPoint
 ) -> EcReport:
     """High-SNR closed-form approximation; requires nu < 1 and theta at
-    or above the ergodic cutoff (below it, log2(E[g^-nu]) / nu loses
-    digits at a rate of about eps/nu).
+    or above the ergodic cutoff (below it the EC is the ergodic rate).
 
-    The strong user's EC is log2(a_s rho) - log2(E[g^-nu]) / nu.  The weak
+    The strong user's EC is log2(a_s rho) - log2(E[g^-nu]) / nu, with
+    ln E[g^-nu] = O(nu) formed in the log domain (``_log_mellin``), so
+    the division by nu keeps its digits down to the cutoff.  The weak
     user's EC saturates at log2(1 + a_w/a_s), independent of the delay
     exponent and its antenna count.
     """
@@ -275,8 +277,7 @@ def ec_high_snr(
         raise ValidityError(
             f"high-SNR approximation requires theta >= {THETA_ERGODIC_CUTOFF:g}, got {qos.theta:g}"
         )
-    inner = dist.gsc_mellin(pair.strong, -nu)
-    e_strong = math.log2(split.a_s * snr.rho) - math.log2(inner) / nu
+    e_strong = math.log2(split.a_s * snr.rho) - LOG2E * dist._log_mellin(pair.strong, -nu) / nu
     e_weak = math.log2(1.0 + split.a_w / split.a_s)
     return EcReport(max(e_strong, 0.0), e_weak, method="high_snr")
 

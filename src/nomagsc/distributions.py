@@ -12,21 +12,26 @@ once.  ``gsc_pdf`` sums it while it is short (at most
 By Renyi's representation, g = omega * sum_i c_i E_i is also a positive
 mixture of gamma laws of one scale (Moschopoulos 1985), ``_mixture``:
 no term of it cancels, at any N.  ``gsc_cdf``, the Mellin transform
-E[g^s] (``gsc_mellin``: the high-SNR expectation, and at s = 1, 2 the
-moments ``gsc_moments``) and the law of the minimum read it.  Each
-receiver's (density, survival) pair, ``_receiver``, is the best-of-N law
-for one branch and the mixture otherwise; ``gsc_pdf`` reads its density
-for every law whose series is longer.  The density of min(g_s, g_w) is
-f_s * S_w + f_w * S_s over both receivers' pairs; ``min_density``
-picks the pair's case (SC: one branch on both sides, MRC: all branches
-on both sides, otherwise general), and its moments are integrated
-through ``numerics.expectation``.  The density functions are pure:
-callers that integrate many times over the same laws share their values
-through ``numerics.reuse_densities``.  ``gsc_pdf`` and the ``min_pdf_*``
-take x as a float, giving a float, or as a 1-D array of nodes, giving an
-array, as ``numerics.expectation`` asks for a quadrature interval's 15
-nodes at once; a node's value is the same (==) either way, because each
-node's terms are summed on their own.  Every x must be finite and >= 0.
+E[g^s] (``gsc_mellin``: at s = 1, 2 the moments ``gsc_moments``), its
+logarithm ``_log_mellin`` (the high-SNR expectation) and the law of the
+minimum read it.  ``_receiver`` evaluates a receiver's law at a node
+array: the best-of-N law for one branch and the mixture otherwise, and
+it forms only what its caller reads.  ``gsc_pdf`` reads the density
+alone, for every law whose series is longer.  The density of
+min(g_s, g_w) is f_s * S_w + f_w * S_s, so ``_min_pdf`` reads both
+receivers' density and survival; when the two receivers have the same
+(N, n), as in every pair of the paper, both are rows of one array.
+``min_density`` picks the pair's case (SC: one branch on both sides,
+MRC: all branches on both sides, otherwise general), and its moments are
+integrated through ``numerics.expectation``.  The density functions are
+pure: callers that integrate many times over the same laws share their
+values through ``numerics.reuse_densities``.  ``gsc_pdf`` and the
+``min_pdf_*`` take x as a float, giving a float, or as a 1-D array of
+nodes, giving an array, as ``numerics.expectation`` asks for a
+quadrature interval's 15 nodes at once; a node's value is the same (==)
+either way, and whichever receiver shares its array, because each
+node's row of terms is formed and summed on its own.  Every x must be
+finite and >= 0.
 """
 from __future__ import annotations
 
@@ -182,10 +187,11 @@ _SERIES_TERMS_MAX = 5
 def gsc_pdf(spec: GscSpec, x):
     """Density of the combined channel power at ``x`` (a float or a 1-D
     array): ``_density`` at each node while the law's series is short,
-    otherwise ``_receiver``'s density, which no cancellation reaches."""
+    otherwise ``_receiver``'s density alone, which no cancellation
+    reaches."""
     N, n = spec.antennas, spec.combined
     if 1 + (N - n) * n > _SERIES_TERMS_MAX:
-        return _pointwise("gsc_pdf", x, lambda xs: _receiver(spec, xs)[0])
+        return _pointwise("gsc_pdf", x, lambda xs: _receiver(N, n, spec.omega, xs, survival=False)[0])
     t = _gsc_terms(spec)
     return _pointwise("gsc_pdf", x, lambda xs: np.array([_density(t, v) for v in xs.tolist()]))
 
@@ -241,11 +247,15 @@ def _mixture(antennas: int, combined: int) -> _Mixture:
     return _Mixture(w, survival, divisors)
 
 
-def _receiver(spec: GscSpec, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(density, survival) of one receiver's combined power at the nodes
-    ``x``, free of cancellation.  For n = 1, with e = exp(-x/omega), the
-    best-of-N law: (N/omega) * e * (1 - e)**(N-1) and 1 - (1 - e)**N =
-    -expm1(N * log1p(-e)), which is 1 at x = 0, where log1p(-1) = -inf.
+def _receiver(antennas: int, combined: int, omega, x: np.ndarray, survival: bool = True):
+    """(density, survival) of the n strongest of N branches at the nodes
+    ``x``, free of cancellation; the survival is None unless asked for.
+    ``omega`` is a float, or a column of omegas that broadcasts against
+    ``x`` to one row of nodes per receiver, so that one call serves
+    receivers of the same (N, n).  For n = 1, with
+    e = exp(-x/omega), the best-of-N law: (N/omega) * e * (1 - e)**(N-1)
+    and 1 - (1 - e)**N = -expm1(N * log1p(-e)), which is 1 at x = 0,
+    where log1p(-1) = -inf.
 
     Otherwise, with y = x/scale and the Poisson terms t_j = exp(-y) *
     y**j/j!, the mixture's density is sum_k w_k * t_(N-1+k)/scale and its
@@ -253,26 +263,27 @@ def _receiver(spec: GscSpec, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     row of terms per node, summed row by row, so that a node's values do
     not depend on the other nodes.
     """
-    N, n = spec.antennas, spec.combined
+    N, n = antennas, combined
     if n == 1:
-        u = x / spec.omega
+        u = x / omega
         e = np.exp(-u)
+        density = N / omega * e * (-np.expm1(-u)) ** (N - 1)
+        if not survival:
+            return density, None
         with np.errstate(divide="ignore"):
-            return N / spec.omega * e * (-np.expm1(-u)) ** (N - 1), -np.expm1(N * np.log1p(-e))
+            return density, -np.expm1(N * np.log1p(-e))
     m = _mixture(N, n)
-    scale = spec.omega * n / N
+    scale = omega * n / N
     y = x / scale
     e = np.exp(-y)
     # past y = 745 exp(-y) underflows; there every t_j with j < N + K
     # (K <= 343 terms for N <= 16) is below 1e-55, far under the weight
     # the mixture leaves out, and the row is zero
-    t = np.where(e == 0.0, 0.0, y)[:, None] / m.divisors
-    t[:, 0] = e
-    np.multiply.accumulate(t, axis=1, out=t)
-    return (
-        np.add.reduce(m.weights * t[:, N - 1 :], axis=1) / scale,
-        np.add.reduce(m.survival * t, axis=1),
-    )
+    t = np.where(e == 0.0, 0.0, y)[..., None] / m.divisors
+    t[..., 0] = e
+    np.multiply.accumulate(t, axis=-1, out=t)
+    density = np.add.reduce(m.weights * t[..., N - 1 :], axis=-1) / scale
+    return density, np.add.reduce(m.survival * t, axis=-1) if survival else None
 
 
 def gsc_cdf(spec: GscSpec, x: float) -> float:
@@ -291,11 +302,20 @@ def gsc_cdf(spec: GscSpec, x: float) -> float:
 
 def _min_pdf(name: str, pair: UserPairSpec, x):
     """Density f_s * S_w + f_w * S_s of min(g_s, g_w) at ``x`` (a float
-    or a 1-D array) over each receiver's (density, survival) from
-    ``_receiver``: positive terms, free of cancellation at any N."""
+    or a 1-D array) over each receiver's density and survival from
+    ``_receiver``: positive terms, free of cancellation at any N.  When
+    the receivers have the same (N, n), one call evaluates both, the
+    strong receiver's row of nodes and the weak one's, each at its own
+    omega; otherwise each receiver takes its own call."""
+    s, w = pair.strong, pair.weak
+    shape = (s.antennas, s.combined)
 
     def values(nodes):
-        (f_s, s_s), (f_w, s_w) = _receiver(pair.strong, nodes), _receiver(pair.weak, nodes)
+        if shape == (w.antennas, w.combined):
+            (f_s, f_w), (s_s, s_w) = _receiver(*shape, np.array([[s.omega], [w.omega]]), nodes)
+        else:
+            f_s, s_s = _receiver(*shape, s.omega, nodes)
+            f_w, s_w = _receiver(w.antennas, w.combined, w.omega, nodes)
         return f_s * s_w + f_w * s_s
 
     return _pointwise(name, x, values)
@@ -347,6 +367,37 @@ def gsc_mellin(spec: GscSpec, s: float) -> float:
         raise DomainError(f"gsc_mellin requires finite s > -N = {-N}, got {s}")
     w = _mixture(N, n).weights
     return (spec.omega * n / N) ** s * float(w.dot(special.poch(N + np.arange(len(w)), s)))
+
+
+# Below this |s|, ln poch(a, s) = ln Gamma(a + s) - ln Gamma(a) is summed
+# from its Taylor series s * psi(a) + sum_(j>=2) (-s)**j * zeta(j, a)/j
+# (Hurwitz zeta).  For a >= 1 term j is at most zeta(j) * |s|**j/j, so the
+# terms after _TAYLOR_TERMS are under 1e-16 of the sum; above the cut
+# ln(poch) loses nothing to cancellation.
+_SMALL_S = 0.05
+_TAYLOR_TERMS = 12
+
+
+def _log_mellin(spec: GscSpec, s: float) -> float:
+    """ln E[g^s], for finite s > -N (``gsc_mellin``'s domain), with full
+    relative precision as s -> 0 (the high-SNR EC divides it by s).
+
+    With the mixture's weights normalized to a law, E[g^s] = scale**s *
+    (1 + sum_k w_k * expm1(ln poch(N + k, s))): each term is formed from
+    ln poch, never from poch - 1, and the rounding of the weights' sum
+    does not enter, so ln E[g^s] = s * ln(scale) + log1p(...) is O(s)
+    with no O(eps) floor.
+    """
+    N, n = spec.antennas, spec.combined
+    w = _mixture(N, n).weights
+    shapes = N + np.arange(len(w), dtype=float)
+    if abs(s) < _SMALL_S:
+        # the smallest terms first
+        j = np.arange(_TAYLOR_TERMS, 1, -1)[:, None]
+        log_poch = np.sum((-s) ** j / j * special.zeta(j, shapes), axis=0) + s * special.digamma(shapes)
+    else:
+        log_poch = np.log(special.poch(shapes, s))
+    return s * math.log(spec.omega * n / N) + math.log1p(float((w / w.sum()).dot(np.expm1(log_poch))))
 
 
 def gsc_moments(spec: GscSpec) -> tuple[float, float]:

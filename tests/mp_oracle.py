@@ -240,9 +240,21 @@ def distribution(spec, x):
 
 
 def density(spec, x):
-    """The density of the combined power g of ``spec`` at x, from the series."""
+    """The density of the combined power g of ``spec`` at x, from the series,
+    or at the left end, where the series cancels to nothing, from its
+    leading term.
+
+    g is a sum of independent exponentials of means s_i = omega * c_i, so
+    f(x) = x**(N-1) / ((N-1)! prod s_i) * E[exp(-x sum_i D_i/s_i)] with
+    D ~ Dirichlet(1, ..., 1): the leading term is within x/min(s_i) of f
+    relative, and exact at x = 0.
+    """
     with _work():
-        return series_pdf(spec, mp.mpf(x))
+        x = mp.mpf(x)
+        scales = renyi_scales(spec)
+        if x / min(scales) <= _drop():
+            return x ** (spec.antennas - 1) / (mp.factorial(spec.antennas - 1) * mp.fprod(scales))
+        return series_pdf(spec, x)
 
 
 # --- product route ------------------------------------------------------

@@ -190,8 +190,8 @@ class TestHighSnr:
 
     @pytest.mark.parametrize("theta", [0.0, 1e-12])
     def test_ergodic_limit_is_invalid(self, theta):
-        # at theta = 0 the form divides by nu = 0, and below the ergodic
-        # cutoff it loses digits at about eps/nu (3e-2 at theta = 1e-14)
+        # at theta = 0 the form divides by nu = 0; below the ergodic cutoff
+        # every EC is the ergodic rate
         with pytest.raises(ValidityError, match="theta >= 1e-09"):
             ec_high_snr(pair44(2), SPLIT, QosProfile(theta), SNR40)
 
@@ -200,6 +200,18 @@ class TestHighSnr:
             hi = ec_high_snr(pair44(n), SPLIT, QOS05, SNR40)
             ex = evaluate_noma(pair44(n), SPLIT, QOS05, SNR40)
             assert abs(hi.e_sum - ex.e_sum) / ex.e_sum <= 0.02
+
+    @pytest.mark.parametrize("theta", [1e-9, 1e-8, 1e-6, 1e-4])
+    def test_full_digits_above_the_ergodic_cutoff(self, theta):
+        # ln E[g^-nu] is O(nu), and dividing a rounded ln E[g^-nu] by nu
+        # lost up to 6.2e-8 at theta = 1e-9; 40 digits of E[g^-nu] leave
+        # about 1e-31 after that division
+        qos = QosProfile(theta)
+        with mp.workdps(40):
+            inner = mp_oracle.negative_moment(pair44(2).strong, qos.nu)
+            ref = mp.log(SPLIT.a_s * SNR20.rho, 2) - mp.log(inner, 2) / qos.nu
+        rep = ec_high_snr(pair44(2), SPLIT, qos, SNR20)
+        assert rep.e_strong == pytest.approx(float(ref), rel=1e-12, abs=0)
 
     def test_strong_value_at_sixteen_antennas(self):
         # log2(a_s rho) - log2(E[g^-nu])/nu, E[g^-nu] from the 40-digit

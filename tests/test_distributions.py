@@ -199,14 +199,15 @@ class TestKernelGroups:
     def test_long_laws_match_40_digits(self):
         # positive terms, each a few ulps off; the mixture leaves out at
         # most _MIXTURE_TAIL of weight, the highest shapes, so the far tail
-        # misses by up to 5e-9 relative but only 7e-19/omega absolutely
+        # misses by up to 5e-9 relative but only 7e-19/omega absolutely;
+        # at x = 0 and 1e-301 the oracle reads the series' leading term
         for N in range(5, 17):
             for n in range(1, N + 1):
                 if _series_terms(N, n) <= distributions._SERIES_TERMS_MAX:
                     continue
                 spec = GscSpec(N, n, (0.1, 1.0, 3.7)[(N + n) % 3])
                 assert gsc_pdf(spec, 0.0) == 0.0
-                for x in (u * spec.omega for u in (1e-3, 0.7, 3.0, 8.0, 30.0, 700.0)):
+                for x in [0.0, 1e-301] + [u * spec.omega for u in (1e-3, 0.7, 3.0, 8.0, 30.0, 700.0)]:
                     ref = mp_oracle.density(spec, x)
                     bound = 1e-14 * ref + distributions._MIXTURE_TAIL / spec.omega
                     assert abs(gsc_pdf(spec, x) - ref) <= bound, (spec, x)
@@ -277,8 +278,62 @@ class TestMixture:
             for n in range(2, N + 1):
                 j = len(distributions._mixture(N, n).divisors) - 1
                 assert -745 + j * math.log(745) - math.lgamma(j + 1) < math.log(1e-50), (N, n)
-        f, s = distributions._receiver(GscSpec(16, 2, 1.0), np.array([750 / 8, 740 / 8]))
+        f, s = distributions._receiver(16, 2, 1.0, np.array([750 / 8, 740 / 8]))
         assert (f[0], s[0]) == (0.0, 0.0) and f[1] > 0 and s[1] > 0
+
+
+class TestDensityBlocks:
+    """Each density block forms only what its caller reads, and a pair of
+    receivers with the same (N, n) shares one array; every node's value
+    stays the one its own receiver call gives (==)."""
+
+    LAWS = [(N, n) for N in range(1, MAX_ANTENNAS + 1) for n in range(1, N + 1)]
+    # unequal receivers: every n of 12 antennas against 9 antennas, and
+    # equal antenna counts with different n
+    UNEQUAL = [((12, ns), (9, nw)) for ns in range(1, 13) for nw in (1, 4, 9)] + [
+        ((N, n), (N, N + 1 - n)) for N in (4, 8, 16) for n in range(1, N + 1) if 2 * n != N + 1
+    ]
+
+    @staticmethod
+    def nodes(omega):
+        """A 15-node quadrature block, x = 0, and nodes past the underflow
+        of exp(-y) (y = x/scale > 745 for every law) as arrays, and the
+        floats of the first block."""
+        block = numerics._kronrod_block(3.0)
+        blocks = [np.array(block), np.array([0.0]), np.array([0.0, 800.0 * omega, 2e4 * omega, 0.5])]
+        return blocks, block[:4] + [0.0, 800.0 * omega]
+
+    def test_gsc_pdf_is_the_receivers_density(self):
+        for N, n in self.LAWS:
+            spec = GscSpec(N, n, 0.37)
+            blocks, floats = self.nodes(spec.omega)
+            for xs in blocks:
+                density, survival = distributions._receiver(N, n, spec.omega, xs, survival=False)
+                assert survival is None
+                assert density.tolist() == distributions._receiver(N, n, spec.omega, xs)[0].tolist()
+                if _series_terms(N, n) > distributions._SERIES_TERMS_MAX:
+                    assert gsc_pdf(spec, xs).tolist() == density.tolist(), (N, n)
+            if _series_terms(N, n) > distributions._SERIES_TERMS_MAX:
+                for x in floats:
+                    assert gsc_pdf(spec, x) == distributions._receiver(N, n, spec.omega, np.array([x]))[0][0]
+
+    @staticmethod
+    def two_calls(pair, xs):
+        s, w = pair.strong, pair.weak
+        f_s, s_s = distributions._receiver(s.antennas, s.combined, s.omega, xs)
+        f_w, s_w = distributions._receiver(w.antennas, w.combined, w.omega, xs)
+        return f_s * s_w + f_w * s_s
+
+    def test_min_pdfs_are_two_receiver_calls(self):
+        pairs = [(law, law) for law in self.LAWS] + self.UNEQUAL
+        for strong, weak in pairs:
+            pair = UserPairSpec(GscSpec(*strong, 1.0), GscSpec(*weak, 0.1))
+            blocks, floats = self.nodes(pair.strong.omega)
+            for density in {min_density(pair), min_pdf_general}:
+                for xs in blocks:
+                    assert density(pair, xs).tolist() == self.two_calls(pair, xs).tolist(), pair
+                for x in floats:
+                    assert density(pair, x) == self.two_calls(pair, np.array([x]))[0], (pair, x)
 
 
 class TestMinPdfs:
