@@ -4,10 +4,11 @@ The combined power of the n strongest of N i.i.d. Rayleigh branches
 (each branch power exponential with mean Omega) has the classical
 order-statistics density, an alternating series over the discarded
 branches: a finite signed sum of 1 + (N - n) * n gamma kernels
-a * x**m * exp(-lam * x), held once per spec in ``_gsc_terms`` and
-grouped by rate, so that one call computes each distinct exp(-lam * x)
-once.  ``gsc_pdf`` sums it while it is short (at most
-``_SERIES_TERMS_MAX`` terms: every N <= 4 law).
+a * x**m * exp(-lam * x), held once per spec as a flat term list in
+``_gsc_terms``.  ``gsc_pdf`` sums it only for the short laws, of at most
+``_SERIES_TERMS_MAX`` terms: every N <= 4 law, every n = N law, (5, 1)
+and (5, 4).  The series stays only to hold the values of the N = 4 laws
+that the frozen benchmark references were computed from.
 
 By Renyi's representation, g = omega * sum_i c_i E_i is also a positive
 mixture of gamma laws of one scale (Moschopoulos 1985), ``_mixture``:
@@ -104,27 +105,15 @@ class UserPairSpec:
         )
 
 
-# Tables are built once per spec and read on every density call; a few
-# hundred covers every spec a sweep or a figure visits.
+# Term lists are built once per spec and read on every density call; a
+# few hundred covers every spec a sweep or a figure visits.
 _TABLE_CACHE = 256
 
 
-class _Table:
-    """One law as gamma kernels: density = scale * sum a * x**m * exp(-lam * x),
-    held grouped by rate, (lam, ((a, m), ...)), so that one call computes
-    each distinct exp(-lam * x) once."""
-
-    def __init__(self, terms, scale: float):
-        groups = {}
-        for a, m, lam in terms:
-            groups.setdefault(lam, []).append((a, m))
-        self.by_rate = tuple((lam, tuple(group)) for lam, group in groups.items())
-        self.scale = scale
-
-
 @functools.lru_cache(maxsize=_TABLE_CACHE)
-def _gsc_terms(spec: GscSpec) -> _Table:
-    """The order-statistics density as gamma kernels, at scale C(N, n).
+def _gsc_terms(spec: GscSpec) -> tuple[float, tuple]:
+    """The order-statistics density as gamma kernels, (scale, ((a, m, lam),
+    ...)) with density = scale * sum a * x**m * exp(-lam * x), scale C(N, n).
 
     The gamma-shaped head, then for each l = 1..N-n of the binomial
     expansion over the discarded branches, an exponential term at rate
@@ -137,27 +126,18 @@ def _gsc_terms(spec: GscSpec) -> _Table:
         coeff = (-1.0) ** (n + l - 1) * math.comb(N - n, l) * (n / l) ** (n - 1) / omega
         terms.append((coeff, 0, (1.0 + l / n) / omega))
         for m in range(n - 1):
-            terms.append(
-                (-coeff * (-l / (n * omega)) ** m / math.factorial(m), m, 1.0 / omega)
-            )
-    return _Table(terms, float(math.comb(N, n)))
+            terms.append((-coeff * (-l / (n * omega)) ** m / math.factorial(m), m, 1.0 / omega))
+    return float(math.comb(N, n)), tuple(terms)
 
 
-# Each term's product below is formed with the same float operations as
-# a * x**m * exp(-lam * x) term by term (x**0 is exactly 1.0, and a * 1.0
-# is a, so m = 0 skips both), and math.fsum rounds correctly whatever the
-# order of its inputs, so grouping moves no value.
-
-
-def _density(t: _Table, x: float) -> float:
-    """scale * sum a * x**m * exp(-lam * x), summed exactly."""
-    return t.scale * math.fsum(
-        [
-            a * x**m * e if m else a * e
-            for lam, group in t.by_rate
-            for e in (math.exp(-lam * x),)
-            for a, m in group
-        ]
+def _density(terms: tuple[float, tuple], x: float) -> float:
+    """scale * sum a * x**m * exp(-lam * x), summed exactly (math.fsum).
+    x**0 is exactly 1.0 and a * 1.0 is a, so m = 0 skips both; a term
+    whose exp(-lam * x) underflows is 0 and is skipped before x**m can
+    overflow."""
+    scale, kernels = terms
+    return scale * math.fsum(
+        [a * x**m * e if m else a * e for a, m, lam in kernels for e in (math.exp(-lam * x),) if e]
     )
 
 
@@ -174,21 +154,19 @@ def _pointwise(name: str, x, values):
 
 
 # ``gsc_pdf`` sums the series of a law with at most this many terms,
-# 1 + (N - n) * n, and reads every longer law from ``_receiver``.  Per
-# 15-node block the mixture costs 1.1-1.2 times the series at
-# N = 4, n >= 2, but the series grows with its terms: at (8, 4), (12, 6)
-# and (16, 8) it takes 1.5, 2.7 and 4.4 times the mixture (about 22 us a
-# block on a shared 2-core x86 host), and it cancels.  The cut keeps
-# every N <= 4 law, every law of the paper's figures, on the series,
-# with its values unchanged.
+# 1 + (N - n) * n, and reads every longer law from ``_receiver``: the
+# series grows with its terms and cancels, the mixture does neither.  The
+# cut keeps every N <= 4 law, every law of the paper's figures, on the
+# series, with the values the frozen benchmark references hold.
 _SERIES_TERMS_MAX = 5
 
 
 def gsc_pdf(spec: GscSpec, x):
     """Density of the combined channel power at ``x`` (a float or a 1-D
-    array): ``_density`` at each node while the law's series is short,
-    otherwise ``_receiver``'s density alone, which no cancellation
-    reaches."""
+    array): ``_density`` at each node for a short law (every N <= 4 law,
+    every n = N law, (5, 1) and (5, 4)), otherwise ``_receiver``'s
+    density alone, which no cancellation reaches.  Far in the tail, where
+    every kernel's exp(-lam * x) underflows, it is 0."""
     N, n = spec.antennas, spec.combined
     if 1 + (N - n) * n > _SERIES_TERMS_MAX:
         return _pointwise("gsc_pdf", x, lambda xs: _receiver(N, n, spec.omega, xs, survival=False)[0])

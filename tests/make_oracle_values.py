@@ -101,6 +101,10 @@ CORNERS = ((2.0, 40), (1e4, 40), (1.0, 3000))
 # (omega, rho in dB) with omega * rho = 10, as at omega = 1 and 10 dB
 OMEGA_SCALES = ((1e-9, 100), (1e-4, 50), (1e4, -30), (1e6, -50), (1e9, -80))
 
+LOW_SNR_DB = (-100, -140)
+SMALL_THETA = 1e-9
+# (strong receiver, weak receiver, theta, rho in dB)
+UNEQUAL_PAIRS = (([3, 1, 2.0], [14, 7, 0.5], 0.5, 30), ([16, 2, 1.0], [5, 5, 0.3], 0.5, 10))
 
 _PREFIX = {"a_s": "a", "theta": "th"}
 
@@ -161,6 +165,8 @@ def _weak_routes(N, n):
 HIGH_SNR = "high-SNR quadrature: the inner expectation is tiny, so numerics.ABS_TOL = 1e-12 ends QUADPACK early"
 UNDERFLOW = "underflow: the inner EC expectation underflows to 0.0 and IntegrationError is raised"
 SCALE = "omega far from 1: the quadrature, on the scale x ~ 1, misses a law whose mass lies at x ~ omega"
+SMALL_EXPONENT = ("nu * E[ln(1 + SINR)] is small: an EC divides the rounding of E[(1 + SINR)^-nu], "
+                  "near 1, by it, and a rate's log2(1 + SINR) rounds SINR away")
 DEFECTS = {
     "ec_strong-N4n1w1+N4n1w0.1-a0.24-th2-40dB": f"{HIGH_SNR}: 11.054105578 against 11.054106590, 9.2e-8",
     "ec_strong-N4n2w1+N4n2w0.1-a0.24-th2-40dB": f"{HIGH_SNR}: 11.773816203 against 11.773815238, 8.2e-8",
@@ -197,6 +203,30 @@ DEFECTS = {
     "out of range: -3.7e-21; true 2.7274275858",
     "ec_weak-N4n2w1e+09+N4n2w1e+08-a0.24-th1--80dB": f"{SCALE}: 48.799474913 against 1.1375800564, silently",
     "ergodic_strong-N4n2w1e+09+N4n2w1e+08-a0.24--80dB": f"{SCALE}: -5.8e-27 against 2.9566877593, silently",
+    "ec_strong-N4n2w1+N4n2w0.1-a0.24-th1--100dB": f"{SMALL_EXPONENT}: "
+    "1.0964484876e-10 against 1.0964482310e-10, 2.3e-7",
+    "ec_weak-N4n2w1+N4n2w0.1-a0.24-th1--100dB": f"{SMALL_EXPONENT}: "
+    "3.4686475914e-11 against 3.4686413346e-11, 1.8e-6",
+    "ec_oma-N4n2w1-th1--100dB": f"{SMALL_EXPONENT}: "
+    "2.2842672201e-10 against 2.2842671475e-10, 3.2e-8",
+    "ergodic_strong-N4n2w1+N4n2w0.1-a0.24--100dB": f"{SMALL_EXPONENT}: "
+    "1.0964480739e-10 against 1.0964482310e-10, 1.4e-7",
+    "ergodic_weak-N4n2w1+N4n2w0.1-a0.24--100dB": f"{SMALL_EXPONENT}: "
+    "3.4686413990e-11 against 3.4686413346e-11, 1.9e-8",
+    "ec_strong-N4n2w1+N4n2w0.1-a0.24-th1--140dB": f"{SMALL_EXPONENT}: "
+    "1.0991207944e-14 against 1.0964482311e-14, 2.4e-3",
+    "ec_weak-N4n2w1+N4n2w0.1-a0.24-th1--140dB": f"{SMALL_EXPONENT}: "
+    "3.5527136788e-15 against 3.4686413347e-15, 2.4e-2",
+    "ec_oma-N4n2w1-th1--140dB": f"{SMALL_EXPONENT}: "
+    "2.2648549702e-14 against 2.2842671481e-14, 8.5e-3",
+    "ergodic_strong-N4n2w1+N4n2w0.1-a0.24--140dB": f"{SMALL_EXPONENT}: "
+    "1.0944540315e-14 against 1.0964482311e-14, 1.8e-3",
+    "ergodic_weak-N4n2w1+N4n2w0.1-a0.24--140dB": f"{SMALL_EXPONENT}: "
+    "3.4089440167e-15 against 3.4686413347e-15, 1.7e-2",
+    "ec_strong-N4n2w1+N4n2w0.1-a0.24-th1e-09-10dB": f"{SMALL_EXPONENT}: "
+    "2.9566877879 against 2.9566877591, 9.7e-9",
+    "ec_weak-N4n2w1+N4n2w0.1-a0.24-th1e-09-10dB": f"{SMALL_EXPONENT}: "
+    "1.1706524645 against 1.1706524087, 4.8e-8",
 }
 
 
@@ -241,6 +271,21 @@ def definitions() -> list:
         rows.append(_row("ec_strong", _ec(4, 2, 1.0, db, omega), both))
         rows.append(_row("ec_weak", _ec(4, 2, 1.0, db, omega), _weak_routes(4, 2)))
         rows.append(_row("ergodic_strong", _pair(4, 2, omega, a_s=A_S, snr_db=db), both))
+    # where nu * E[ln(1 + SINR)] is small: at low SNR, and just above the
+    # ergodic cutoff, where E[(1 + SINR)^-nu] is within 1e-9 of 1
+    for db in LOW_SNR_DB:
+        rows.append(_row("ec_strong", _ec(4, 2, 1.0, db), both))
+        rows.append(_row("ec_weak", _ec(4, 2, 1.0, db), _weak_routes(4, 2)))
+        rows.append(_row("ec_oma", _oma(4, 2, 1.0, 1.0, db), both))
+        rows.append(_row("ergodic_strong", _pair(4, 2, a_s=A_S, snr_db=db), both))
+        rows.append(_row("ergodic_weak", _pair(4, 2, a_s=A_S, snr_db=db), _weak_routes(4, 2)))
+    for quantity, routes in (("ec_strong", both), ("ec_weak", _weak_routes(4, 2))):
+        rows.append(_row(quantity, _ec(4, 2, SMALL_THETA, 10), routes))
+    # the weak user of a pair whose receivers differ in (N, n)
+    for strong, weak, theta, db in UNEQUAL_PAIRS:
+        point = {"strong": strong, "weak": weak, "a_s": A_S}
+        rows.append(_row("ec_weak", {**point, "theta": theta, "snr_db": db}, ("series",)))
+        rows.append(_row("ergodic_weak", {**point, "snr_db": db}, ("series",)))
     # the Mellin transform at negative order
     for n in (1, 2, 3, 4):
         for s in (-0.3, -0.7):

@@ -68,6 +68,26 @@ class TestSweepCommand:
         out = tmp_path / "no" / "such" / "dir" / "o.csv"
         assert main(["sweep", config_path, "--out", str(out)]) == EXIT_CONFIG
 
+    @pytest.mark.parametrize("n_weak", [12, 9])
+    def test_wide_array_rows_are_computed(self, n_weak, tmp_path):
+        # at N = 12 no law's density cancels and the Monte Carlo pass
+        # combines 12 branches end to end; with equal antenna counts a
+        # pair's two receivers share one density array, with 12 and 9 each
+        # takes its own
+        config = {
+            "pair": {"N_s": 12, "N_w": n_weak, "omega_s": 1.0, "omega_w": 0.1},
+            "n": [1, 6, 9, 12], "snr_db": [10], "theta": [1.0], "power": {"a_s": 0.24},
+            "methods": ["exact", "low_snr", "oma", "ergodic", "montecarlo"],
+            "sim": {"samples": 20000, "seed": 0},
+        }
+        path, out = tmp_path / "wide.json", tmp_path / "wide.csv"
+        path.write_text(json.dumps(config))
+        assert main(["sweep", str(path), "--out", str(out)]) == EXIT_OK
+        with open(out, newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        assert len(rows) == 20
+        assert [row for row in rows if row["status"].startswith("error:")] == []
+
     @pytest.mark.parametrize(
         "overrides",
         [

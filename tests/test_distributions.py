@@ -1,4 +1,5 @@
 import math
+import sys
 import types
 from fractions import Fraction
 
@@ -170,11 +171,10 @@ def _series_terms(N, n):
 
 
 class TestKernelGroups:
-    """The series table computes each distinct kernel once per call; its
-    values are those of the term-by-term formulas, bit for bit, and
-    ``gsc_pdf`` returns them for every law whose series is short.  Longer
-    laws read the mixture, checked against the 40-digit series, and so
-    does the distribution function."""
+    """The series' values are those of the term-by-term formulas, bit for
+    bit, and ``gsc_pdf`` returns them for every law whose series is
+    short.  Longer laws read the mixture, checked against the 40-digit
+    series, and so does the distribution function."""
 
     def test_gsc_laws_equal_per_term_formulas(self):
         for N in range(1, 17):
@@ -182,12 +182,26 @@ class TestKernelGroups:
                 for omega in (0.1, 1.0, 3.7):
                     spec = GscSpec(N, n, omega)
                     table = distributions._gsc_terms(spec)
-                    terms = [(a, m, lam) for lam, group in table.by_rate for a, m in group]
                     for x in KERNEL_XS:
-                        pdf = math.comb(N, n) * _per_term_density(terms, x)
+                        pdf = math.comb(N, n) * _per_term_density(table[1], x)
                         assert distributions._density(table, x) == pdf, (spec, x)
                         if _series_terms(N, n) <= distributions._SERIES_TERMS_MAX:
                             assert gsc_pdf(spec, x) == pdf, (spec, x)
+
+    def test_short_laws_are_zero_far_in_the_tail(self):
+        # every kernel's exp(-lam * x) underflows there; x**m would overflow
+        # (1e200) or make inf * 0 = nan (the largest float) if formed
+        tail = (1e200, sys.float_info.max)
+        for N in range(1, 17):
+            for n in range(1, N + 1):
+                if _series_terms(N, n) > distributions._SERIES_TERMS_MAX:
+                    continue
+                for omega in (0.1, 1.0, 3.7):
+                    spec = GscSpec(N, n, omega)
+                    for x in tail:
+                        value = gsc_pdf(spec, x)
+                        assert type(value) is float and value == 0.0, (spec, x)
+                    assert np.array_equal(gsc_pdf(spec, np.array(tail)), [0.0, 0.0]), spec
 
     def test_short_series_covers_every_four_antenna_law(self):
         # the laws of the paper's figures keep the series' values
@@ -224,9 +238,8 @@ class TestKernelGroups:
                     assert abs(gsc_cdf(spec, x) - ref) <= 1e-14 * ref + 1e-17, (spec, x)
 
     def test_one_evaluation_per_distinct_kernel(self, monkeypatch):
-        # the (4, 2) density's table has 5 terms over 3 rates, and the
-        # (12, 6) table 37 terms over 7; the distribution is one vectorized
-        # incomplete gamma over the mixture
+        # the distribution is one vectorized incomplete gamma over the
+        # mixture, with no exp
         calls = {"exp": 0, "gammainc": 0}
 
         def counted(name, fn):
@@ -242,15 +255,8 @@ class TestKernelGroups:
         monkeypatch.setattr(
             distributions, "special", types.SimpleNamespace(gammainc=counted("gammainc", special.gammainc))
         )
-        short, long = GscSpec(4, 2, 1.0), GscSpec(12, 6, 1.0)
-        table = distributions._gsc_terms(long)
+        long = GscSpec(12, 6, 1.0)
         for x in (0.3, 2.0):
-            calls.update(exp=0, gammainc=0)
-            gsc_pdf(short, x)
-            assert calls == {"exp": 3, "gammainc": 0}
-            calls.update(exp=0, gammainc=0)
-            distributions._density(table, x)
-            assert calls == {"exp": 7, "gammainc": 0}
             calls.update(exp=0, gammainc=0)
             gsc_cdf(long, x)
             assert calls == {"exp": 0, "gammainc": 1}

@@ -31,9 +31,7 @@ from nomagsc.numerics import (
 def _series_terms(spec, x):
     """The density's float terms a * x**m * exp(-lam * x), as gsc_pdf forms
     them before summing; the caller multiplies the sum by C(N, n)."""
-    return [
-        a * x**m * math.exp(-lam * x) for lam, group in _gsc_terms(spec).by_rate for a, m in group
-    ]
+    return [a * x**m * math.exp(-lam * x) for a, m, lam in _gsc_terms(spec)[1]]
 
 
 def _exact_pdf(spec, x):
