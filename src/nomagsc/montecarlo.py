@@ -304,7 +304,7 @@ class _PairPass:
             try:
                 results.append({q: _finish(q, qos, a) for q, a in accs.items()})
             except ArithmeticError as exc:
-                results.append(exc)
+                results.append(exc.with_traceback(None))  # its frames hold this list
         return results
 
 
@@ -357,7 +357,8 @@ def estimate_pairs(
     pair, so each block is drawn once per batch and combined once per
     pair.  Per pair, returns what ``estimate_cases`` returns for that pair
     alone, bit for bit.  A case whose estimate fails gets its
-    ArithmeticError; any other exception fails the pass and raises.
+    ArithmeticError, which carries no traceback; any other exception
+    fails the pass and raises.
     Nothing is drawn when no pair has a case or no quantity is asked.
     """
     wanted = requested(quantities)

@@ -35,13 +35,15 @@ a fixed ``a_s`` outside (0, 0.5); a search ``step`` whose grid would
 hold more than ``optimizer.MAX_SPLITS`` splits; a ``sim.seed`` outside
 [0, 2**64); a repeated entry in ``n``, ``snr_db``, ``theta`` or
 ``methods``.
-Every requested (point, method) combination produces exactly one row;
-evaluator errors are recorded in-row under ``status`` and never abort
-sibling points.  The ``montecarlo`` rows of every n come from one pass
-that draws each batch once; a point whose estimate fails gets an error
-row, and any other error in the pass fails every ``montecarlo`` row.
-The ergodic rate does not read theta, so it is evaluated once per
-(n, a_s, rho), and every theta gets that report or error.
+Every requested (point, method) combination produces exactly one row,
+built from its point's outcome table {method: (status, values)}; an
+evaluator error goes in as its ``status`` text where it is caught, so
+it keeps no frames alive and never aborts sibling points.  The
+``montecarlo`` outcomes of every n come from one pass that draws each
+batch once; a point whose estimate fails gets an error, and any other
+error in the pass fails every ``montecarlo`` row.  The ergodic rate
+does not read theta, so it is evaluated once per (n, a_s, rho), and
+every theta gets that report or error.
 """
 
 from __future__ import annotations
@@ -237,8 +239,8 @@ def load_spec(path: str) -> SweepSpec:
     return SweepSpec.from_dict(raw)
 
 
-def _row(coords: dict, method: str, status: str, values=(None, None, None)) -> SweepRow:
-    """A row without values (a failed method), or with (e_s, e_w, std)."""
+def _row(coords: dict, method: str, status: str, values: tuple) -> SweepRow:
+    """A row with values (e_s, e_w, std), all None for a failed method."""
     e_s, e_w, std = values
     e_sum = None if e_s is None else e_s + e_w
     return SweepRow(**coords, method=method, e_strong=e_s, e_weak=e_w, e_sum=e_sum,
@@ -264,40 +266,35 @@ def _outcome(evaluate, *args) -> tuple[str, tuple]:
 
 
 def _evaluate_point(args):
-    """(coords, case, rows, searched) of one grid point of ``spec.points()``:
-    its row coordinates, its (split, qos, snr) case, the rows of its
-    methods that read theta (every method before ``ergodic``) and the
-    {method: (status, values)} of the report its power search evaluated.  ``run_sweep`` adds the
-    ``ergodic`` and ``montecarlo`` rows, which it evaluates across points.
-    The split is the fixed a_s or the searched optimum, whose report is
-    the row of the method the search evaluated; when the search fails,
-    case is None and every method, ``ergodic`` and ``montecarlo``
-    included, has an error row."""
+    """(coords, case, outcomes) of one grid point of ``spec.points()``:
+    its row coordinates, its (split, qos, snr) case and the
+    {method: (status, values)} of its requested methods that read theta,
+    evaluated in ``METHODS`` order.  The split is the fixed a_s or the
+    searched optimum, whose report is the outcome of the method the search
+    evaluated (``ergodic`` for ``sum_rate``, which ``run_sweep`` then does
+    not evaluate again).  When the search fails, case is None and every
+    requested method, ``ergodic`` and ``montecarlo`` included, has its
+    error."""
     spec, (rho_db, theta, n, pair, qos, snr) = args
-    coords = dict(rho_db=rho_db, theta=theta, nu=qos.nu,
+    coords = dict(rho_db=rho_db, theta=theta, nu=qos.nu, a_s=spec.a_s,
                   n_s=pair.strong.combined, n_w=pair.weak.combined)
-    methods = sorted(spec.methods, key=METHODS.index)
-    a_s, searched = spec.a_s, {}
-    if a_s is None:
+    outcomes = {}
+    if spec.search is not None:
         try:
             result = optimize_power(pair, qos, snr, spec.search)
         except Exception as exc:
-            coords["a_s"] = None
-            return coords, None, [_row(coords, method, f"error: {exc}") for method in methods], {}
-        a_s = result.a_star
-        searched[_SEARCH_METHODS[spec.search.objective]] = _reported(result.report)
-    coords["a_s"] = a_s
-    split = PowerSplit(a_s)
-    rows = [
-        _row(coords, method, *(searched.get(method)
-                               or _outcome(_EVALUATORS[method], pair, split, qos, snr)))
-        for method in methods if method in _EVALUATORS
-    ]
-    return coords, (split, qos, snr), rows, searched
+            return coords, None, dict.fromkeys(spec.methods, (f"error: {exc}", (None, None, None)))
+        coords["a_s"] = result.a_star
+        outcomes[_SEARCH_METHODS[spec.search.objective]] = _reported(result.report)
+    split = PowerSplit(coords["a_s"])
+    for method, evaluate in _EVALUATORS.items():
+        if method in spec.methods and method not in outcomes:
+            outcomes[method] = _outcome(evaluate, pair, split, qos, snr)
+    return coords, (split, qos, snr), outcomes
 
 
-# method -> evaluator of the methods that read theta, read from
-# ``capacity`` at call time so that a wrapper there is used
+# method -> evaluator of the methods that read theta, in ``METHODS``
+# order, read from ``capacity`` at call time so that a wrapper there is used
 _EVALUATORS = {
     "exact": lambda pair, split, qos, snr: capacity.evaluate_noma(pair, split, qos, snr),
     "high_snr": lambda pair, split, qos, snr: capacity.ec_high_snr(pair, split, qos, snr),
@@ -308,11 +305,11 @@ _EVALUATORS = {
 _SEARCH_METHODS = {"sum_ec": "exact", "sum_rate": "ergodic"}
 
 
-def _montecarlo_pass(spec: SweepSpec, points: list[tuple[int, tuple]]) -> list:
-    """Monte Carlo EC of every (n, case), from one pass over the draws: per
-    point, the estimates, the error that failed its case, or the error
-    that failed the pass.  Every n of a sweep has the same antenna counts,
-    so its pairs share each batch's draws."""
+def _montecarlo_pass(spec: SweepSpec, points: list[tuple[int, tuple]]) -> list[tuple[str, tuple]]:
+    """(status, values) of the Monte Carlo EC of every (n, case), from one
+    pass over the draws: the estimates, the error that failed the case, or
+    the error that failed the pass.  Every n of a sweep has the same
+    antenna counts, so its pairs share each batch's draws."""
     by_n: dict[int, list] = {}
     for n, case in points:
         by_n.setdefault(n, []).append(case)
@@ -320,17 +317,17 @@ def _montecarlo_pass(spec: SweepSpec, points: list[tuple[int, tuple]]) -> list:
     try:
         results = montecarlo.estimate_pairs(work, spec.sim, ("ec_strong", "ec_weak"))
     except Exception as exc:  # the pass failed: every case of every n
-        return [exc] * len(points)
+        return [(f"error: {exc}", (None, None, None))] * len(points)
     per_n = {n: iter(result) for n, result in zip(by_n, results)}
-    return [next(per_n[n]) for n, _ in points]
-
-
-def _montecarlo_row(coords: dict, est) -> SweepRow:
-    if isinstance(est, Exception):
-        return _row(coords, "montecarlo", f"error: {est}")
-    es, ew = est["ec_strong"], est["ec_weak"]
-    std = (es.std_error**2 + ew.std_error**2) ** 0.5
-    return _row(coords, "montecarlo", "ok", (es.value, ew.value, std))
+    outcomes = []
+    for n, _ in points:
+        est = next(per_n[n])
+        if isinstance(est, Exception):
+            outcomes.append((f"error: {est}", (None, None, None)))
+        else:
+            es, ew = est["ec_strong"], est["ec_weak"]
+            outcomes.append(("ok", (es.value, ew.value, (es.std_error**2 + ew.std_error**2) ** 0.5)))
+    return outcomes
 
 
 def run_sweep(spec: SweepSpec) -> list[SweepRow]:
@@ -339,33 +336,32 @@ def run_sweep(spec: SweepSpec) -> list[SweepRow]:
     are no rows, and no point is evaluated.  The whole sweep is one
     ``numerics.reuse_densities`` block: its points, methods and power
     searches integrate over few channel laws, and share their density
-    values.  Values that several points share are computed once: the
-    ergodic rate, which does not read theta, once per (n, a_s, rho), its
-    report or error going to every theta; and the ``montecarlo`` rows of
-    every n in one pass, which draws each batch once for all n."""
+    values.  An outcome that several points share is computed once and
+    goes into the table of each: the ergodic rate, which does not read
+    theta, once per (n, a_s, rho); the ``montecarlo`` estimates of every
+    n from one pass, which draws each batch once for all n.  Every row is
+    then built from its point's ``_evaluate_point`` table."""
     if not spec.methods:
         return []
     with reuse_densities():
         points = list(spec.points())
         evaluated = [_evaluate_point((spec, point)) for point in points]
-        # ergodic and montecarlo are the last methods, so their rows go at
-        # the end of the point's rows, in that order
+        # the points whose split is known: a failed search has every outcome
+        estimated = [(point, e) for point, e in zip(points, evaluated) if e[1] is not None]
         if "ergodic" in spec.methods:
             rates: dict[tuple, tuple] = {}  # (n, a_s, rho) -> (status, values)
-            for (_, _, n, pair, _, _), (coords, case, rows, searched) in zip(points, evaluated):
-                if case is not None:
-                    split, _, snr = case
-                    key = (n, split.a_s, snr.rho)
-                    if key not in rates:
-                        rates[key] = searched.get("ergodic") or _outcome(
-                            capacity.ergodic_rate, pair, split, snr)
-                    rows.append(_row(coords, "ergodic", *rates[key]))
+            for (_, _, n, pair, _, _), (_, (split, _, snr), outcomes) in estimated:
+                key = (n, split.a_s, snr.rho)
+                if key not in rates:
+                    rates[key] = outcomes.get("ergodic") or _outcome(
+                        capacity.ergodic_rate, pair, split, snr)
+                outcomes["ergodic"] = rates[key]
         if "montecarlo" in spec.methods:
-            estimated = [(point[2], e) for point, e in zip(points, evaluated) if e[1] is not None]
-            estimates = _montecarlo_pass(spec, [(n, case) for n, (_, case, _, _) in estimated])
-            for (_, (coords, _, rows, _)), est in zip(estimated, estimates):
-                rows.append(_montecarlo_row(coords, est))
-    return [row for _, _, rows, _ in evaluated for row in rows]
+            mc = _montecarlo_pass(spec, [(point[2], case) for point, (_, case, _) in estimated])
+            for (_, (_, _, outcomes)), outcome in zip(estimated, mc):
+                outcomes["montecarlo"] = outcome
+    methods = [m for m in METHODS if m in spec.methods]
+    return [_row(coords, m, *outcomes[m]) for coords, _, outcomes in evaluated for m in methods]
 
 
 def _fmt(value) -> str:

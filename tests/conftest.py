@@ -1,3 +1,5 @@
+import gc
+
 import numpy as np
 import pytest
 
@@ -16,6 +18,25 @@ def fail_at_0db(monkeypatch):
         return real(pair, split, qos, snr, *args, **kwargs)
 
     monkeypatch.setattr(capacity, "evaluate_noma", evaluate_noma)
+
+
+@pytest.fixture
+def no_garbage():
+    """``run(body, *args)``: ``body(*args)`` with the cyclic collector off,
+    failing if it left an object in a reference cycle (an exception kept
+    with its traceback holds the failed call's frames in one); returns
+    what the body returns."""
+    def run(body, *args):
+        gc.collect()
+        gc.disable()
+        try:
+            result = body(*args)
+            assert gc.collect() == 0
+            return result
+        finally:
+            gc.enable()
+
+    return run
 
 
 @pytest.fixture

@@ -1,7 +1,6 @@
 import collections
 import csv
 import dataclasses
-import gc
 import json
 import math
 
@@ -176,13 +175,31 @@ class TestConfigParsing:
 
 
 class TestRunSweep:
-    def test_row_cardinality_and_order(self):
-        spec = make_spec(methods=["oma", "exact"])
+    @pytest.mark.parametrize(
+        "overrides",
+        [
+            {"methods": ["oma", "exact"]},
+            {"methods": list(reversed(METHODS)), "sim": {"samples": 1_000}},
+            {"methods": list(reversed(METHODS)), "sim": {"samples": 1_000}, "power": SEARCH},
+        ],
+        ids=["two", "all-reversed", "failed-search"],
+    )
+    def test_row_cardinality_and_order(self, overrides, request):
+        if "power" in overrides:
+            # the search fails at 0 dB: every method there is an error row
+            request.getfixturevalue("fail_at_0db")
+        spec = make_spec(**overrides)
         rows = run_sweep(spec)
-        # 2 snr x 1 theta x 2 n x 2 methods
-        assert len(rows) == 8
+        # one row per (point, method): (rho, theta, n), then METHODS order
         keys = [(r.rho_db, r.theta, r.n_s, METHODS.index(r.method)) for r in rows]
-        assert keys == sorted(keys)
+        assert keys == [
+            (rho_db, theta, n, METHODS.index(m))
+            for rho_db, theta, n, *_ in spec.points()
+            for m in METHODS if m in spec.methods
+        ]
+        assert len(rows) == 2 * 2 * len(spec.methods)  # 2 snr x 1 theta x 2 n
+        failed = {r.rho_db for r in rows if r.a_s is None}
+        assert failed == ({0} if "power" in overrides else set())
 
     def test_values_match_direct_evaluation(self):
         from nomagsc.capacity import PowerSplit, QosProfile, SnrPoint, evaluate_noma
@@ -463,6 +480,36 @@ class TestMonteCarloPass:
         for row in rows:
             assert row.status == ("error: pass failed" if row.method == "montecarlo" else "ok")
 
+    def test_failed_batch_leaves_no_garbage(self, monkeypatch, no_garbage):
+        # the weak block of the first batch fails to combine: the pass's
+        # error is kept as its rows' text, not with the frames that held
+        # the batch's arrays
+        combined = montecarlo._combined
+
+        def failing_combine(spec, unit, size):
+            if spec.omega == 0.1:
+                raise MemoryError("cannot combine the weak block")
+            return combined(spec, unit, size)
+
+        spec = make_spec(n=[1, 2], snr_db=[10], methods=["montecarlo"], sim={"samples": 2_000})
+        run_sweep(spec)
+        monkeypatch.setattr(montecarlo, "_combined", failing_combine)
+        rows = no_garbage(run_sweep, spec)
+        assert [r.status for r in rows] == ["error: cannot combine the weak block"] * 2
+
+    def test_failed_cases_leave_no_garbage(self, no_garbage):
+        # every EC term underflows at theta = 1e4: each case's error is
+        # kept without its traceback
+        spec = make_spec(
+            n=[1, 2], snr_db=[10, 300], theta=[1e4], methods=["montecarlo"],
+            sim={"samples": 2_000, "seed": 0},
+        )
+        run_sweep(spec)
+        rows = no_garbage(run_sweep, spec)
+        assert len(rows) == 4
+        for row in rows:
+            assert row.status.startswith("error: Monte Carlo EC mean out of range")
+
     @pytest.mark.usefixtures("fail_at_0db")
     def test_failed_search_gives_montecarlo_error_row(self):
         spec = make_spec(
@@ -562,7 +609,7 @@ class TestErgodicSharing:
         assert all(r.status == "ok" for r in rows if r not in failed)
         assert rows == self.per_point(spec)
 
-    def test_failed_rate_leaves_no_garbage(self, monkeypatch):
+    def test_failed_rate_leaves_no_garbage(self, monkeypatch, no_garbage):
         # a shared error is kept as its row text: an exception kept with its
         # traceback would hold the failed call's frames in a reference
         # cycle until the collector ran
@@ -572,13 +619,7 @@ class TestErgodicSharing:
         monkeypatch.setattr(capacity, "ergodic_rate", failing)
         spec = make_spec(theta=[0.5, 1.0], methods=["oma", "ergodic"])
         run_sweep(spec)
-        gc.collect()
-        gc.disable()
-        try:
-            rows = run_sweep(spec)
-            assert gc.collect() == 0
-        finally:
-            gc.enable()
+        rows = no_garbage(run_sweep, spec)
         assert {r.status for r in rows if r.method == "ergodic"} == {"error: quadrature diverged"}
 
     def test_search_shares_only_equal_splits(self, rate_calls, monkeypatch):
