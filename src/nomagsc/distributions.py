@@ -166,12 +166,32 @@ def gsc_pdf(spec: GscSpec, x):
     array): ``_density`` at each node for a short law (every N <= 4 law,
     every n = N law, (5, 1) and (5, 4)), otherwise ``_receiver``'s
     density alone, which no cancellation reaches.  Far in the tail, where
-    every kernel's exp(-lam * x) underflows, it is 0."""
+    every kernel's exp(-lam * x) underflows, it is 0.  A short law's node
+    where the series overflows, in omega**n as its terms are formed or in
+    x**m, reads ``_receiver``, which forms neither."""
     N, n = spec.antennas, spec.combined
+
+    def mixture(xs):
+        return _receiver(N, n, spec.omega, xs, survival=False)[0]
+
     if 1 + (N - n) * n > _SERIES_TERMS_MAX:
-        return _pointwise("gsc_pdf", x, lambda xs: _receiver(N, n, spec.omega, xs, survival=False)[0])
-    t = _gsc_terms(spec)
-    return _pointwise("gsc_pdf", x, lambda xs: np.array([_density(t, v) for v in xs.tolist()]))
+        return _pointwise("gsc_pdf", x, mixture)
+
+    def node(v):
+        try:
+            return _density(_gsc_terms(spec), v)
+        except OverflowError:
+            return float(mixture(np.array([v]))[0])
+
+    def series(xs):
+        nodes = xs.tolist()
+        try:
+            t = _gsc_terms(spec)
+            return np.array([_density(t, v) for v in nodes])
+        except OverflowError:
+            return np.array([node(v) for v in nodes])
+
+    return _pointwise("gsc_pdf", x, series)
 
 
 class _Mixture(NamedTuple):

@@ -25,11 +25,20 @@ The quantities, their SINRs and term keys are ``capacity``'s model
 (``QUANTITIES``, ``sinr``, ``term_key``), the one ``capacity.exact_cases``
 integrates.  Per batch the pass forms 1 + signal once per
 (a_s, rho, signal) and adds the terms of every accumulator that reads it.
+
+Block 1 is drawn on one drawing thread (``_DRAWS``, a ``WorkerThread``)
+while the pass adds the terms that read block 0: numpy fills a stream
+without holding the GIL, and the pass waits for the fill before it reads
+the stream again, so the draws are the same bits in the same order.
+Nothing on a worker thread may call a function that perfbench traces:
+the tracer's span stack belongs to one thread.
 """
 
 from __future__ import annotations
 
 import math
+import os
+from concurrent.futures import Future, ThreadPoolExecutor, wait
 from dataclasses import dataclass
 from typing import Iterator
 
@@ -308,6 +317,30 @@ class _PairPass:
         return results
 
 
+class WorkerThread:
+    """One worker thread for the life of the process: a new thread per
+    call faults in a new stack each time, and its malloc arena can raise
+    the resident set by megabytes.  A forked child, which has no thread
+    behind its parent's executor, starts its own."""
+
+    def __init__(self, name: str):
+        self.name = name
+        self.start()
+        if hasattr(os, "register_at_fork"):
+            os.register_at_fork(after_in_child=self.start)
+
+    def start(self):
+        self.executor = ThreadPoolExecutor(max_workers=1, thread_name_prefix=self.name)
+
+    def submit(self, fn, /, *args, **kwargs) -> Future:
+        return self.executor.submit(fn, *args, **kwargs)
+
+
+# Draws block 1 of each batch (see the module docstring).  A pass must not
+# run on this thread: it would wait on its own draw.
+_DRAWS = WorkerThread("nomagsc-draw")
+
+
 # An overflow leaves inf or NaN in its case's sums, and _finish fails that
 # case alone; numpy's warning, an error under -W error, would fail the pass.
 @np.errstate(over="ignore", invalid="ignore")
@@ -317,20 +350,31 @@ def _run_batch(passes: list[_PairPass], rng: np.random.Generator, size: int, wea
     The stream is drawn once per block, in stream order, and every pair
     reads the same block: combining only reads it.  Block 0 (the strong
     user's N_s branch powers per sample) is combined for every pair into
-    g_s and freed, and then the terms that read g_s are added.  Block 1
-    (the weak user's N_w) is drawn only if the pass reads a signal of it,
-    the set ``weak``: each pair combines it into g_w and writes
+    g_s.  Block 1 (the weak user's N_w) is drawn only if the pass reads a
+    signal of it, the set ``weak``: its draw goes to the drawing thread,
+    into block 0's array (a new one only if N_w > N_s), while this thread
+    adds the terms that read g_s, and this thread waits for it even if a
+    term fails.  Then each pair combines block 1 into g_w and writes
     min(g_s, g_w) over g_s, keeping g_w only for "oma_weak" terms; the
     block is freed, and the weak user's terms are added.
     """
     n_strong, n_weak = passes[0].pair.strong.antennas, passes[0].pair.weak.antennas
     first = rng.standard_exponential(size * n_strong)
     g_s = [_combined(p.pair.strong, first, size) for p in passes]
-    del first  # free it before the terms and the second block
-    for p, g in zip(passes, g_s):
-        p.accumulate({"strong": g, "oma_strong": g})
     if weak:
-        second = rng.standard_exponential(size * n_weak)
+        # no pair reads block 0 any more
+        second = first[: size * n_weak] if n_weak <= n_strong else np.empty(size * n_weak)
+        drawn = _DRAWS.submit(rng.standard_exponential, out=second)
+    del first  # freed here when block 1 has its own array
+    try:
+        for p, g in zip(passes, g_s):
+            p.accumulate({"strong": g, "oma_strong": g})
+    finally:
+        if weak:
+            wait([drawn])
+    if weak:
+        second = drawn.result()  # the same array; a failed draw raises here
+        del drawn  # it holds block 1 too, which goes before the weak terms
         powers = []
         for p, g in zip(passes, g_s):
             g_w = _combined(p.pair.weak, second, size)

@@ -9,6 +9,8 @@ from __future__ import annotations
 
 import itertools
 import math
+import threading
+from concurrent.futures import wait
 from dataclasses import dataclass
 
 from . import capacity, montecarlo
@@ -65,6 +67,11 @@ class ValidationRow:
         return self.z <= 3.0
 
 
+# Runs the Monte Carlo passes while the caller integrates the exact values;
+# never montecarlo's drawing thread, where a pass would wait on its own draw.
+_PASSES = montecarlo.WorkerThread("nomagsc-validate")
+
+
 def _pair(n: int) -> UserPairSpec:
     return UserPairSpec(GscSpec(4, n, 1.0), GscSpec(4, n, 0.1))
 
@@ -76,9 +83,13 @@ def run_validation(plan: SimPlan, grid: dict | None = None) -> list[ValidationRo
     point.  The channel law depends on n only: per n, one Monte Carlo pass
     and one ``exact_cases`` call evaluate every (rho_db, theta, a_s), so the
     points share their draws and each distinct exact term is integrated once.
-    The n values could share one pass, as a sweep's do, but here the 80
-    terms per draw dominate: at 1e6 samples one pass for all four n was
-    no faster (1.9-2.2 s either way on 2 cores) and peaked 12 MB higher.
+    The passes run in n order on one worker thread (``_PASSES``) while
+    this thread integrates each n's exact values: numpy draws without the
+    GIL, and a pass reads only its own streams, so the rows equal those of
+    one pass and one ``exact_cases`` call after another.  Errors are raised
+    in that order too: per n, the pass's error, then a failed case's, then
+    the exact values'.  The worker calls no function that perfbench traces,
+    whose span stack belongs to one thread.
     """
     if grid is None:
         grid = DEFAULT_GRID
@@ -88,14 +99,33 @@ def run_validation(plan: SimPlan, grid: dict | None = None) -> list[ValidationRo
         for rho_db, theta, a_s in points
     ]
     values = {}
-    for n in grid["n"]:
-        estimates = montecarlo.estimate_cases(_pair(n), cases, plan)
-        for est in estimates:
-            if isinstance(est, Exception):
-                raise est  # a numerical failure: the run has no table
-        exact = capacity.exact_cases(_pair(n), cases)
-        for (rho_db, theta, a_s), analytic, est in zip(points, exact, estimates):
-            values[rho_db, theta, n, a_s] = analytic, est
+    started = threading.Event()
+
+    def estimate(n):
+        started.set()
+        return montecarlo.estimate_cases(_pair(n), cases, plan)
+
+    estimated = [_PASSES.submit(estimate, n) for n in grid["n"]]
+    try:
+        if estimated:
+            # the exact values hold the GIL for most of their run: the first
+            # pass gets it up to its first draw, which then runs beside them
+            started.wait()
+        for n, pass_ in zip(grid["n"], estimated):
+            try:
+                exact = capacity.exact_cases(_pair(n), cases)
+            finally:  # the pass's errors come before the exact values'
+                estimates = pass_.result()
+                for est in estimates:
+                    if isinstance(est, Exception):
+                        raise est  # a numerical failure: the run has no table
+            for (rho_db, theta, a_s), analytic, est in zip(points, exact, estimates):
+                values[rho_db, theta, n, a_s] = analytic, est
+    finally:
+        # after an error: drop the passes not yet started, finish the one running
+        for pass_ in estimated:
+            pass_.cancel()
+        wait(estimated)
     rows = []
     for point in itertools.product(grid["snr_db"], grid["theta"], grid["n"], grid["a_s"]):
         analytic, est = values[point]

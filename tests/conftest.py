@@ -57,7 +57,8 @@ def quadratures(monkeypatch):
 @pytest.fixture
 def stream_fills(monkeypatch):
     """((seed, batch), count) of every standard-exponential fill the test
-    makes from a Monte Carlo batch stream, in call order."""
+    makes from a Monte Carlo batch stream, in call order; a fill into
+    ``out`` counts ``out.size``."""
     fills = []
     generator = np.random.Generator
 
@@ -66,9 +67,9 @@ def stream_fills(monkeypatch):
             self.key = tuple(int(k) for k in bit_generator.state["state"]["key"])
             self.rng = generator(bit_generator)
 
-        def standard_exponential(self, count):
-            fills.append((self.key, count))
-            return self.rng.standard_exponential(count)
+        def standard_exponential(self, count=None, out=None):
+            fills.append((self.key, count if out is None else out.size))
+            return self.rng.standard_exponential(count, out=out)
 
     monkeypatch.setattr(np.random, "Generator", Counting)
     return fills

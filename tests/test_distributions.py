@@ -203,6 +203,17 @@ class TestKernelGroups:
                         assert type(value) is float and value == 0.0, (spec, x)
                     assert np.array_equal(gsc_pdf(spec, np.array(tail)), [0.0, 0.0]), spec
 
+    @pytest.mark.parametrize("N, omega, x", [(16, 1e20, 1e22), (4, 1e110, 1e111)])
+    def test_overflowing_series_reads_the_mixture(self, N, omega, x):
+        # omega**N overflows as the terms are formed, but the n = N law is
+        # Gamma(N, omega), whose density there is finite and not 0
+        spec = GscSpec(N, N, omega)
+        log_gamma = (N - 1) * math.log(x) - x / omega - N * math.log(omega) - math.lgamma(N)
+        value = gsc_pdf(spec, x)
+        assert type(value) is float and value > 0.0
+        assert math.log(value) == pytest.approx(log_gamma, rel=0, abs=1e-12)
+        assert gsc_pdf(spec, np.array([x])).tolist() == [value]
+
     def test_short_series_covers_every_four_antenna_law(self):
         # the laws of the paper's figures keep the series' values
         short = {(N, n) for N in range(1, 17) for n in range(1, N + 1)

@@ -1,6 +1,12 @@
 import itertools
 import math
+import os
+import signal
+import sys
+import threading
+import time
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -15,7 +21,7 @@ from nomagsc.capacity import (
     ergodic_rate,
     ergodic_rate_oma,
 )
-from nomagsc import montecarlo, validate
+from nomagsc import capacity, montecarlo, numerics, validate
 from nomagsc.distributions import GscSpec, UserPairSpec
 from nomagsc.montecarlo import (
     QUANTITIES,
@@ -545,6 +551,184 @@ class TestSharedDraw:
                 got = estimate_cases(pair, cases, plan, subset[::-1])
                 for est, ref in zip(got, full):
                     assert est == {q: ref[q] for q in subset}, subset
+
+
+class TestOverlap:
+    """A pass's block 1 is drawn on montecarlo's drawing thread while the
+    terms that read g_s are added, and ``run_validation`` runs its passes
+    on a thread of its own while it integrates the exact values; neither
+    may change a value or the order in which errors are raised."""
+
+    GRID = {"snr_db": (10.0,), "theta": (1.0,), "n": (1, 2), "a_s": (0.24,)}
+    PLAN = SimPlan(samples=2_000, seed=0)
+
+    def test_validation_equals_serial_passes_and_exact_values(self):
+        plan, grid = SimPlan(samples=20_000, seed=1), validate.DEFAULT_GRID
+        points = list(itertools.product(grid["snr_db"], grid["theta"], grid["a_s"]))
+        cases = [
+            (PowerSplit(a_s), QosProfile(theta), SnrPoint.from_db(rho_db))
+            for rho_db, theta, a_s in points
+        ]
+        serial = {}
+        for n in grid["n"]:
+            pair = validate._pair(n)
+            estimates, exact = estimate_cases(pair, cases, plan), capacity.exact_cases(pair, cases)
+            for (rho_db, theta, a_s), est, analytic in zip(points, estimates, exact):
+                serial[rho_db, theta, n, a_s] = est, analytic
+        expected = [
+            validate.ValidationRow(*point, q, analytic[q], est[q].value, est[q].std_error)
+            for point in itertools.product(grid["snr_db"], grid["theta"], grid["n"], grid["a_s"])
+            for est, analytic in [serial[point]]
+            for q in QUANTITIES
+        ]
+        assert validate.run_validation(plan) == expected
+
+    @pytest.fixture
+    def failing(self, monkeypatch):
+        """``failing(pass_n, case_n, exact_n)``: the Monte Carlo pass
+        raises at ``pass_n``, its one case fails at ``case_n`` and the exact
+        values raise at ``exact_n`` (None: never)."""
+        estimate, exact = montecarlo.estimate_cases, capacity.exact_cases
+
+        def setup(pass_n, case_n, exact_n):
+            def estimate_cases(pair, cases, plan):
+                n = pair.strong.combined
+                if n == pass_n:
+                    raise RuntimeError(f"pass failed at n={n}")
+                if n == case_n:
+                    return [FloatingPointError(f"case failed at n={n}")]
+                return estimate(pair, cases, plan)
+
+            def exact_cases(pair, cases):
+                if pair.strong.combined == exact_n:
+                    raise numerics.IntegrationError(f"exact failed at n={exact_n}")
+                return exact(pair, cases)
+
+            monkeypatch.setattr(montecarlo, "estimate_cases", estimate_cases)
+            monkeypatch.setattr(capacity, "exact_cases", exact_cases)
+
+        return setup
+
+    @pytest.mark.parametrize(
+        "pass_n, case_n, exact_n, error, message",
+        [
+            (2, None, 2, RuntimeError, "pass failed at n=2"),
+            (None, 2, 2, FloatingPointError, "case failed at n=2"),
+            (2, None, 1, numerics.IntegrationError, "exact failed at n=1"),
+            (None, 2, 1, numerics.IntegrationError, "exact failed at n=1"),
+            (1, None, 2, RuntimeError, "pass failed at n=1"),
+        ],
+        ids=["pass-and-exact", "case-and-exact", "exact-before-pass", "exact-before-case", "pass-first"],
+    )
+    def test_errors_keep_the_serial_order(self, failing, pass_n, case_n, exact_n, error, message):
+        # per n: the pass's error, then a failed case's, then the exact
+        # values', and an earlier n's error before a later n's
+        failing(pass_n, case_n, exact_n)
+        with pytest.raises(error, match=message):
+            validate.run_validation(self.PLAN, self.GRID)
+
+    def test_concurrent_callers_get_their_own_values(self):
+        # more callers than cores share the drawing and validation threads;
+        # with a short switch interval every result still equals the one
+        # computed alone, as a draw read by the wrong pass would not
+        grids = [{**self.GRID, "n": (n,), "snr_db": (rho_db,)} for n in (1, 2, 4) for rho_db in (0.0, 30.0)]
+        pairs = TestSharedPairs.pairs(4, 4, (1, 2, 4))
+        cases = TestSharedPairs.CASES[:4]
+        alone = [validate.run_validation(self.PLAN, g) for g in grids]
+        work = [(pair, cases) for pair in pairs]
+        alone_pairs = estimate_pairs(work, self.PLAN)
+        results, errors = {}, []
+
+        def caller(index):
+            try:
+                for _ in range(3):
+                    results.setdefault(index, []).append(
+                        [validate.run_validation(self.PLAN, g) for g in grids]
+                        if index % 2 else estimate_pairs(work, self.PLAN)
+                    )
+            except BaseException as exc:
+                errors.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=caller, args=(i,)) for i in range(6)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert errors == []
+        for index in range(6):
+            expected = alone if index % 2 else alone_pairs
+            assert results[index] == [expected] * 3, index
+
+    def test_grid_without_n_has_no_rows(self):
+        # no pass is submitted, so none is waited for
+        assert validate.run_validation(self.PLAN, {**self.GRID, "n": ()}) == []
+
+    def test_failed_strong_terms_leave_no_draw_running(self, monkeypatch, no_garbage):
+        # the terms that read g_s fail while block 1 is drawn: the pass
+        # waits for the draw, leaves no garbage, and the next pass works
+        pair, case = PAIR_MRC, (SPLIT, QOS, SNR)
+        expected = estimate_cases(pair, [case], self.PLAN)
+        draws = montecarlo._DRAWS
+        started = []
+
+        class Slow:
+            def submit(self, fn, **kwargs):
+                def slow():
+                    time.sleep(0.05)
+                    return fn(**kwargs)
+
+                started.append(draws.submit(slow))
+                return started[-1]
+
+        accumulate = montecarlo._PairPass.accumulate
+
+        def failing(pass_, powers):
+            if "strong" in powers:
+                raise RuntimeError("terms failed")
+            accumulate(pass_, powers)
+
+        def failed_pass():
+            try:
+                estimate_cases(pair, [case], self.PLAN)
+            except RuntimeError as exc:
+                return str(exc)
+
+        monkeypatch.setattr(montecarlo, "_DRAWS", Slow())
+        monkeypatch.setattr(montecarlo._PairPass, "accumulate", failing)
+        assert no_garbage(failed_pass) == "terms failed"
+        assert len(started) == 1 and started[0].done()
+        monkeypatch.setattr(montecarlo._PairPass, "accumulate", accumulate)
+        assert estimate_cases(pair, [case], self.PLAN) == expected
+        assert len(started) == 2
+
+    @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+    def test_forked_child_starts_its_own_threads(self):
+        # a child forked after a validation has no thread behind the
+        # parent's executors; without its own its first pass would hang
+        expected = validate.run_validation(self.PLAN, self.GRID)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", DeprecationWarning)  # a fork beside threads
+            pid = os.fork()
+        if pid == 0:
+            code = 1
+            try:
+                code = 0 if validate.run_validation(self.PLAN, self.GRID) == expected else 2
+            finally:
+                os._exit(code)
+        deadline = time.monotonic() + 30
+        while (status := os.waitpid(pid, os.WNOHANG))[0] == 0 and time.monotonic() < deadline:
+            time.sleep(0.02)
+        if status[0] == 0:
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+            pytest.fail("the forked child's pass hung")
+        assert os.waitstatus_to_exitcode(status[1]) == 0
 
 
 def outcomes(results):
